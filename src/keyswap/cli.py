@@ -260,7 +260,7 @@ def cmd_report(args, config: dict) -> int:
     stats = count_bigrams(seq)
     if stats.is_empty:
         raise DataError("empty corpus: nothing to report")
-    if not verify_result(g, stats, result):
+    if not verify_result(g, stats, result, result.model):
         raise DataError("result does not verify against this corpus and geometry")
     k = args.top_pairs if args.top_pairs is not None else int(config.get("top_pairs", 15))
     user_id = args.user_id or os.path.splitext(os.path.basename(args.corpus))[0]
@@ -353,9 +353,8 @@ def cmd_batch(args, config: dict) -> int:
     k = args.top_pairs if args.top_pairs is not None else int(manifest.get("top_pairs", config.get("top_pairs", 15)))
 
     user_workers = max(1, min(threads, len(users)))
-    opt_workers = max(1, threads // user_workers)
     try:
-        base_search = SearchConfig(workers=opt_workers, model=EffortModel(**model_dict) if model_dict else EffortModel(), **search)
+        base_search = SearchConfig(model=EffortModel(**model_dict) if model_dict else EffortModel(), **search)
     except (TypeError, ValueError) as exc:
         raise DataError(f"manifest search config invalid: {exc}")
 
@@ -376,7 +375,6 @@ def cmd_batch(args, config: dict) -> int:
                     "n_swap_pairs": base_search.n_swap_pairs,
                     "mode": base_search.mode,
                     "cumulative": base_search.cumulative,
-                    "workers": base_search.workers,
                 },
                 model_dict,
                 spec_dict,

@@ -180,6 +180,8 @@ def read_tweet_file(path: str) -> list[dict]:
                     raise ValueError(f"{path}:{lineno}: invalid JSON line: {exc}") from None
                 if not isinstance(rec, dict) or "text" not in rec:
                     raise ValueError(f'{path}:{lineno}: expected an object with a "text" field')
+                if not isinstance(rec["text"], str):
+                    raise ValueError(f'{path}:{lineno}: "text" must be a string')
                 records.append(rec)
     else:
         with open(path, encoding="utf-8") as fh:

@@ -12,17 +12,16 @@ sum over letter pairs, the change from applying disjoint transpositions
 p1..pn decomposes exactly into per-transposition deltas d1[p] plus
 pairwise cross terms c2[p, q]; both tables are precomputed once per
 (geometry, stats, model), after which each candidate costs six lookups.
-Results are reduced with the key (cost, canonical encoding), which makes
-the winner independent of worker count and scheduling.
+Both search modes and enumerate_swapsets draw candidates from one block
+generator, and one kernel gathers and reduces each block with the key
+(cost, canonical encoding).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,9 +45,28 @@ _N_PAIRS = 325  # C(26, 2)
 _N_TRIPLETS = 2600  # C(26, 3)
 
 
+def _put_model(d: dict, model: EffortModel) -> None:
+    """Add a non-default cost model to d; default-model files keep their bytes."""
+    if model != DISTANCE_MODEL:
+        d["model"] = {
+            "kind": model.kind,
+            "alpha": model.alpha,
+            "beta": model.beta,
+            "key_area_mm2": model.key_area_mm2,
+        }
+
+
+def _get_model(data: dict) -> EffortModel:
+    return EffortModel(**data["model"]) if "model" in data else DISTANCE_MODEL
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search space and execution knobs for optimize()."""
+    """Search space and cost model for optimize().
+
+    ``workers`` is still accepted and validated, but has no effect on one
+    search: optimize() always runs in one process.
+    """
 
     n_swap_pairs: int = 3
     mode: str = "canonical"
@@ -76,26 +94,17 @@ class SearchConfig:
             "cumulative": self.cumulative,
             "workers": self.workers,
         }
-        if self.model != DISTANCE_MODEL:
-            d["model"] = {
-                "kind": self.model.kind,
-                "alpha": self.model.alpha,
-                "beta": self.model.beta,
-                "key_area_mm2": self.model.key_area_mm2,
-            }
+        _put_model(d, self.model)
         return d
 
     @classmethod
     def from_json_dict(cls, data: dict) -> SearchConfig:
-        model = DISTANCE_MODEL
-        if "model" in data:
-            model = EffortModel(**data["model"])
         return cls(
             n_swap_pairs=data.get("n_swap_pairs", 3),
             mode=data.get("mode", "canonical"),
             cumulative=data.get("cumulative", False),
             workers=data.get("workers", 1),
-            model=model,
+            model=_get_model(data),
         )
 
 
@@ -112,6 +121,7 @@ class OptimizationResult:
     cumulative: bool = False
     wall_time_s: float | None = None
     raw_ordered_pairs: int | None = None
+    model: EffortModel = DISTANCE_MODEL
 
     def to_json_dict(self, include_wall_time: bool = False) -> dict:
         # wall time is dropped from canonical output so identical inputs
@@ -129,6 +139,7 @@ class OptimizationResult:
             d["cumulative"] = True
         if self.raw_ordered_pairs is not None:
             d["raw_ordered_pairs"] = self.raw_ordered_pairs
+        _put_model(d, self.model)
         return d
 
     @classmethod
@@ -143,6 +154,7 @@ class OptimizationResult:
             cumulative=data.get("cumulative", False),
             wall_time_s=data.get("wall_time_s"),
             raw_ordered_pairs=data.get("raw_ordered_pairs"),
+            model=_get_model(data),
         )
 
 
@@ -155,35 +167,67 @@ def _pair_space():
     pairs = tuple(itertools.combinations(range(_N_LETTERS), 2))
     u = np.array([p[0] for p in pairs], dtype=np.intp)
     v = np.array([p[1] for p in pairs], dtype=np.intp)
+    # pair_idx[a, b] == pair_idx[b, a]: index of the unordered pair {a, b}
     pair_idx = np.full((_N_LETTERS, _N_LETTERS), -1, dtype=np.intp)
     for k, (a, b) in enumerate(pairs):
-        pair_idx[a, b] = k
+        pair_idx[a, b] = pair_idx[b, a] = k
     compat = np.ones((_N_PAIRS, _N_PAIRS), dtype=bool)
     for k, (a, b) in enumerate(pairs):
         clash = (u == a) | (u == b) | (v == a) | (v == b)
         compat[k] = ~clash
         compat[k, k] = False
-    return pairs, u, v, pair_idx, compat
+    letter_pairs = tuple((LETTERS[a], LETTERS[b]) for a, b in pairs)
+    return letter_pairs, u, v, pair_idx, compat
 
 
 @lru_cache(maxsize=1)
-def _blocks3() -> tuple[np.ndarray, np.ndarray]:
-    """All disjoint (i, j) pair-index blocks with i < j, in canonical order."""
-    _, _, _, _, compat = _pair_space()
-    i_list: list[np.ndarray] = []
-    j_list: list[np.ndarray] = []
-    for i in range(_N_PAIRS):
-        js = np.flatnonzero(compat[i, i + 1 :]) + (i + 1)
-        i_list.append(np.full(js.shape, i, dtype=np.intp))
-        j_list.append(js)
-    return np.concatenate(i_list), np.concatenate(j_list)
+def _size2_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """All disjoint pair-index pairs (i, j) with i < j, in canonical order."""
+    return np.nonzero(np.triu(_pair_space()[4], 1))
 
 
 @lru_cache(maxsize=1)
 def _triplet_space():
-    trips = np.array(list(itertools.combinations(range(_N_LETTERS), 3)), dtype=np.intp)
-    masks = (1 << trips[:, 0]) | (1 << trips[:, 1]) | (1 << trips[:, 2])
-    return trips, masks
+    """Sorted letter triplets as three position columns, plus letter bitmasks."""
+    cols = np.array(list(itertools.combinations(range(_N_LETTERS), 3)), dtype=np.intp).T.copy()
+    masks = (1 << cols[0]) | (1 << cols[1]) | (1 << cols[2])
+    return cols, masks
+
+
+def _candidate_blocks(n: int, mode: str):
+    """Yield the candidates of one search size as non-empty blocks.
+
+    A block is a tuple of n pair-index arrays; row r of the block is the
+    candidate (block[0][r], ..., block[n-1][r]), sorted ascending, which
+    is its canonical encoding. Pair indices are lexicographic over letter
+    pairs, so in canonical mode the blocks and their rows come in
+    canonical SwapSet order. Triplet mode yields one block per first
+    triplet, holding its pairings with every later disjoint triplet.
+    """
+    _, _, _, pair_idx, compat = _pair_space()
+    if mode == "paper":
+        cols, masks = _triplet_space()
+        for a in range(masks.size):
+            rest = np.flatnonzero((masks[a + 1 :] & masks[a]) == 0) + (a + 1)
+            if rest.size:
+                # both triplets are sorted, so the position-wise pairs'
+                # smaller letters, and with them the pair indices, ascend
+                rows = pair_idx[cols[:, a]]
+                yield tuple(rows[c].take(cols[c].take(rest)) for c in range(3))
+    elif n == 1:
+        yield (np.arange(_N_PAIRS),)
+    elif n == 2:
+        yield _size2_pairs()
+    else:
+        # one block per first pair i: the size-2 candidates (j, k) with
+        # i < j that are disjoint from i, kept in their canonical order
+        first, second = _size2_pairs()
+        for i in range(_N_PAIRS):
+            lo = np.searchsorted(first, i, side="right")
+            j, k = first[lo:], second[lo:]
+            sel = np.flatnonzero(compat[i, j] & compat[i, k])
+            if sel.size:
+                yield np.full(sel.size, i), j[sel], k[sel]
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +242,10 @@ def _build_delta_tables(
     model: EffortModel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """d1[p]: cost change of single swap p; c2[p, q]: cross term of p and q."""
-    pairs, u, v, _, compat = _pair_space()
+    letter_pairs, u, v, _, _ = _pair_space()
     d1 = np.zeros(_N_PAIRS)
-    for k, (a, b) in enumerate(pairs):
-        s = SwapSet(((LETTERS[a], LETTERS[b]),))
+    for k, pair in enumerate(letter_pairs):
+        s = SwapSet((pair,))
         d1[k] = delta_cost(g, base, base_cost, stats, s, model) - base_cost
 
     t = effort_tables(g, model)
@@ -209,7 +253,7 @@ def _build_delta_tables(
     f = stats.within_word.astype(np.float64)
     s_in = stats.across_space[:, :END].astype(np.float64)
 
-    idx_i, idx_j = np.nonzero(np.triu(compat, 1))
+    idx_i, idx_j = _size2_pairs()
     au, av, bu, bv = u[idx_i], v[idx_i], u[idx_j], v[idx_j]
     o = slots
     combos = (
@@ -236,109 +280,30 @@ def _build_delta_tables(
     return d1, c2
 
 
-# ---------------------------------------------------------------------------
-# block evaluation (shared by the sequential and parallel paths)
+def _best(d1: np.ndarray, c2: np.ndarray, block) -> tuple[float, tuple[int, ...]]:
+    """Cheapest candidate of one block as (cost delta, encoding).
 
-# A candidate is (cost delta, sorted pair-index tuple). Pair indices are
-# lexicographic over letter pairs, so tuple comparison reproduces canonical
-# SwapSet order, including across sizes (shorter tuples win on shared prefix).
-_Best = tuple[float, tuple[int, ...]]
-
-
-def _merge(best: _Best | None, cand: _Best | None) -> _Best | None:
-    if cand is None:
-        return best
-    if best is None or cand < best:
-        return cand
-    return best
-
-
-def _eval_size1(d1: np.ndarray) -> tuple[_Best, int]:
-    a = int(np.argmin(d1))
-    return (float(d1[a]), (a,)), _N_PAIRS
-
-
-def _eval_size2_chunk(d1, c2, compat, lo, hi) -> tuple[_Best | None, int]:
-    best: _Best | None = None
-    count = 0
-    for i in range(lo, hi):
-        ks = np.flatnonzero(compat[i, i + 1 :])
-        if ks.size == 0:
-            continue
-        ks += i + 1
-        deltas = (d1[i] + d1[ks]) + c2[i, ks]
-        a = int(np.argmin(deltas))
-        count += ks.size
-        best = _merge(best, (float(deltas[a]), (i, int(ks[a]))))
-    return best, count
-
-
-def _eval_size3_chunk(d1, c2, compat, bi, bj, lo, hi) -> tuple[_Best | None, int]:
-    best: _Best | None = None
-    count = 0
-    for b in range(lo, hi):
-        i = int(bi[b])
-        j = int(bj[b])
-        tail = compat[i, j + 1 :] & compat[j, j + 1 :]
-        ks = np.flatnonzero(tail)
-        if ks.size == 0:
-            continue
-        ks += j + 1
-        base2 = (d1[i] + d1[j]) + c2[i, j]
-        deltas = ((base2 + d1[ks]) + c2[i, ks]) + c2[j, ks]
-        a = int(np.argmin(deltas))
-        count += ks.size
-        best = _merge(best, (float(deltas[a]), (i, j, int(ks[a]))))
-    return best, count
-
-
-def _eval_paper_chunk(d1, c2, trips, masks, pair_idx, lo, hi) -> tuple[_Best | None, int]:
-    best: _Best | None = None
-    count = 0
-    for a in range(lo, hi):
-        rest = np.flatnonzero((masks[a + 1 :] & int(masks[a])) == 0)
-        if rest.size == 0:
-            continue
-        rest += a + 1
-        t1 = trips[a]
-        t2 = trips[rest]
-        lo_l = np.minimum(t1, t2)
-        hi_l = np.maximum(t1, t2)
-        p = pair_idx[lo_l, hi_l]
-        p.sort(axis=1)
-        pi, pj, pk = p[:, 0], p[:, 1], p[:, 2]
-        deltas = (((d1[pi] + d1[pj]) + c2[pi, pj]) + d1[pk]) + c2[pi, pk] + c2[pj, pk]
-        count += rest.size
-        m = deltas.min()
-        for t in np.flatnonzero(deltas == m):
-            best = _merge(best, (float(m), (int(pi[t]), int(pj[t]), int(pk[t]))))
-    return best, count
-
-
-def _search_chunk(args) -> tuple[_Best | None, int]:
-    kind, payload, lo, hi = args
-    if kind == "size2":
-        return _eval_size2_chunk(*payload, lo, hi)
-    if kind == "size3":
-        return _eval_size3_chunk(*payload, lo, hi)
-    if kind == "paper":
-        return _eval_paper_chunk(*payload, lo, hi)
-    raise ValueError(f"unknown chunk kind {kind!r}")
-
-
-def _run_chunks(kind, payload, n_blocks, workers) -> tuple[_Best | None, int]:
-    if workers <= 1 or n_blocks < 2:
-        return _search_chunk((kind, payload, 0, n_blocks))
-    bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1).astype(int)
-    tasks = [(kind, payload, int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if a < b]
-    ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    best: _Best | None = None
-    count = 0
-    with ProcessPoolExecutor(max_workers=len(tasks), mp_context=ctx) as pool:
-        for chunk_best, chunk_count in pool.map(_search_chunk, tasks):
-            best = _merge(best, chunk_best)
-            count += chunk_count
-    return best, count
+    Ties go to the smallest encoding, so comparing the returned tuples
+    across blocks and sizes reproduces canonical SwapSet order (shorter
+    encodings win on a shared prefix). The sum is always associated as
+    ((d1[i] + d1[j]) + c2[i, j]), then + d1[k], + c2[i, k], + c2[j, k].
+    """
+    i = block[0]
+    deltas = d1[i]
+    if len(block) > 1:
+        j = block[1]
+        deltas = (deltas + d1[j]) + c2[i, j]
+    if len(block) > 2:
+        k = block[2]
+        deltas = ((deltas + d1[k]) + c2[i, k]) + c2[j, k]
+    m = deltas.min()
+    tied = np.flatnonzero(deltas == m)
+    # pair indices are below _N_PAIRS, so base-_N_PAIRS keys order like encodings
+    key = np.zeros(tied.size, dtype=np.int64)
+    for col in block:
+        key = key * _N_PAIRS + col[tied]
+    r = tied[np.argmin(key)]
+    return float(m), tuple(int(col[r]) for col in block)
 
 
 # ---------------------------------------------------------------------------
@@ -354,40 +319,14 @@ def enumerate_swapsets(n: int, mode: str = "canonical"):
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if mode == "paper":
-        if n != 3:
-            raise ValueError("triplet mode is defined only for n=3")
-        trips, masks = _triplet_space()
-        n_trips = trips.shape[0]
-        for a in range(n_trips):
-            t1 = trips[a]
-            for b in range(a + 1, n_trips):
-                if masks[a] & masks[b]:
-                    continue
-                t2 = trips[b]
-                pairs = tuple(
-                    sorted((LETTERS[min(x, y)], LETTERS[max(x, y)]) for x, y in zip(t1, t2))
-                )
-                yield SwapSet(pairs)
-        return
+    if mode == "paper" and n != 3:
+        raise ValueError("triplet mode is defined only for n=3")
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
-    pairs, _, _, _, compat = _pair_space()
-    letter_pairs = tuple((LETTERS[a], LETTERS[b]) for a, b in pairs)
-    if n == 1:
-        for p in letter_pairs:
-            yield SwapSet((p,))
-        return
-    if n == 2:
-        for i in range(_N_PAIRS):
-            for j in np.flatnonzero(compat[i, i + 1 :]) + (i + 1):
-                yield SwapSet((letter_pairs[i], letter_pairs[int(j)]))
-        return
-    bi, bj = _blocks3()
-    for i, j in zip(bi, bj):
-        tail = compat[i, j + 1 :] & compat[j, j + 1 :]
-        for k in np.flatnonzero(tail) + (j + 1):
-            yield SwapSet((letter_pairs[int(i)], letter_pairs[int(j)], letter_pairs[int(k)]))
+    letter_pairs = _pair_space()[0]
+    for block in _candidate_blocks(n, mode):
+        for row in zip(*([letter_pairs[p] for p in col.tolist()] for col in block)):
+            yield SwapSet(row)
 
 
 def swap_count(n: int, mode: str = "canonical") -> int:
@@ -406,8 +345,8 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
     """Exhaustively search swap sets and return the cheapest layout found.
 
     Ties are broken toward the lexicographically smallest canonical
-    encoding, so the result does not depend on worker count. The winning
-    cost is recomputed from scratch before being reported.
+    encoding. The winning cost is recomputed from scratch before being
+    reported.
     """
     if stats.is_empty:
         raise ValueError("cannot optimize over empty bigram stats")
@@ -417,36 +356,23 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
     if not base_cost > 0.0:
         raise ValueError("base layout cost is zero; improvement rate is undefined")
     d1, c2 = _build_delta_tables(g, stats, base, base_cost, cfg.model)
-    pairs, _, _, pair_idx, compat = _pair_space()
-
-    best: _Best | None = None
-    candidates = 0
-    raw_pairs: int | None = None
 
     if cfg.mode == "paper":
-        trips, masks = _triplet_space()
-        raw_pairs = _N_TRIPLETS * (_N_TRIPLETS - 1)
-        payload = (d1, c2, trips, masks, pair_idx)
-        best, candidates = _run_chunks("paper", payload, trips.shape[0], cfg.workers)
+        sizes, raw_pairs = (3,), _N_TRIPLETS * (_N_TRIPLETS - 1)
     else:
-        sizes = range(0, cfg.n_swap_pairs + 1) if cfg.cumulative else (cfg.n_swap_pairs,)
-        for size in sizes:
-            if size == 0:
-                size_best, n_cand = (0.0, ()), 1
-            elif size == 1:
-                size_best, n_cand = _eval_size1(d1)
-            elif size == 2:
-                size_best, n_cand = _run_chunks("size2", (d1, c2, compat), _N_PAIRS, cfg.workers)
-            else:
-                bi, bj = _blocks3()
-                payload = (d1, c2, compat, bi, bj)
-                size_best, n_cand = _run_chunks("size3", payload, bi.shape[0], cfg.workers)
-            candidates += n_cand
-            best = _merge(best, size_best)
+        n = cfg.n_swap_pairs
+        sizes, raw_pairs = (range(1, n + 1) if cfg.cumulative else (n,)), None
+    # a cumulative search also considers size 0, the stock layout
+    found = [(0.0, ())] if cfg.cumulative else []
+    candidates = len(found)
+    for size in sizes:
+        for block in _candidate_blocks(size, cfg.mode):
+            found.append(_best(d1, c2, block))
+            candidates += block[0].size
 
-    assert best is not None
-    _, idx = best
-    swaps = SwapSet(tuple((LETTERS[pairs[p][0]], LETTERS[pairs[p][1]]) for p in idx))
+    _, idx = min(found)
+    letter_pairs = _pair_space()[0]
+    swaps = SwapSet(tuple(letter_pairs[p] for p in idx))
     best_cost = stats_cost(g, apply_swaps(base, swaps), stats, cfg.model)
     per_pct = 100.0 * (base_cost - best_cost) / base_cost
     return OptimizationResult(
@@ -459,6 +385,7 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
         cumulative=cfg.cumulative,
         wall_time_s=time.perf_counter() - t0,
         raw_ordered_pairs=raw_pairs,
+        model=cfg.model,
     )
 
 

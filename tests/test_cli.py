@@ -72,6 +72,10 @@ def test_ingest_data_errors(workdir, capsys):
     assert main(["ingest", "bad.jsonl", "-o", "x.txt"]) == 2
     err = capsys.readouterr().err
     assert "bad.jsonl:1" in err
+    for text in (12345, None):
+        write_jsonl(workdir / "typed.jsonl", [{"text": "fine"}, {"text": text}])
+        assert main(["ingest", "typed.jsonl", "-o", "x.txt"]) == 2
+        assert "typed.jsonl:2" in capsys.readouterr().err
 
 
 def test_ingest_rejects_symbol_only_corpus(workdir):
@@ -147,6 +151,12 @@ def test_report_outputs(workdir, capsys):
     assert len(csv) <= 16
     out = capsys.readouterr().out
     assert "improvement" in out
+
+
+def test_report_verifies_with_the_result_model(workdir):
+    optimize(workdir, "--model", "fitts", "--alpha", "0.2")
+    assert json.loads((workdir / "r.json").read_text())["model"]["kind"] == "fitts"
+    assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"]) == 0
 
 
 def test_report_svg_dir_split(workdir):

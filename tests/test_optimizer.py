@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from keyswap.corpus import KeySequence
 from keyswap.effort import stats_cost
-from keyswap.geometry import qwerty_layout
+from keyswap.geometry import LETTERS, SwapSet, apply_swaps, qwerty_layout
 from keyswap.optimizer import (
     OptimizationResult,
     SearchConfig,
@@ -46,13 +47,43 @@ def test_enumeration_counts():
 
 
 def test_enumeration_is_canonical_and_ordered():
-    seen = list(itertools.islice(enumerate_swapsets(2), 2000))
-    assert all(s.is_canonical() for s in seen)
-    encodings = [s.pairs for s in seen]
-    assert encodings == sorted(encodings)
-    # The stream begins at the smallest two disjoint pairs.
-    assert encodings[0] == (("a", "b"), ("c", "d"))
-    assert encodings[1] == (("a", "b"), ("c", "e"))
+    # Both prefixes cross first-pair boundaries: 276 two-pair sets and
+    # 31,878 three-pair sets start with ab.
+    cases = (
+        (2, 2000, (("a", "b"), ("c", "d")), (("a", "b"), ("c", "e"))),
+        (3, 40_000, (("a", "b"), ("c", "d"), ("e", "f")), (("a", "b"), ("c", "d"), ("e", "g"))),
+    )
+    for n, prefix, first, second in cases:
+        seen = list(itertools.islice(enumerate_swapsets(n), prefix))
+        assert all(s.is_canonical() for s in seen)
+        encodings = [s.pairs for s in seen]
+        assert encodings == sorted(encodings)
+        assert encodings[-1][0] != encodings[0][0]
+        # The stream begins at the smallest n disjoint pairs.
+        assert encodings[:2] == [first, second]
+
+
+def test_size3_winner_beats_sampled_rescored_candidates(geometry):
+    # Half the sample is uniform; the other half combines the 30 best
+    # single swaps, where a wrong winner most likely has a cheaper rival.
+    rng = random.Random(3333)
+    base = qwerty_layout()
+    for text in ("the quick brown fox jumps over the lazy dog", random_corpus_text(rng, 300, 600)):
+        stats = count_bigrams(KeySequence(text))
+        best = optimize(geometry, stats, SearchConfig(n_swap_pairs=3)).best_cost_mm
+        singles = sorted(
+            itertools.combinations(LETTERS, 2),
+            key=lambda p: stats_cost(geometry, apply_swaps(base, SwapSet((p,))), stats),
+        )[:30]
+        sample = []
+        while len(sample) < 10_000:
+            chosen = rng.sample(LETTERS, 6)
+            pairs = [chosen[0:2], chosen[2:4], chosen[4:6]] if len(sample) % 2 else rng.sample(singles, 3)
+            if len(set().union(*pairs)) == 6:
+                sample.append(SwapSet.from_pairs(pairs))
+        for swaps in sample:
+            cost = stats_cost(geometry, apply_swaps(base, swaps), stats)
+            assert cost >= best or math.isclose(cost, best, rel_tol=1e-9), swaps
 
 
 def test_enumeration_matches_independent_generator():
