@@ -250,12 +250,16 @@ def _report_outputs(user_id, g, seq, stats, result, out_dir, svg_dir, k):
 
 
 def cmd_report(args, config: dict) -> int:
-    g = _geometry_from(args, config)
     data = _load_json(args.result, "result file")
     try:
         result = OptimizationResult.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed result file {args.result}: {exc}")
+    # the geometry the result records wins over config and defaults
+    if "geometry" in data and not args.geometry:
+        g = build_geometry(result.geometry)
+    else:
+        g = _geometry_from(args, config)
     seq = _read_corpus(args.corpus)
     stats = count_bigrams(seq)
     if stats.is_empty:

@@ -182,6 +182,8 @@ def read_tweet_file(path: str) -> list[dict]:
                     raise ValueError(f'{path}:{lineno}: expected an object with a "text" field')
                 if not isinstance(rec["text"], str):
                     raise ValueError(f'{path}:{lineno}: "text" must be a string')
+                if not isinstance(rec.get("retweeted", False), (bool, type(None))):
+                    raise ValueError(f'{path}:{lineno}: "retweeted" must be true, false or null')
                 records.append(rec)
     else:
         with open(path, encoding="utf-8") as fh:

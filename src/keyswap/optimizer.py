@@ -12,6 +12,9 @@ sum over letter pairs, the change from applying disjoint transpositions
 p1..pn decomposes exactly into per-transposition deltas d1[p] plus
 pairwise cross terms c2[p, q]; both tables are precomputed once per
 (geometry, stats, model), after which each candidate costs six lookups.
+d1 comes from one batched pass that repeats delta_cost's floating-point
+operations for all 325 pairs, so it equals delta_cost bit for bit; c2 is
+gathered from flat tables one letter combination at a time.
 Both search modes and enumerate_swapsets draw candidates from one block
 generator, and one kernel gathers and reduces each block with the key
 (cost, canonical encoding).
@@ -30,12 +33,20 @@ import numpy as np
 from .effort import (
     DISTANCE_MODEL,
     EffortModel,
-    delta_cost,
     effort_tables,
     letter_slot_vector,
     stats_cost,
 )
-from .geometry import LETTERS, KeyboardGeometry, Layout, SwapSet, apply_swaps, qwerty_layout
+from .geometry import (
+    DEFAULT_SPEC,
+    LETTERS,
+    GeometrySpec,
+    KeyboardGeometry,
+    Layout,
+    SwapSet,
+    apply_swaps,
+    qwerty_layout,
+)
 from .stats import END, BigramStats
 
 MODES = ("canonical", "paper")
@@ -43,6 +54,8 @@ MODES = ("canonical", "paper")
 _N_LETTERS = 26
 _N_PAIRS = 325  # C(26, 2)
 _N_TRIPLETS = 2600  # C(26, 3)
+# first triplets per paper-mode block; larger blocks raise peak memory
+_PAPER_BLOCK = 16
 
 
 def _put_model(d: dict, model: EffortModel) -> None:
@@ -122,6 +135,7 @@ class OptimizationResult:
     wall_time_s: float | None = None
     raw_ordered_pairs: int | None = None
     model: EffortModel = DISTANCE_MODEL
+    geometry: GeometrySpec = DEFAULT_SPEC
 
     def to_json_dict(self, include_wall_time: bool = False) -> dict:
         # wall time is dropped from canonical output so identical inputs
@@ -140,6 +154,9 @@ class OptimizationResult:
         if self.raw_ordered_pairs is not None:
             d["raw_ordered_pairs"] = self.raw_ordered_pairs
         _put_model(d, self.model)
+        # as with the model, a default geometry is left out so bytes stay
+        if self.geometry != DEFAULT_SPEC:
+            d["geometry"] = self.geometry.to_json_dict()
         return d
 
     @classmethod
@@ -155,6 +172,7 @@ class OptimizationResult:
             wall_time_s=data.get("wall_time_s"),
             raw_ordered_pairs=data.get("raw_ordered_pairs"),
             model=_get_model(data),
+            geometry=GeometrySpec.from_json_dict(data["geometry"]) if "geometry" in data else DEFAULT_SPEC,
         )
 
 
@@ -201,19 +219,27 @@ def _candidate_blocks(n: int, mode: str):
     candidate (block[0][r], ..., block[n-1][r]), sorted ascending, which
     is its canonical encoding. Pair indices are lexicographic over letter
     pairs, so in canonical mode the blocks and their rows come in
-    canonical SwapSet order. Triplet mode yields one block per first
-    triplet, holding its pairings with every later disjoint triplet.
+    canonical SwapSet order. Triplet mode yields one block per
+    _PAPER_BLOCK first triplets, holding each one's pairings with every
+    later disjoint triplet, first triplet by first triplet.
     """
     _, _, _, pair_idx, compat = _pair_space()
     if mode == "paper":
         cols, masks = _triplet_space()
-        for a in range(masks.size):
-            rest = np.flatnonzero((masks[a + 1 :] & masks[a]) == 0) + (a + 1)
-            if rest.size:
-                # both triplets are sorted, so the position-wise pairs'
-                # smaller letters, and with them the pair indices, ascend
-                rows = pair_idx[cols[:, a]]
-                yield tuple(rows[c].take(cols[c].take(rest)) for c in range(3))
+        flat_idx = pair_idx.ravel()
+        order = np.arange(_N_TRIPLETS)
+        for a0 in range(0, _N_TRIPLETS, _PAPER_BLOCK):
+            a = order[a0 : a0 + _PAPER_BLOCK, None]
+            # row-major nonzero keeps the per-first-triplet order
+            first, second = np.nonzero(((masks[a] & masks) == 0) & (order > a))
+            if not first.size:
+                continue
+            first += a0
+            # both triplets are sorted, so the position-wise pairs'
+            # smaller letters, and with them the pair indices, ascend
+            yield tuple(
+                flat_idx.take(cols[c].take(first) * _N_LETTERS + cols[c].take(second)) for c in range(3)
+            )
     elif n == 1:
         yield (np.arange(_N_PAIRS),)
     elif n == 2:
@@ -225,13 +251,25 @@ def _candidate_blocks(n: int, mode: str):
         for i in range(_N_PAIRS):
             lo = np.searchsorted(first, i, side="right")
             j, k = first[lo:], second[lo:]
-            sel = np.flatnonzero(compat[i, j] & compat[i, k])
+            row = compat[i]
+            sel = np.flatnonzero(row.take(j) & row.take(k))
             if sel.size:
                 yield np.full(sel.size, i), j[sel], k[sel]
 
 
 # ---------------------------------------------------------------------------
 # delta tables
+
+
+def _term_sums(m: np.ndarray, tab: np.ndarray, a, b, sa, sb) -> np.ndarray:
+    """Per pair, the sum of m[a, b] * tab[sa, sb] over that pair's block.
+
+    The index arrays broadcast to (325, r, c). Each product block is
+    reduced as one C-contiguous row, so it sums in the same pairwise
+    order as the scalar ``.sum()`` of _affected_terms.
+    """
+    prod = m.take(a * _N_LETTERS + b) * tab.take(sa * _N_LETTERS + sb)
+    return prod.reshape(_N_PAIRS, -1).sum(axis=1)
 
 
 def _build_delta_tables(
@@ -241,38 +279,61 @@ def _build_delta_tables(
     base_cost: float,
     model: EffortModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """d1[p]: cost change of single swap p; c2[p, q]: cross term of p and q."""
-    letter_pairs, u, v, _, _ = _pair_space()
-    d1 = np.zeros(_N_PAIRS)
-    for k, pair in enumerate(letter_pairs):
-        s = SwapSet((pair,))
-        d1[k] = delta_cost(g, base, base_cost, stats, s, model) - base_cost
+    """d1[p]: cost change of single swap p; c2[p, q]: cross term of p and q.
 
+    d1 repeats delta_cost's floating-point operations for all 325 pairs in
+    one batched pass: the seven terms of _affected_terms, each reduced per
+    pair in the same order, combined with the same + and -, and finished
+    as (base_cost + (new - old)) - base_cost. Every entry is therefore the
+    same bits as delta_cost(..., SwapSet((pair,)), ...) - base_cost.
+    c2 sums the eight (letter of p, letter of q) combinations in a fixed
+    order; each combination gathers its index arrays from 325-long
+    per-pair sides, so only one combination's temporaries exist at a time.
+    """
+    _, u, v, _, _ = _pair_space()
     t = effort_tables(g, model)
-    slots = letter_slot_vector(base)
+    o = letter_slot_vector(base)
     f = stats.within_word.astype(np.float64)
     s_in = stats.across_space[:, :END].astype(np.float64)
+    row_s = stats.across_space.sum(axis=1)
+    dd, gg, sp = t.slot_to_slot, t.space_to_slot, t.slot_to_space
+
+    letters = np.arange(_N_LETTERS)
+    moved = np.stack((u, v), axis=1)
+    mr, mc = moved[:, :, None], moved[:, None, :]
+    new_slots = np.tile(o, (_N_PAIRS, 1))
+    new_slots[np.arange(_N_PAIRS), u] = o[v]
+    new_slots[np.arange(_N_PAIRS), v] = o[u]
+
+    def affected(slots: np.ndarray, sm: np.ndarray) -> np.ndarray:
+        # _affected_terms per pair; slots is the base vector or one row per pair
+        sr, sc = sm[:, :, None], sm[:, None, :]
+        terms = []
+        for m, tab in ((f, dd), (s_in, gg)):
+            terms.append(_term_sums(m, tab, mr, letters, sr, slots[..., None, :]))
+            terms.append(_term_sums(m, tab, letters[:, None], mc, slots[..., :, None], sc))
+            terms.append(_term_sums(m, tab, mr, mc, sr, sc))
+        f_rows, f_cols, f_both, s_rows, s_cols, s_both = terms
+        space = (row_s[moved] * sp[sm]).sum(axis=1)
+        return (((((f_rows + f_cols) - f_both) + s_rows) + s_cols) - s_both) + space
+
+    new = affected(new_slots, np.stack((o[v], o[u]), axis=1))
+    d1 = (base_cost + (new - affected(o, o[moved]))) - base_cost
 
     idx_i, idx_j = _size2_pairs()
-    au, av, bu, bv = u[idx_i], v[idx_i], u[idx_j], v[idx_j]
-    o = slots
-    combos = (
-        # (a, old slot of a, new slot of a, b, old slot of b, new slot of b)
-        (au, o[au], o[av], bu, o[bu], o[bv]),
-        (au, o[au], o[av], bv, o[bv], o[bu]),
-        (av, o[av], o[au], bu, o[bu], o[bv]),
-        (av, o[av], o[au], bv, o[bv], o[bu]),
-        (bu, o[bu], o[bv], au, o[au], o[av]),
-        (bu, o[bu], o[bv], av, o[av], o[au]),
-        (bv, o[bv], o[bu], au, o[au], o[av]),
-        (bv, o[bv], o[bu], av, o[av], o[au]),
-    )
+    # side s of a pair: (letter, its old slot, its new slot); as the first
+    # letter of a combination its indices are pre-scaled to table rows
+    sides = ((u, o[u], o[v]), (v, o[v], o[u]))
+    firsts = tuple(tuple(x * _N_LETTERS for x in side) for side in sides)
     vals = np.zeros(idx_i.shape[0])
-    for a, oa, na, b, ob, nb in combos:
-        dd = t.slot_to_slot
-        gg = t.space_to_slot
-        vals += f[a, b] * (dd[na, nb] - dd[na, ob] - dd[oa, nb] + dd[oa, ob])
-        vals += s_in[a, b] * (gg[na, nb] - gg[na, ob] - gg[oa, nb] + gg[oa, ob])
+    for p, q in ((idx_i, idx_j), (idx_j, idx_i)):
+        for first in firsts:
+            a, oa, na = (x.take(p) for x in first)
+            for second in sides:
+                b, ob, nb = (x.take(q) for x in second)
+                ab, nn, no, on, oo = a + b, na + nb, na + ob, oa + nb, oa + ob
+                vals += f.take(ab) * (dd.take(nn) - dd.take(no) - dd.take(on) + dd.take(oo))
+                vals += s_in.take(ab) * (gg.take(nn) - gg.take(no) - gg.take(on) + gg.take(oo))
 
     c2 = np.zeros((_N_PAIRS, _N_PAIRS))
     c2[idx_i, idx_j] = vals
@@ -288,14 +349,15 @@ def _best(d1: np.ndarray, c2: np.ndarray, block) -> tuple[float, tuple[int, ...]
     encodings win on a shared prefix). The sum is always associated as
     ((d1[i] + d1[j]) + c2[i, j]), then + d1[k], + c2[i, k], + c2[j, k].
     """
+    c2 = c2.ravel()
     i = block[0]
-    deltas = d1[i]
+    deltas = d1.take(i)
     if len(block) > 1:
         j = block[1]
-        deltas = (deltas + d1[j]) + c2[i, j]
+        deltas = (deltas + d1.take(j)) + c2.take(i * _N_PAIRS + j)
     if len(block) > 2:
         k = block[2]
-        deltas = ((deltas + d1[k]) + c2[i, k]) + c2[j, k]
+        deltas = ((deltas + d1.take(k)) + c2.take(i * _N_PAIRS + k)) + c2.take(j * _N_PAIRS + k)
     m = deltas.min()
     tied = np.flatnonzero(deltas == m)
     # pair indices are below _N_PAIRS, so base-_N_PAIRS keys order like encodings
@@ -386,6 +448,7 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
         wall_time_s=time.perf_counter() - t0,
         raw_ordered_pairs=raw_pairs,
         model=cfg.model,
+        geometry=g.spec,
     )
 
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from keyswap import KeySequence, build_geometry, qwerty_layout
-from keyswap.effort import stats_cost
+from keyswap.effort import effort_tables, letter_slot_vector, stats_cost
 from keyswap.geometry import LETTERS, SwapSet, apply_swaps
+from keyswap.stats import END
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +62,41 @@ def brute_force(g, stats, n):
         if best is None or key < best:
             best = key
     return best[1], best[0]
+
+
+def reference_c2(g, stats, base, model):
+    """Cross-term table c2 built by the all-combinations formula, one
+    (letter of p, letter of q) combination after another over the size-2
+    pair list, as the search's table build sums them."""
+    pairs = list(itertools.combinations(range(26), 2))
+    u = np.array([p[0] for p in pairs])
+    v = np.array([p[1] for p in pairs])
+    idx_i, idx_j = np.nonzero(np.triu(~(
+        (u[:, None] == u) | (u[:, None] == v) | (v[:, None] == u) | (v[:, None] == v)
+    ), 1))
+    t = effort_tables(g, model)
+    o = letter_slot_vector(base)
+    f = stats.within_word.astype(np.float64)
+    s_in = stats.across_space[:, :END].astype(np.float64)
+    au, av, bu, bv = u[idx_i], v[idx_i], u[idx_j], v[idx_j]
+    combos = (
+        # (a, old slot of a, new slot of a, b, old slot of b, new slot of b)
+        (au, o[au], o[av], bu, o[bu], o[bv]),
+        (au, o[au], o[av], bv, o[bv], o[bu]),
+        (av, o[av], o[au], bu, o[bu], o[bv]),
+        (av, o[av], o[au], bv, o[bv], o[bu]),
+        (bu, o[bu], o[bv], au, o[au], o[av]),
+        (bu, o[bu], o[bv], av, o[av], o[au]),
+        (bv, o[bv], o[bu], au, o[au], o[av]),
+        (bv, o[bv], o[bu], av, o[av], o[au]),
+    )
+    vals = np.zeros(idx_i.shape[0])
+    for a, oa, na, b, ob, nb in combos:
+        dd = t.slot_to_slot
+        gg = t.space_to_slot
+        vals += f[a, b] * (dd[na, nb] - dd[na, ob] - dd[oa, nb] + dd[oa, ob])
+        vals += s_in[a, b] * (gg[na, nb] - gg[na, ob] - gg[oa, nb] + gg[oa, ob])
+    c2 = np.zeros((len(pairs), len(pairs)))
+    c2[idx_i, idx_j] = vals
+    c2[idx_j, idx_i] = vals
+    return c2

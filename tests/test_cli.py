@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from keyswap.cli import main
+from keyswap.geometry import DEFAULT_SPEC
 
 TWEETS = [
     {"text": "Morning walk along the river, the light was unreal today."},
@@ -72,8 +73,8 @@ def test_ingest_data_errors(workdir, capsys):
     assert main(["ingest", "bad.jsonl", "-o", "x.txt"]) == 2
     err = capsys.readouterr().err
     assert "bad.jsonl:1" in err
-    for text in (12345, None):
-        write_jsonl(workdir / "typed.jsonl", [{"text": "fine"}, {"text": text}])
+    for record in ({"text": 12345}, {"text": None}, {"text": "hello", "retweeted": "no"}):
+        write_jsonl(workdir / "typed.jsonl", [{"text": "fine"}, record])
         assert main(["ingest", "typed.jsonl", "-o", "x.txt"]) == 2
         assert "typed.jsonl:2" in capsys.readouterr().err
 
@@ -156,6 +157,13 @@ def test_report_outputs(workdir, capsys):
 def test_report_verifies_with_the_result_model(workdir):
     optimize(workdir, "--model", "fitts", "--alpha", "0.2")
     assert json.loads((workdir / "r.json").read_text())["model"]["kind"] == "fitts"
+    assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"]) == 0
+
+
+def test_report_verifies_with_the_result_geometry(workdir):
+    (workdir / "big.json").write_text(json.dumps(DEFAULT_SPEC.scaled(2.0).to_json_dict()), encoding="utf-8")
+    optimize(workdir, "--geometry", "big.json")
+    assert json.loads((workdir / "r.json").read_text())["geometry"]["key_width_mm"] == 9.52
     assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"]) == 0
 
 

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from keyswap.corpus import KeySequence
-from keyswap.effort import stats_cost
+from keyswap.corpus import KeySequence, ingest_tweets, read_tweet_file
+from keyswap.effort import EffortModel, delta_cost, stats_cost
 from keyswap.geometry import LETTERS, SwapSet, apply_swaps, qwerty_layout
 from keyswap.optimizer import (
     OptimizationResult,
     SearchConfig,
+    _build_delta_tables,
+    _candidate_blocks,
     enumerate_swapsets,
     optimize,
     swap_count,
@@ -22,7 +27,9 @@ from keyswap.optimizer import (
 )
 from keyswap.stats import BigramStats, count_bigrams
 
-from conftest import brute_force, canonical_pair_tuples, random_corpus_text
+from conftest import brute_force, canonical_pair_tuples, random_corpus_text, reference_c2
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -84,6 +91,45 @@ def test_size3_winner_beats_sampled_rescored_candidates(geometry):
         for swaps in sample:
             cost = stats_cost(geometry, apply_swaps(base, swaps), stats)
             assert cost >= best or math.isclose(cost, best, rel_tol=1e-9), swaps
+
+
+def tie_heavy_text(rng: random.Random) -> str:
+    """Repeated words over 2-5 letters, so many swap sets cost the same."""
+    letters = rng.sample(LETTERS, rng.randint(2, 5))
+    words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(2, 6))]
+    return " ".join(rng.choice(words) for _ in range(rng.randint(10, 80)))
+
+
+def test_delta_tables_are_bit_identical_to_their_references(geometry):
+    texts = [ingest_tweets(read_tweet_file(str(p))).text for p in sorted(DATA.glob("*.jsonl"))]
+    texts += [random_corpus_text(random.Random(1000 + s), 200, 1500) for s in range(5)]
+    texts += [tie_heavy_text(random.Random(2000 + s)) for s in range(3)]
+    base = qwerty_layout()
+    pairs = list(itertools.combinations(LETTERS, 2))
+    for text in texts:
+        stats = count_bigrams(KeySequence(text))
+        for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
+            base_cost = stats_cost(geometry, base, stats, model)
+            d1, c2 = _build_delta_tables(geometry, stats, base, base_cost, model)
+            want = [delta_cost(geometry, base, base_cost, stats, SwapSet((p,)), model) - base_cost for p in pairs]
+            assert np.array_equal(d1, want), (text[:20], model.kind)
+            assert np.array_equal(c2, reference_c2(geometry, stats, base, model)), (text[:20], model.kind)
+
+
+# SHA-256 of the size-3 candidate columns, stacked as int64
+STREAM_SHA256 = {
+    "canonical": "b20d6498d1598c5cf276ed0f197fcc4782e50105573663d8ac49a7d9502423af",
+    "paper": "445ecc4a9fdfc2a3ca441d7142c3ea1d436fee7c4748f07015776c0f16e8aa81",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(STREAM_SHA256))
+def test_size3_candidate_streams_are_pinned(mode):
+    # The block boundaries may move; the concatenated rows, their order
+    # and their count may not.
+    blocks = list(_candidate_blocks(3, mode))
+    cols = np.stack([np.concatenate([b[c] for b in blocks]) for c in range(3)]).astype(np.int64)
+    assert hashlib.sha256(cols.tobytes()).hexdigest() == STREAM_SHA256[mode]
 
 
 def test_enumeration_matches_independent_generator():
