@@ -1,20 +1,34 @@
 """Command line interface: ingest, optimize, report, batch.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 batch finished
-with some users failing. Settings resolve as flags over environment
-(KEYSWAP_OUT_DIR, KEYSWAP_THREADS) over config/manifest values over
-built-in defaults (1200 raw chars, 3 swaps, canonical mode, distance
-model).
+with some users failing.
+
+Every command resolves its settings once, through resolve_settings, before
+it writes anything. The policy, search and model sections merge key by
+key: flags over environment (KEYSWAP_THREADS for search.workers,
+KEYSWAP_OUT_DIR for batch's out_dir) over the batch manifest over the
+--config file over built-in defaults (1200 raw chars, 3 swaps, canonical
+mode, distance model, 15 top pairs, out_dir "out"). A geometry spec is
+taken whole: --geometry, else the manifest's, else the config's. The
+model lives only in the top-level "model" section; a "model" key inside
+"search" is a usage error.
+
+A setting value that fails validation exits 1, whichever layer it came
+from. A config, manifest, geometry spec or result file that cannot be
+read or parsed, or has the wrong shape, exits 2; so does a geometry spec
+with a bad value.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, fields
 
 from .corpus import (
     EmptyCorpusError,
@@ -80,88 +94,111 @@ def _write_json(path: str, obj) -> None:
 
 
 def _load_json(path: str, what: str) -> dict:
+    """The JSON object in a file; anything else is a data error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}")
+    except ValueError as exc:
         raise DataError(f"cannot parse {what} {path}: {exc}")
+    if not isinstance(data, dict):
+        raise DataError(f"{what} {path} must hold a JSON object")
+    return data
 
 
-def _load_config(path: str | None) -> dict:
-    return _load_json(path, "config file") if path else {}
+@dataclass(frozen=True)
+class Settings:
+    """Every setting of a command, resolved and validated once.
+
+    search.workers holds the thread count: how many users batch runs at once.
+    """
+
+    policy: IngestPolicy
+    search: SearchConfig
+    geometry: GeometrySpec
+    top_pairs: int
+    out_dir: str
 
 
-def _geometry_from(args, config: dict):
-    if getattr(args, "geometry", None):
-        spec = GeometrySpec.from_json_file(args.geometry)
-    elif "geometry" in config:
-        spec = GeometrySpec.from_json_dict(config["geometry"])
-    else:
-        spec = DEFAULT_SPEC
-    return build_geometry(spec)
+def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settings:
+    """Resolve flags > env > manifest > config > defaults for any command.
 
+    The policy, search and model sections merge key by key; flag dests are
+    named after the dataclass fields they set. A geometry spec is taken
+    whole. Bad values raise UsageError; a section that is not an object,
+    or a bad geometry spec, raises DataError.
+    """
+    layers = ((args.config, config), (getattr(args, "manifest", None), manifest or {}))
 
-def _policy_from(args, config: dict) -> IngestPolicy:
-    base = dict(IngestPolicy().to_json_dict())
-    base.update(config.get("policy", {}))
-    if getattr(args, "max_raw_chars", None) is not None:
-        base["max_raw_chars"] = args.max_raw_chars
-    if getattr(args, "keep_retweets", False):
-        base["drop_retweets"] = False
-    if getattr(args, "keep_urls", False):
-        base["strip_urls"] = False
-    if getattr(args, "no_fold_diacritics", False):
-        base["fold_diacritics"] = False
+    def section(name: str, cls) -> dict:
+        merged = {}
+        for path, layer in layers:
+            values = layer.get(name, {})
+            if not isinstance(values, dict):
+                raise DataError(f'{path}: "{name}" must be a JSON object')
+            merged.update(values)
+        for f in fields(cls):
+            if getattr(args, f.name, None) is not None:
+                merged[f.name] = getattr(args, f.name)
+        return merged
+
+    def top(key: str, default=None):
+        for _, layer in layers:
+            default = layer.get(key, default)
+        return default
+
     try:
-        return IngestPolicy.from_json_dict(base)
+        policy = IngestPolicy.from_json_dict(section("policy", IngestPolicy))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid ingest policy: {exc}")
-
-
-def _threads_from(args, config: dict) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{ENV_THREADS} must be an integer, got {env!r}")
-    return int(config.get("search", {}).get("workers", 1))
-
-
-def _model_from(args, config: dict) -> EffortModel:
-    cfg = dict(config.get("model", {}))
-    if getattr(args, "model", None) is not None:
-        cfg["kind"] = args.model
-    if getattr(args, "alpha", None) is not None:
-        cfg["alpha"] = args.alpha
-    if getattr(args, "beta", None) is not None:
-        cfg["beta"] = args.beta
-    if getattr(args, "key_area", None) is not None:
-        cfg["key_area_mm2"] = args.key_area
     try:
-        return EffortModel(**cfg) if cfg else EffortModel()
+        model = EffortModel(**section("model", EffortModel))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid effort model: {exc}")
 
-
-def _search_config_from(args, config: dict, threads: int) -> SearchConfig:
-    base = dict(config.get("search", {}))
-    if getattr(args, "swaps", None) is not None:
-        base["n_swap_pairs"] = args.swaps
-    if getattr(args, "mode", None) is not None:
-        base["mode"] = args.mode
-    if getattr(args, "cumulative", False):
-        base["cumulative"] = True
-    base["workers"] = threads
-    base.pop("model", None)
+    search = section("search", SearchConfig)
+    if "model" in search:
+        raise UsageError('the model goes in the top-level "model" section, not in "search"')
+    env = os.environ.get(ENV_THREADS)
+    if getattr(args, "threads", None) is not None:
+        search["workers"] = args.threads
+    elif env:
+        try:
+            search["workers"] = int(env)
+        except ValueError:
+            raise UsageError(f"{ENV_THREADS} must be an integer, got {env!r}")
     try:
-        return SearchConfig(model=_model_from(args, config), **base)
+        search = SearchConfig(model=model, **search)
     except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc))
+        raise UsageError(f"invalid search settings: {exc}")
+
+    geometry_path = getattr(args, "geometry", None)
+    spec = _load_json(geometry_path, "geometry spec") if geometry_path else top("geometry")
+    try:
+        geometry = DEFAULT_SPEC if spec is None else GeometrySpec.from_json_dict(spec)
+    except KeyError as exc:
+        raise DataError(f"geometry spec lacks the field {exc}")
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"invalid geometry spec: {exc}")
+
+    top_pairs = getattr(args, "top_pairs", None)
+    if top_pairs is None:
+        top_pairs = top("top_pairs", 15)
+    if type(top_pairs) is not int or top_pairs < 1:
+        raise UsageError(f"top_pairs must be an integer of at least 1, got {top_pairs!r}")
+    out_dir = getattr(args, "out_dir", None) or os.environ.get(ENV_OUT_DIR) or top("out_dir") or "out"
+    if not isinstance(out_dir, str):
+        raise UsageError(f"out_dir must be a string, got {out_dir!r}")
+    return Settings(
+        policy=policy,
+        search=search,
+        geometry=geometry,
+        top_pairs=top_pairs,
+        out_dir=out_dir,
+    )
 
 
 def _read_corpus(path: str) -> KeySequence:
@@ -183,7 +220,7 @@ def _meta_path(out_path: str) -> str:
 
 
 def cmd_ingest(args, config: dict) -> int:
-    policy = _policy_from(args, config)
+    policy = resolve_settings(args, config).policy
     try:
         records = read_tweet_file(args.input)
     except FileNotFoundError:
@@ -211,15 +248,14 @@ def cmd_ingest(args, config: dict) -> int:
 
 
 def cmd_optimize(args, config: dict) -> int:
-    threads = _threads_from(args, config)
-    cfg = _search_config_from(args, config, threads)
-    g = _geometry_from(args, config)
+    settings = resolve_settings(args, config)
+    g = build_geometry(settings.geometry)
     seq = _read_corpus(args.corpus)
     stats = count_bigrams(seq)
     if stats.is_empty:
         raise DataError("empty corpus: nothing to optimize")
     try:
-        result = optimize(g, stats, cfg)
+        result = optimize(g, stats, settings.search)
     except ValueError as exc:
         raise DataError(str(exc))
     _write_json(args.out, result.to_json_dict())
@@ -250,27 +286,25 @@ def _report_outputs(user_id, g, seq, stats, result, out_dir, svg_dir, k):
 
 
 def cmd_report(args, config: dict) -> int:
+    settings = resolve_settings(args, config)
     data = _load_json(args.result, "result file")
     try:
         result = OptimizationResult.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed result file {args.result}: {exc}")
     # the geometry the result records wins over config and defaults
-    if "geometry" in data and not args.geometry:
-        g = build_geometry(result.geometry)
-    else:
-        g = _geometry_from(args, config)
+    recorded = "geometry" in data and not args.geometry
+    g = build_geometry(result.geometry if recorded else settings.geometry)
     seq = _read_corpus(args.corpus)
     stats = count_bigrams(seq)
     if stats.is_empty:
         raise DataError("empty corpus: nothing to report")
     if not verify_result(g, stats, result, result.model):
         raise DataError("result does not verify against this corpus and geometry")
-    k = args.top_pairs if args.top_pairs is not None else int(config.get("top_pairs", 15))
     user_id = args.user_id or os.path.splitext(os.path.basename(args.corpus))[0]
     out_dir = args.out_dir or "."
     svg_dir = args.svg_dir or out_dir
-    report = _report_outputs(user_id, g, seq, stats, result, out_dir, svg_dir, k)
+    report = _report_outputs(user_id, g, seq, stats, result, out_dir, svg_dir, settings.top_pairs)
     print(
         f"{user_id}: improvement {report.per_pct:.2f}%  "
         f"avg {report.avg_qwerty_cm:.2f} -> {report.avg_optimized_cm:.2f} cm per tap"
@@ -279,18 +313,13 @@ def cmd_report(args, config: dict) -> int:
 
 
 # one user of a batch; must stay a top-level function so pools can pickle it
-def _batch_user(task) -> tuple[str, bool, str, dict | None]:
-    (user_id, corpus_path, out_dir, policy_dict, search_dict, model_dict, spec_dict, k) = task
+def _batch_user(settings: Settings, user_id: str, corpus_path: str) -> tuple[str, bool, str, dict | None]:
     try:
-        policy = IngestPolicy.from_json_dict(policy_dict)
-        model = EffortModel(**model_dict) if model_dict else EffortModel()
-        cfg = SearchConfig(model=model, **search_dict)
-        spec = GeometrySpec.from_json_dict(spec_dict) if spec_dict else DEFAULT_SPEC
-        g = build_geometry(spec)
-        user_dir = os.path.join(out_dir, user_id)
+        g = build_geometry(settings.geometry)
+        user_dir = os.path.join(settings.out_dir, user_id)
         os.makedirs(user_dir, exist_ok=True)
         records = read_tweet_file(corpus_path)
-        seq = ingest_tweets(records, policy)
+        seq = ingest_tweets(records, settings.policy)
         if usable_letter_count(seq) == 0:
             raise EmptyCorpusError("empty corpus: no usable letters after normalization")
         write_key_sequence(seq, os.path.join(user_dir, "corpus.txt"))
@@ -300,15 +329,15 @@ def _batch_user(task) -> tuple[str, bool, str, dict | None]:
                 "records": len(records),
                 "usable_letters": usable_letter_count(seq),
                 "key_presses": len(seq),
-                "policy": policy.to_json_dict(),
+                "policy": settings.policy.to_json_dict(),
             },
         )
         stats = count_bigrams(seq)
-        result = optimize(g, stats, cfg)
-        if not verify_result(g, stats, result, model):
+        result = optimize(g, stats, settings.search)
+        if not verify_result(g, stats, result, settings.search.model):
             raise RuntimeError("internal consistency check failed for optimization result")
         _write_json(os.path.join(user_dir, "result.json"), result.to_json_dict())
-        report = _report_outputs(user_id, g, seq, stats, result, user_dir, user_dir, k)
+        report = _report_outputs(user_id, g, seq, stats, result, user_dir, user_dir, settings.top_pairs)
         _write_text(
             os.path.join(user_dir, "scatter.svg"),
             pair_scatter_svg(list(report.top_pairs), user_id),
@@ -323,77 +352,30 @@ def cmd_batch(args, config: dict) -> int:
     users = manifest.get("users")
     if not isinstance(users, list) or not users:
         raise DataError(f"manifest {args.manifest} has no users")
-    seen_ids = set()
+    manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
+    ids, paths = [], []
     for row in users:
-        if not isinstance(row, dict) or "id" not in row or "corpus" not in row:
-            raise DataError('each manifest user needs "id" and "corpus" fields')
+        if not isinstance(row, dict) or "id" not in row or not isinstance(row.get("corpus"), str):
+            raise DataError('each manifest user needs an "id" and a "corpus" path')
         uid = str(row["id"])
         if not uid or any(c in uid for c in "/\\") or uid in (".", ".."):
             raise DataError(f"manifest user id unusable as a directory name: {uid!r}")
-        if uid in seen_ids:
+        if uid in ids:
             raise DataError(f"duplicate user id in manifest: {uid!r}")
-        seen_ids.add(uid)
-
-    out_dir = (
-        args.out_dir
-        or os.environ.get(ENV_OUT_DIR)
-        or manifest.get("out_dir")
-        or config.get("out_dir")
-        or "out"
-    )
-    threads = _threads_from(args, {**config, **manifest})
-    if threads < 1:
-        raise UsageError("threads must be at least 1")
-
-    search = dict(manifest.get("search", config.get("search", {})))
-    model_dict = search.pop("model", config.get("model", {}))
-    search.pop("workers", None)
-    policy = dict(IngestPolicy().to_json_dict())
-    policy.update(config.get("policy", {}))
-    policy.update(manifest.get("policy", {}))
-    spec_dict = manifest.get("geometry", config.get("geometry"))
-    if getattr(args, "geometry", None):
-        spec_dict = GeometrySpec.from_json_file(args.geometry).to_json_dict()
-    k = args.top_pairs if args.top_pairs is not None else int(manifest.get("top_pairs", config.get("top_pairs", 15)))
-
-    user_workers = max(1, min(threads, len(users)))
-    try:
-        base_search = SearchConfig(model=EffortModel(**model_dict) if model_dict else EffortModel(), **search)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"manifest search config invalid: {exc}")
-
-    manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
-    os.makedirs(out_dir, exist_ok=True)
-    tasks = []
-    for row in users:
-        corpus_path = row["corpus"]
-        if not os.path.isabs(corpus_path):
-            corpus_path = os.path.join(manifest_dir, corpus_path)
-        tasks.append(
-            (
-                str(row["id"]),
-                corpus_path,
-                out_dir,
-                policy,
-                {
-                    "n_swap_pairs": base_search.n_swap_pairs,
-                    "mode": base_search.mode,
-                    "cumulative": base_search.cumulative,
-                },
-                model_dict,
-                spec_dict,
-                k,
-            )
-        )
-
+        ids.append(uid)
+        paths.append(os.path.join(manifest_dir, row["corpus"]))
+    settings = resolve_settings(args, config, manifest)
+    os.makedirs(settings.out_dir, exist_ok=True)
+    run_user = functools.partial(_batch_user, settings)
+    user_workers = min(settings.search.workers, len(users))
     if user_workers > 1:
         ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )
         with ProcessPoolExecutor(max_workers=user_workers, mp_context=ctx) as pool:
-            outcomes = list(pool.map(_batch_user, tasks))
+            outcomes = list(pool.map(run_user, ids, paths))
     else:
-        outcomes = [_batch_user(t) for t in tasks]
+        outcomes = list(map(run_user, ids, paths))
 
     statuses = []
     reports = []
@@ -415,12 +397,12 @@ def cmd_batch(args, config: dict) -> int:
             print(f"aggregate skipped: {exc}", file=sys.stderr)
         else:
             agg_dict = agg.to_json_dict()
-            _write_json(os.path.join(out_dir, "aggregate.json"), agg_dict)
+            _write_json(os.path.join(settings.out_dir, "aggregate.json"), agg_dict)
             _write_text(
-                os.path.join(out_dir, "aggregate_panels.svg"),
+                os.path.join(settings.out_dir, "aggregate_panels.svg"),
                 aggregate_panels_svg(agg, reports),
             )
-    _write_json(os.path.join(out_dir, "batch.json"), {"users": statuses, "aggregate": agg_dict})
+    _write_json(os.path.join(settings.out_dir, "batch.json"), {"users": statuses, "aggregate": agg_dict})
 
     failures = sum(1 for s in statuses if s["status"] == "error")
     if failures == len(statuses):
@@ -441,21 +423,21 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="tweet file (.jsonl with text fields, or .txt one per line)")
     p.add_argument("-o", "--out", required=True, help="normalized corpus output path")
     p.add_argument("--max-raw-chars", type=int)
-    p.add_argument("--keep-retweets", action="store_true")
-    p.add_argument("--keep-urls", action="store_true")
-    p.add_argument("--no-fold-diacritics", action="store_true")
+    p.add_argument("--keep-retweets", dest="drop_retweets", action="store_false", default=None)
+    p.add_argument("--keep-urls", dest="strip_urls", action="store_false", default=None)
+    p.add_argument("--no-fold-diacritics", dest="fold_diacritics", action="store_false", default=None)
 
     p = sub.add_parser("optimize", help="search letter swaps for a normalized corpus")
     p.add_argument("corpus", help="normalized corpus file from ingest")
     p.add_argument("-o", "--out", required=True, help="result JSON output path")
-    p.add_argument("--swaps", type=int, choices=(1, 2, 3))
+    p.add_argument("--swaps", dest="n_swap_pairs", type=int, choices=(1, 2, 3))
     p.add_argument("--mode", choices=("canonical", "paper"))
-    p.add_argument("--cumulative", action="store_true")
+    p.add_argument("--cumulative", action="store_true", default=None)
     p.add_argument("--threads", type=int)
-    p.add_argument("--model", choices=("distance", "fitts"))
+    p.add_argument("--model", dest="kind", choices=("distance", "fitts"))
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--key-area", type=float)
+    p.add_argument("--key-area", dest="key_area_mm2", metavar="KEY_AREA", type=float)
     p.add_argument("--geometry", help="GeometrySpec JSON file")
 
     p = sub.add_parser("report", help="render tables and figures for a result")
@@ -489,7 +471,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = _load_json(args.config, "config file") if args.config else {}
         return COMMANDS[args.command](args, config)
     except UsageError as exc:
         print(f"keyswap: error: {exc}", file=sys.stderr)

@@ -39,8 +39,11 @@ class IngestPolicy:
     fold_diacritics: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_raw_chars <= 0:
-            raise ValueError("IngestPolicy.max_raw_chars must be positive")
+        if type(self.max_raw_chars) is not int or self.max_raw_chars <= 0:
+            raise ValueError("IngestPolicy.max_raw_chars must be a positive integer")
+        for name in ("drop_retweets", "strip_urls", "fold_diacritics"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"IngestPolicy.{name} must be true or false")
 
     def to_json_dict(self) -> dict:
         return {

@@ -53,6 +53,8 @@ class EffortModel:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown effort model kind: {self.kind!r}")
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (self.alpha, self.beta)):
+            raise ValueError("EffortModel.alpha and beta must be numbers")
         if self.beta < 0:
             raise ValueError("EffortModel.beta must be non-negative")
         if self.key_area_mm2 is not None and not self.key_area_mm2 > 0:

@@ -88,17 +88,19 @@ class SearchConfig:
     model: EffortModel = DISTANCE_MODEL
 
     def __post_init__(self) -> None:
-        if self.n_swap_pairs not in (1, 2, 3):
+        if type(self.n_swap_pairs) is not int or self.n_swap_pairs not in (1, 2, 3):
             raise ValueError("n_swap_pairs must be 1, 2 or 3")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if not isinstance(self.cumulative, bool):
+            raise ValueError("cumulative must be true or false")
         if self.mode == "paper":
             if self.n_swap_pairs != 3:
                 raise ValueError("triplet mode is defined only for n_swap_pairs=3")
             if self.cumulative:
                 raise ValueError("triplet mode does not support cumulative search")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if type(self.workers) is not int or self.workers < 1:
+            raise ValueError("workers must be an integer of at least 1")
 
     def to_json_dict(self) -> dict:
         d = {

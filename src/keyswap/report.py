@@ -19,11 +19,10 @@ from .geometry import (
     Layout,
     SwapSet,
     apply_swaps,
-    nearest_space_slot,
     qwerty_layout,
 )
 from .optimizer import OptimizationResult
-from .stats import BigramStats, pair_usage
+from .stats import BigramStats, pair_usage, traversals
 
 HIGHLIGHT_COLORS = ("#d62728", "#2ca02c", "#1f77b4")
 
@@ -203,35 +202,6 @@ def build_user_report(
 # SVG rendering
 
 
-def _slot_segments(
-    stats: BigramStats, g: KeyboardGeometry, layout: Layout
-) -> dict[tuple[str, str], int]:
-    """Undirected traversal frequency per slot pair implied by the stats."""
-    sub_of = {ch: nearest_space_slot(g, layout.slot_of(ch)) for ch in LETTERS}
-    segs: dict[tuple[str, str], int] = {}
-
-    def add(a: str, b: str, n: int) -> None:
-        if a == b or n == 0:
-            return
-        key = (a, b) if a <= b else (b, a)
-        segs[key] = segs.get(key, 0) + n
-
-    f = stats.within_word
-    s = stats.across_space
-    for ia, a in enumerate(LETTERS):
-        sa = layout.slot_of(a)
-        row = s[ia]
-        n_space = int(row.sum())
-        if n_space:
-            add(sa, sub_of[a], n_space)
-        for ib, b in enumerate(LETTERS):
-            if f[ia][ib]:
-                add(sa, layout.slot_of(b), int(f[ia][ib]))
-            if row[ib]:
-                add(sub_of[a], layout.slot_of(b), int(row[ib]))
-    return segs
-
-
 def _keyboard_body(g: KeyboardGeometry, layout: Layout, highlight: SwapSet) -> list[str]:
     color_of: dict[str, str] = {}
     for idx, (a, b) in enumerate(highlight.pairs):
@@ -288,7 +258,11 @@ def heatmap_svg(
     """
     if stats.is_empty:
         raise ValueError("heat map needs a non-empty corpus")
-    segs = _slot_segments(stats, g, layout)
+    segs: dict[tuple[str, str], int] = {}  # undirected slot pair -> traversals
+    for m in traversals(stats, g, layout):
+        if m.src_slot != m.dst_slot:
+            key = tuple(sorted((m.src_slot, m.dst_slot)))
+            segs[key] = segs.get(key, 0) + m.count
     f_max = max(segs.values()) if segs else 1
     body = _keyboard_body(g, layout, highlight)
     denom = math.log1p(f_max)

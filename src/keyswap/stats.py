@@ -15,6 +15,7 @@ sub-key nearest the preceding letter), a trailing space just one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,6 +106,42 @@ def count_bigrams(seq: KeySequence) -> BigramStats:
     return stats
 
 
+SP = "sp"  # a space sub-key in pair labels
+
+
+class Move(NamedTuple):
+    """One directed move between two slots and how often the corpus makes it."""
+
+    src: str  # the letter typed first, or SP for a space sub-key
+    dst: str  # the letter typed next, or SP
+    src_slot: str
+    dst_slot: str
+    count: int
+
+
+def _cells(table: np.ndarray):
+    rows, cols = np.nonzero(table)
+    return zip(rows.tolist(), cols.tolist(), table[rows, cols].tolist())
+
+
+def traversals(stats: BigramStats, g: KeyboardGeometry, layout: Layout) -> list[Move]:
+    """Every directed move the stats imply under one layout, with its count.
+
+    Three kinds, in this order: letter slot -> letter slot within a word
+    (a doubled letter moves onto its own slot); letter slot -> the space
+    sub-key nearest it, counting stream-final spaces; that sub-key -> the
+    first letter of the next word. Within a kind, moves ascend by the
+    letter typed first, then by the letter typed next.
+    """
+    slot = [layout.slot_of(ch) for ch in LETTERS]
+    sub = [nearest_space_slot(g, sid) for sid in slot]
+    s = stats.across_space
+    moves = [Move(LETTERS[a], LETTERS[b], slot[a], slot[b], n) for a, b, n in _cells(stats.within_word)]
+    moves += [Move(LETTERS[a], SP, slot[a], sub[a], n) for a, n in enumerate(s.sum(axis=1).tolist()) if n]
+    moves += [Move(SP, LETTERS[b], sub[a], slot[b], n) for a, b, n in _cells(s[:, :END])]
+    return moves
+
+
 @dataclass(frozen=True)
 class PairUsage:
     """One direction-sensitive key pair with its share of all segments."""
@@ -121,40 +158,24 @@ def pair_usage(stats: BigramStats, g: KeyboardGeometry, layout: Layout) -> list[
     Labels are direction sensitive ("e-sp" is the move into a space after
     e, "sp-e" the move out of a space into e). The distance of "sp-b" is
     the usage-weighted mean over the word-final letters that precede the
-    space, because the sub-key in use depends on that letter. Rows are
-    sorted by usage descending, ties alphabetically by label.
+    space, because the sub-key in use depends on that letter; its
+    numerator sums in ascending order of those letters. Rows are sorted by
+    usage descending, ties alphabetically by label.
     """
     if stats.is_empty:
         raise ValueError("pair usage undefined for empty stats")
     total = stats.total_transitions
-    sub_of = {ch: nearest_space_slot(g, layout.slot_of(ch)) for ch in LETTERS}
     rows: list[PairUsage] = []
-
-    f = stats.within_word
-    s = stats.across_space
-    for ia, a in enumerate(LETTERS):
-        for ib, b in enumerate(LETTERS):
-            c = int(f[ia][ib])
-            if c:
-                d = distance(g, layout.slot_of(a), layout.slot_of(b))
-                rows.append(PairUsage(f"{a}-{b}", c, 100.0 * c / total, d))
-
-    for ia, a in enumerate(LETTERS):
-        c = int(s[ia].sum())
-        if c:
-            d = distance(g, layout.slot_of(a), sub_of[a])
-            rows.append(PairUsage(f"{a}-sp", c, 100.0 * c / total, d))
-
-    for ib, b in enumerate(LETTERS):
-        col = s[:, ib]
-        c = int(col.sum())
-        if c:
-            num = sum(
-                int(col[ia]) * distance(g, sub_of[a], layout.slot_of(b))
-                for ia, a in enumerate(LETTERS)
-                if col[ia]
-            )
-            rows.append(PairUsage(f"sp-{b}", c, 100.0 * c / total, num / c))
-
+    out_of_space: dict[str, list] = {}  # letter -> [count, count-weighted distance]
+    for m in traversals(stats, g, layout):
+        d = distance(g, m.src_slot, m.dst_slot)
+        if m.src == SP:
+            acc = out_of_space.setdefault(m.dst, [0, 0.0])
+            acc[0] += m.count
+            acc[1] += m.count * d
+        else:
+            rows.append(PairUsage(f"{m.src}-{m.dst}", m.count, 100.0 * m.count / total, d))
+    for b, (c, travel) in out_of_space.items():
+        rows.append(PairUsage(f"{SP}-{b}", c, 100.0 * c / total, travel / c))
     rows.sort(key=lambda r: (-r.count, r.label))
     return rows

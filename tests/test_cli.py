@@ -351,3 +351,128 @@ def test_geometry_flag(workdir):
     assert big["swaps"] == std["swaps"]
     assert big["qwerty_cost_mm"] == pytest.approx(2.0 * std["qwerty_cost_mm"], rel=1e-12)
     assert big["per_pct"] == pytest.approx(std["per_pct"], rel=1e-9)
+
+
+SETTINGS_CONFIG = {
+    "policy": {"max_raw_chars": 150, "drop_retweets": False},
+    "search": {"n_swap_pairs": 2, "cumulative": True},
+    "model": {"kind": "fitts", "alpha": 0.2},
+}
+
+
+def test_batch_matches_ingest_and_optimize_under_one_config(workdir):
+    write_jsonl(workdir / "u.jsonl", TWEETS)
+    (workdir / "cfg.json").write_text(json.dumps(SETTINGS_CONFIG), encoding="utf-8")
+    (workdir / "m.json").write_text(json.dumps({"users": [{"id": "u", "corpus": "u.jsonl"}]}), encoding="utf-8")
+    assert main(["--config", "cfg.json", "ingest", "u.jsonl", "-o", "u.txt"]) == 0
+    assert main(["--config", "cfg.json", "optimize", "u.txt", "-o", "r.json"]) == 0
+    assert main(["--config", "cfg.json", "batch", "m.json", "--out-dir", "bo"]) == 0
+    assert (workdir / "bo" / "u" / "corpus.txt").read_bytes() == (workdir / "u.txt").read_bytes()
+    assert (workdir / "bo" / "u" / "result.json").read_bytes() == (workdir / "r.json").read_bytes()
+    result = json.loads((workdir / "r.json").read_text())
+    assert result["model"]["kind"] == "fitts" and result["cumulative"] is True
+    assert "retweet" in (workdir / "u.txt").read_text()  # the policy keeps retweets
+
+
+def test_manifest_sections_merge_over_config_key_by_key(workdir):
+    write_batch_inputs(workdir, {
+        "search": {"n_swap_pairs": 1},
+        "model": {"alpha": 0.3},
+        "policy": {"drop_retweets": False},
+    })
+    (workdir / "cfg.json").write_text(json.dumps(SETTINGS_CONFIG), encoding="utf-8")
+    assert main(["--config", "cfg.json", "batch", "manifest.json", "--out-dir", "bo"]) == 0
+    result = json.loads((workdir / "bo" / "alice" / "result.json").read_text())
+    # one swap pair from the manifest, cumulative from the config
+    assert result["cumulative"] is True
+    assert result["candidates"] == 1 + 325
+    assert (result["model"]["kind"], result["model"]["alpha"]) == ("fitts", 0.3)
+    meta = json.loads((workdir / "bo" / "alice" / "corpus.meta.json").read_text())
+    assert (meta["policy"]["max_raw_chars"], meta["policy"]["drop_retweets"]) == (150, False)
+
+
+def test_threads_resolve_flag_over_env_over_manifest_over_config(monkeypatch):
+    from keyswap.cli import build_parser, resolve_settings
+
+    monkeypatch.delenv("KEYSWAP_THREADS", raising=False)
+    config = {"search": {"workers": 2}}
+    manifest = {"search": {"workers": 3}}
+    args = build_parser().parse_args(["batch", "m.json"])
+    assert resolve_settings(args, config).search.workers == 2
+    assert resolve_settings(args, config, manifest).search.workers == 3
+    monkeypatch.setenv("KEYSWAP_THREADS", "4")
+    assert resolve_settings(args, config, manifest).search.workers == 4
+    args = build_parser().parse_args(["batch", "m.json", "--threads", "5"])
+    assert resolve_settings(args, config, manifest).search.workers == 5
+
+
+BAD_WIDTH_SPEC = {**DEFAULT_SPEC.to_json_dict(), "key_width_mm": 0}
+ALL_COMMANDS = ("ingest", "optimize", "report", "batch")
+
+# name, --config contents, manifest contents (a dict updates the default
+# manifest, anything else replaces it), extra flags, exit code, commands
+BAD_SETTINGS = [
+    ("geometry-file-missing", None, None, ["--geometry", "nope.json"], 2, ("optimize", "report", "batch")),
+    ("geometry-file-lacks-field", None, None, ["--geometry", "short.json"], 2, ("optimize", "report", "batch")),
+    ("geometry-file-bad-width", None, None, ["--geometry", "flat.json"], 2, ("optimize", "report", "batch")),
+    ("config-geometry-lacks-field", {"geometry": {"key_width_mm": 5}}, None, [], 2, ("optimize", "report", "batch")),
+    ("manifest-geometry-bad-width", None, {"geometry": BAD_WIDTH_SPEC}, [], 2, ("batch",)),
+    ("config-not-an-object", [1, 2], None, [], 2, ALL_COMMANDS),
+    ("config-section-not-an-object", {"search": 3}, None, [], 2, ALL_COMMANDS),
+    ("manifest-not-an-object", None, [1, 2], [], 2, ("batch",)),
+    ("top-pairs-flag-zero", None, None, ["--top-pairs", "0"], 1, ("report", "batch")),
+    ("config-top-pairs-string", {"top_pairs": "x"}, None, [], 1, ("report", "batch")),
+    ("manifest-top-pairs-zero", None, {"top_pairs": 0}, [], 1, ("batch",)),
+    ("config-policy-invalid", {"policy": {"max_raw_chars": 0}}, None, [], 1, ("ingest", "batch")),
+    ("manifest-policy-unknown-key", None, {"policy": {"max_chars": 10}}, [], 1, ("batch",)),
+    ("config-policy-not-a-bool", {"policy": {"drop_retweets": "no"}}, None, [], 1, ("ingest", "batch")),
+    ("config-policy-not-an-int", {"policy": {"max_raw_chars": 1.5}}, None, [], 1, ("ingest",)),
+    ("config-search-invalid", {"search": {"n_swap_pairs": 2, "mode": "paper"}}, None, [], 1, ("optimize", "batch")),
+    ("config-search-not-a-bool", {"search": {"n_swap_pairs": 1, "cumulative": "no"}}, None, [], 1, ("optimize", "batch")),
+    ("manifest-search-invalid", None, {"search": {"n_swap_pairs": 4}}, [], 1, ("batch",)),
+    ("model-inside-search", {"search": {"model": {"kind": "fitts"}}}, None, [], 1, ALL_COMMANDS),
+    ("manifest-model-inside-search", None, {"search": {"model": {"kind": "fitts"}}}, [], 1, ("batch",)),
+    ("config-model-invalid", {"model": {"kind": "nope"}}, None, [], 1, ("optimize", "batch")),
+    ("config-model-alpha-string", {"model": {"kind": "fitts", "alpha": "x"}}, None, [], 1, ("optimize", "batch")),
+    ("threads-flag-zero", None, None, ["--threads", "0"], 1, ("optimize", "batch")),
+]
+
+COMMAND_ARGV = {
+    "ingest": ["ingest", "u.jsonl", "-o", "x.txt"],
+    "optimize": ["optimize", "u.txt", "-o", "x.json", "--swaps", "1"],
+    "report": ["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"],
+    "batch": ["batch", "m.json", "--out-dir", "bo"],
+}
+
+
+def all_paths(root: Path) -> set[str]:
+    return {str(p.relative_to(root)) for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize(
+    "command, config, manifest, flags, code",
+    [
+        pytest.param(command, config, manifest, flags, code, id=f"{name}-{command}")
+        for name, config, manifest, flags, code, commands in BAD_SETTINGS
+        for command in commands
+    ],
+)
+def test_bad_settings_fail_with_one_line_before_any_output(workdir, capsys, command, config, manifest, flags, code):
+    optimize(workdir)
+    (workdir / "short.json").write_text(json.dumps({"key_width_mm": 5}), encoding="utf-8")
+    (workdir / "flat.json").write_text(json.dumps(BAD_WIDTH_SPEC), encoding="utf-8")
+    default_manifest = {"users": [{"id": "u", "corpus": "u.jsonl"}], "search": {"n_swap_pairs": 1}}
+    if isinstance(manifest, dict):
+        manifest = {**default_manifest, **manifest}
+    (workdir / "m.json").write_text(json.dumps(manifest or default_manifest), encoding="utf-8")
+    argv = COMMAND_ARGV[command] + flags
+    if config is not None:
+        (workdir / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["--config", "cfg.json", *argv]
+    before = all_paths(workdir)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("keyswap: error:"), err
+    assert "Traceback" not in err
+    assert all_paths(workdir) == before

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from keyswap.corpus import KeySequence
 from keyswap.geometry import LETTER_INDEX
-from keyswap.stats import END, BigramStats, count_bigrams, pair_usage
+from keyswap.stats import END, BigramStats, Move, count_bigrams, pair_usage, traversals
 
 from conftest import random_corpus_text
 
@@ -132,6 +132,21 @@ def test_pair_usage_space_distance_is_usage_weighted_mean(geometry, qwerty):
     d_q = distance(geometry, nearest_space_slot(geometry, qwerty.slot_of("q")), qwerty.slot_of("a"))
     assert by_label["sp-a"].count == 2
     assert by_label["sp-a"].distance_mm == pytest.approx((d_b + d_q) / 2.0, rel=1e-12)
+
+
+def test_traversals_tally_each_kind_of_move_in_order(geometry, qwerty):
+    from keyswap.geometry import nearest_space_slot
+
+    slot = qwerty.slot_of
+    sub = lambda ch: nearest_space_slot(geometry, slot(ch))  # noqa: E731
+    # "ab ba ": a->b and b->a within words, b's space then b, a final space after a
+    assert traversals(count_bigrams(KeySequence("ab ba ")), geometry, qwerty) == [
+        Move("a", "b", slot("a"), slot("b"), 1),
+        Move("b", "a", slot("b"), slot("a"), 1),
+        Move("a", "sp", slot("a"), sub("a"), 1),
+        Move("b", "sp", slot("b"), sub("b"), 1),
+        Move("sp", "b", sub("b"), slot("b"), 1),
+    ]
 
 
 def test_pair_usage_rejects_empty(geometry, qwerty):
