@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 batch finished
 with some users failing.
 
+Each stage of the pipeline has one function, which the single command and
+batch both call: _ingest_stage reads and cleans a tweet file and writes the
+corpus and its meta file, _search_stage searches a corpus and writes the
+result, and _report_outputs writes a result's tables and figures. batch
+runs the three for each user in _batch_user.
+
 Every command resolves its settings once, through resolve_settings, before
 it writes anything. The policy, search and model sections merge key by
 key: flags over environment (KEYSWAP_THREADS for search.workers,
@@ -15,8 +21,10 @@ model lives only in the top-level "model" section; a "model" key inside
 
 A setting value that fails validation exits 1, whichever layer it came
 from. A config, manifest, geometry spec or result file that cannot be
-read or parsed, or has the wrong shape, exits 2; so does a geometry spec
-with a bad value.
+parsed, or has the wrong shape, exits 2; so does a geometry spec with a
+bad value. Any file a command cannot read or write, whether input,
+output or output directory, exits 2 too: main turns the OSError into one
+line that names the path.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .corpus import (
-    EmptyCorpusError,
     IngestPolicy,
     KeySequence,
     ingest_tweets,
@@ -58,7 +65,7 @@ from .report import (
     pair_scatter_svg,
     pairs_csv,
 )
-from .stats import count_bigrams
+from .stats import BigramStats, count_bigrams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,10 +105,6 @@ def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{what} not found: {path}")
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc.strerror}")
     except ValueError as exc:
         raise DataError(f"cannot parse {what} {path}: {exc}")
     if not isinstance(data, dict):
@@ -204,8 +207,6 @@ def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settin
 def _read_corpus(path: str) -> KeySequence:
     try:
         return read_key_sequence(path)
-    except FileNotFoundError:
-        raise DataError(f"corpus file not found: {path}")
     except ValueError as exc:
         raise DataError(f"{path} is not a normalized corpus: {exc}")
 
@@ -219,46 +220,50 @@ def _meta_path(out_path: str) -> str:
     return (root if ext else out_path) + ".meta.json"
 
 
-def cmd_ingest(args, config: dict) -> int:
-    policy = resolve_settings(args, config).policy
+def _ingest_stage(tweet_path: str, policy: IngestPolicy, out_path: str, source: str | None = None) -> KeySequence:
+    """Clean a tweet file into a corpus; write it and its meta file beside it.
+
+    The meta file names its source when given one.
+    """
     try:
-        records = read_tweet_file(args.input)
-    except FileNotFoundError:
-        raise DataError(f"input file not found: {args.input}")
-    except ValueError as exc:
-        raise DataError(str(exc))
-    try:
+        records = read_tweet_file(tweet_path)
         seq = ingest_tweets(records, policy)
-    except EmptyCorpusError as exc:
+    except ValueError as exc:
         raise DataError(str(exc))
     letters = usable_letter_count(seq)
     if letters == 0:
         raise DataError("empty corpus: no usable letters after normalization")
-    write_key_sequence(seq, args.out)
-    meta = {
-        "source": args.input,
-        "records": len(records),
-        "usable_letters": letters,
-        "key_presses": len(seq),
-        "policy": policy.to_json_dict(),
-    }
-    _write_json(_meta_path(args.out), meta)
-    print(f"{args.out}: {letters} usable letters, {len(seq)} key presses")
+    write_key_sequence(seq, out_path)
+    meta = {} if source is None else {"source": source}
+    meta.update(records=len(records), usable_letters=letters, key_presses=len(seq), policy=policy.to_json_dict())
+    _write_json(_meta_path(out_path), meta)
+    return seq
+
+
+def _search_stage(g, seq: KeySequence, search: SearchConfig, out_path: str) -> tuple[BigramStats, OptimizationResult]:
+    """Search a corpus and write the result JSON."""
+    stats = count_bigrams(seq)
+    if stats.is_empty:
+        raise DataError("empty corpus: nothing to optimize")
+    try:
+        result = optimize(g, stats, search)
+    except ValueError as exc:
+        raise DataError(str(exc))
+    _write_json(out_path, result.to_json_dict())
+    return stats, result
+
+
+def cmd_ingest(args, config: dict) -> int:
+    policy = resolve_settings(args, config).policy
+    seq = _ingest_stage(args.input, policy, args.out, source=args.input)
+    print(f"{args.out}: {usable_letter_count(seq)} usable letters, {len(seq)} key presses")
     return EXIT_OK
 
 
 def cmd_optimize(args, config: dict) -> int:
     settings = resolve_settings(args, config)
     g = build_geometry(settings.geometry)
-    seq = _read_corpus(args.corpus)
-    stats = count_bigrams(seq)
-    if stats.is_empty:
-        raise DataError("empty corpus: nothing to optimize")
-    try:
-        result = optimize(g, stats, settings.search)
-    except ValueError as exc:
-        raise DataError(str(exc))
-    _write_json(args.out, result.to_json_dict())
+    _, result = _search_stage(g, _read_corpus(args.corpus), settings.search, args.out)
     swaps = " ".join(a + b for a, b in result.swaps.pairs) or "(none)"
     print(
         f"best swaps {swaps}  improvement {result.per_pct:.2f}%  "
@@ -299,7 +304,7 @@ def cmd_report(args, config: dict) -> int:
     stats = count_bigrams(seq)
     if stats.is_empty:
         raise DataError("empty corpus: nothing to report")
-    if not verify_result(g, stats, result, result.model):
+    if not verify_result(g, stats, result):
         raise DataError("result does not verify against this corpus and geometry")
     user_id = args.user_id or os.path.splitext(os.path.basename(args.corpus))[0]
     out_dir = args.out_dir or "."
@@ -312,39 +317,32 @@ def cmd_report(args, config: dict) -> int:
     return EXIT_OK
 
 
+def _error_text(exc: Exception) -> str:
+    """The one line that says why a command or a batch user failed."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"{exc.filename}: {exc.strerror}"
+    return str(exc) if isinstance(exc, DataError) else f"{type(exc).__name__}: {exc}"
+
+
 # one user of a batch; must stay a top-level function so pools can pickle it
-def _batch_user(settings: Settings, user_id: str, corpus_path: str) -> tuple[str, bool, str, dict | None]:
+def _batch_user(settings: Settings, user_id: str, tweet_path: str) -> tuple[dict, UserReport | None]:
+    """Run one user's pipeline; return its batch.json status row and its report."""
     try:
-        g = build_geometry(settings.geometry)
         user_dir = os.path.join(settings.out_dir, user_id)
         os.makedirs(user_dir, exist_ok=True)
-        records = read_tweet_file(corpus_path)
-        seq = ingest_tweets(records, settings.policy)
-        if usable_letter_count(seq) == 0:
-            raise EmptyCorpusError("empty corpus: no usable letters after normalization")
-        write_key_sequence(seq, os.path.join(user_dir, "corpus.txt"))
-        _write_json(
-            os.path.join(user_dir, "corpus.meta.json"),
-            {
-                "records": len(records),
-                "usable_letters": usable_letter_count(seq),
-                "key_presses": len(seq),
-                "policy": settings.policy.to_json_dict(),
-            },
-        )
-        stats = count_bigrams(seq)
-        result = optimize(g, stats, settings.search)
-        if not verify_result(g, stats, result, settings.search.model):
+        seq = _ingest_stage(tweet_path, settings.policy, os.path.join(user_dir, "corpus.txt"))
+        g = build_geometry(settings.geometry)
+        stats, result = _search_stage(g, seq, settings.search, os.path.join(user_dir, "result.json"))
+        if not verify_result(g, stats, result):
             raise RuntimeError("internal consistency check failed for optimization result")
-        _write_json(os.path.join(user_dir, "result.json"), result.to_json_dict())
         report = _report_outputs(user_id, g, seq, stats, result, user_dir, user_dir, settings.top_pairs)
         _write_text(
             os.path.join(user_dir, "scatter.svg"),
             pair_scatter_svg(list(report.top_pairs), user_id),
         )
-        return user_id, True, "", report.to_json_dict()
     except Exception as exc:  # noqa: BLE001 - a user failure must not kill the batch
-        return user_id, False, f"{type(exc).__name__}: {exc}", None
+        return {"user_id": user_id, "status": "error", "message": _error_text(exc)}, None
+    return {"user_id": user_id, "status": "ok", "per_pct": report.per_pct}, report
 
 
 def cmd_batch(args, config: dict) -> int:
@@ -377,17 +375,13 @@ def cmd_batch(args, config: dict) -> int:
     else:
         outcomes = list(map(run_user, ids, paths))
 
-    statuses = []
-    reports = []
-    for user_id, ok, message, report_dict in outcomes:
-        if ok:
-            report = UserReport.from_json_dict(report_dict)
-            reports.append(report)
-            statuses.append({"user_id": user_id, "status": "ok", "per_pct": report.per_pct})
-            print(f"{user_id}: ok, improvement {report.per_pct:.2f}%")
+    statuses = [row for row, _ in outcomes]
+    reports = [report for _, report in outcomes if report is not None]
+    for row, report in outcomes:
+        if report is None:
+            print(f"{row['user_id']}: FAILED ({row['message']})", file=sys.stderr)
         else:
-            statuses.append({"user_id": user_id, "status": "error", "message": message})
-            print(f"{user_id}: FAILED ({message})", file=sys.stderr)
+            print(f"{row['user_id']}: ok, improvement {report.per_pct:.2f}%")
 
     agg_dict = None
     if len(reports) >= 2:
@@ -476,8 +470,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"keyswap: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"keyswap: error: {exc}", file=sys.stderr)
+    except (DataError, OSError) as exc:
+        print(f"keyswap: error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -170,30 +170,33 @@ def ingest_tweets(records: list[dict], policy: IngestPolicy = IngestPolicy()) ->
 
 def read_tweet_file(path: str) -> list[dict]:
     """Load tweet records from .jsonl ({"text": ...}) or .txt (one per line)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     records: list[dict] = []
     if path.endswith(".jsonl"):
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: invalid JSON line: {exc}") from None
-                if not isinstance(rec, dict) or "text" not in rec:
-                    raise ValueError(f'{path}:{lineno}: expected an object with a "text" field')
-                if not isinstance(rec["text"], str):
-                    raise ValueError(f'{path}:{lineno}: "text" must be a string')
-                if not isinstance(rec.get("retweeted", False), (bool, type(None))):
-                    raise ValueError(f'{path}:{lineno}: "retweeted" must be true, false or null')
-                records.append(rec)
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON line: {exc}") from None
+            if not isinstance(rec, dict) or "text" not in rec:
+                raise ValueError(f'{path}:{lineno}: expected an object with a "text" field')
+            if not isinstance(rec["text"], str):
+                raise ValueError(f'{path}:{lineno}: "text" must be a string')
+            if not isinstance(rec.get("retweeted", False), (bool, type(None))):
+                raise ValueError(f'{path}:{lineno}: "retweeted" must be true, false or null')
+            records.append(rec)
     else:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if line:
-                    records.append({"text": line})
+        for line in lines:
+            line = line.rstrip("\n")
+            if line:
+                records.append({"text": line})
     return records
 
 

@@ -9,7 +9,6 @@ and y growing downward. Distances are straight lines between key centers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -95,11 +94,6 @@ class GeometrySpec:
             row_x_offsets=tuple(data["row_x_offsets_mm"]),
             space_subkey_columns=tuple(data["space_subkey_columns"]),
         )
-
-    @classmethod
-    def from_json_file(cls, path: str) -> GeometrySpec:
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 DEFAULT_SPEC = GeometrySpec()

@@ -458,12 +458,17 @@ def verify_result(
     g: KeyboardGeometry,
     stats: BigramStats,
     result: OptimizationResult,
-    model: EffortModel = DISTANCE_MODEL,
+    model: EffortModel | None = None,
     rel_tol: float = 1e-9,
 ) -> bool:
-    """Recompute both costs from scratch and audit the stored result."""
+    """Recompute both costs from scratch and audit the stored result.
+
+    The costs are recomputed under ``model``, by default the model the
+    result records.
+    """
     if not result.swaps.is_canonical():
         return False
+    model = result.model if model is None else model
     base = qwerty_layout()
     q = stats_cost(g, base, stats, model)
     b = stats_cost(g, apply_swaps(base, result.swaps), stats, model)

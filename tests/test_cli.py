@@ -77,6 +77,10 @@ def test_ingest_data_errors(workdir, capsys):
         write_jsonl(workdir / "typed.jsonl", [{"text": "fine"}, record])
         assert main(["ingest", "typed.jsonl", "-o", "x.txt"]) == 2
         assert "typed.jsonl:2" in capsys.readouterr().err
+    for name in ("latin.jsonl", "latin.txt"):
+        (workdir / name).write_bytes(b"\xff\xfehello\n")
+        assert main(["ingest", name, "-o", "x.txt"]) == 2
+        assert capsys.readouterr().err.startswith(f"keyswap: error: {name}: ")
 
 
 def test_ingest_rejects_symbol_only_corpus(workdir):
@@ -269,12 +273,18 @@ def test_batch_partial_failure(workdir, capsys):
     manifest_path = write_batch_inputs(workdir)
     manifest = json.loads(manifest_path.read_text())
     manifest["users"].append({"id": "ghost", "corpus": "missing.jsonl"})
+    manifest["users"].append({"id": "mute", "corpus": "mute.jsonl"})
+    write_jsonl(workdir / "mute.jsonl", [{"text": "12345 !!! ???"}])
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["batch", "manifest.json", "--out-dir", "pb"]) == 3
     batch = json.loads((workdir / "pb" / "batch.json").read_text())
     statuses = {u["user_id"]: u["status"] for u in batch["users"]}
-    assert statuses == {"alice": "ok", "bob": "ok", "ghost": "error"}
-    assert "ghost: FAILED" in capsys.readouterr().err
+    assert statuses == {"alice": "ok", "bob": "ok", "ghost": "error", "mute": "error"}
+    messages = {u["user_id"]: u.get("message") for u in batch["users"]}
+    assert "missing.jsonl" in messages["ghost"]
+    assert messages["mute"] == "empty corpus: no usable letters after normalization"
+    err = capsys.readouterr().err
+    assert "ghost: FAILED" in err and "mute: FAILED" in err
 
 
 def test_batch_every_user_failing(workdir):
@@ -476,3 +486,35 @@ def test_bad_settings_fail_with_one_line_before_any_output(workdir, capsys, comm
     assert len(err.splitlines()) == 1 and err.startswith("keyswap: error:"), err
     assert "Traceback" not in err
     assert all_paths(workdir) == before
+
+
+# name, argv, the path the error line must name; "tweets_dir" and
+# "corpus_dir" are directories, "plain" is a plain file
+FILE_ERRORS = [
+    ("ingest-input-is-a-directory", ["ingest", "tweets_dir", "-o", "x.txt"], "tweets_dir"),
+    ("optimize-input-is-a-directory", ["optimize", "corpus_dir", "-o", "x.json", "--swaps", "1"], "corpus_dir"),
+    ("report-corpus-is-a-directory", ["report", "--result", "r.json", "--corpus", "corpus_dir"], "corpus_dir"),
+    ("ingest-output-parent-missing", ["ingest", "u.jsonl", "-o", "nodir/x.txt"], "nodir/x.txt"),
+    ("optimize-output-parent-missing", ["optimize", "u.txt", "-o", "nodir/x.json", "--swaps", "1"], "nodir/x.json"),
+    ("report-out-dir-is-a-file", ["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "plain"], "plain"),
+    ("report-svg-dir-is-a-file", ["report", "--result", "r.json", "--corpus", "u.txt", "--svg-dir", "plain"], "plain"),
+    ("batch-out-dir-is-a-file", ["batch", "m.json", "--out-dir", "plain"], "plain"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, path", [pytest.param(argv, path, id=name) for name, argv, path in FILE_ERRORS]
+)
+def test_file_errors_exit_2_with_one_line_naming_the_path(workdir, capsys, argv, path):
+    optimize(workdir)
+    (workdir / "tweets_dir").mkdir()
+    (workdir / "corpus_dir").mkdir()
+    (workdir / "plain").write_text("not a directory", encoding="utf-8")
+    manifest = {"users": [{"id": "u", "corpus": "u.jsonl"}], "search": {"n_swap_pairs": 1}}
+    (workdir / "m.json").write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("keyswap: error:"), err
+    assert "Traceback" not in err
+    assert path in err

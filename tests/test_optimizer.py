@@ -254,3 +254,12 @@ def test_verify_result_catches_tampering(geometry):
     d = res.to_json_dict()
     d["swaps"] = [list(reversed(d["swaps"][0]))]
     assert not verify_result(geometry, stats, OptimizationResult.from_json_dict(d))
+
+
+def test_verify_result_defaults_to_the_result_model(geometry):
+    stats = count_bigrams(KeySequence("tamper detection works"))
+    fitts = EffortModel(kind="fitts", alpha=0.2)
+    res = optimize(geometry, stats, SearchConfig(n_swap_pairs=1, model=fitts))
+    assert verify_result(geometry, stats, res)
+    assert verify_result(geometry, stats, res, fitts)
+    assert not verify_result(geometry, stats, res, EffortModel())
