@@ -30,6 +30,7 @@ line that names the path.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import multiprocessing
@@ -260,7 +261,17 @@ def cmd_ingest(args, config: dict) -> int:
     return EXIT_OK
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise the OSError that writing path would, if its directory is missing or not one."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def cmd_optimize(args, config: dict) -> int:
+    # fail before the search, not after it, when -o cannot be written
+    _check_out_dir(args.out)
     settings = resolve_settings(args, config)
     g = build_geometry(settings.geometry)
     _, result = _search_stage(g, _read_corpus(args.corpus), settings.search, args.out)

@@ -30,6 +30,7 @@ from .geometry import (
     Layout,
     SwapSet,
     distance,
+    is_finite_number,
     nearest_space_slot,
 )
 from .stats import END, BigramStats
@@ -53,12 +54,13 @@ class EffortModel:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown effort model kind: {self.kind!r}")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (self.alpha, self.beta)):
-            raise ValueError("EffortModel.alpha and beta must be numbers")
+        if not all(is_finite_number(v) for v in (self.alpha, self.beta)):
+            raise ValueError(f"EffortModel.alpha and beta must be finite numbers, got {self.alpha!r}, {self.beta!r}")
         if self.beta < 0:
             raise ValueError("EffortModel.beta must be non-negative")
-        if self.key_area_mm2 is not None and not self.key_area_mm2 > 0:
-            raise ValueError("EffortModel.key_area_mm2 must be positive")
+        area = self.key_area_mm2
+        if area is not None and not (is_finite_number(area) and area > 0):
+            raise ValueError(f"EffortModel.key_area_mm2 must be a positive finite number, got {area!r}")
 
 
 DISTANCE_MODEL = EffortModel()

@@ -23,6 +23,11 @@ SPACE_SLOT_IDS = ("sp1", "sp2", "sp3", "sp4")
 SUBKEY_TIE_REL = 1e-9
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite int or float; bools, NaN and infinities are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class GeometrySpec:
     """Physical dimensions of the keyboard, all lengths in millimetres.
@@ -42,10 +47,14 @@ class GeometrySpec:
 
     def __post_init__(self) -> None:
         for name in ("key_width", "key_height", "h_gap", "v_gap"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"GeometrySpec.{name} must be strictly positive")
-        object.__setattr__(self, "row_x_offsets", tuple(float(v) for v in self.row_x_offsets))
-        object.__setattr__(self, "space_subkey_columns", tuple(float(v) for v in self.space_subkey_columns))
+            value = getattr(self, name)
+            if not (is_finite_number(value) and value > 0):
+                raise ValueError(f"GeometrySpec.{name} must be a strictly positive finite number, got {value!r}")
+        for name in ("row_x_offsets", "space_subkey_columns"):
+            values = tuple(getattr(self, name))
+            if not all(is_finite_number(v) for v in values):
+                raise ValueError(f"GeometrySpec.{name} must hold finite numbers, got {values!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         if len(self.row_x_offsets) != 4:
             raise ValueError("GeometrySpec.row_x_offsets must have exactly 4 entries")
         if len(self.space_subkey_columns) != 4:

@@ -3,9 +3,19 @@
 Two candidate generators are supported. Canonical mode enumerates every
 set of n disjoint unordered letter pairs (325 / 44,850 / 3,453,450 for
 n = 1 / 2 / 3). Triplet mode pairs two disjoint sorted 3-letter groups
-position by position; it emits 2,302,300 candidate evaluations out of
+position by position; it counts 2,302,300 candidate evaluations out of
 6,757,400 raw ordered group pairs and reaches a strict subset of the
 canonical n=3 layouts, so its optimum can never beat the canonical one.
+
+Those 2,302,300 pairings cover only 1,151,150 distinct swap sets, and the
+search scores each of them once: they are the canonical size-3 rows
+(i, j, k), i < j < k, with v[i] < v[j] < v[k], where v is a pair's larger
+letter. Proof: pairing two ascending triplets position by position gives
+pairs whose smaller letters ascend and whose larger letters ascend, and
+any three disjoint pairs with both ascending are the pairing of the
+triplet of their smaller letters with the triplet of their larger ones.
+Canonical rows already have ascending smaller letters. The result keeps
+candidates = 2,302,300, the count of triplet pairings.
 
 The search kernel never recomputes full layout costs. Because cost is a
 sum over letter pairs, the change from applying disjoint transpositions
@@ -15,9 +25,9 @@ pairwise cross terms c2[p, q]; both tables are precomputed once per
 d1 comes from one batched pass that repeats delta_cost's floating-point
 operations for all 325 pairs, so it equals delta_cost bit for bit; c2 is
 gathered from flat tables one letter combination at a time.
-Both search modes and enumerate_swapsets draw candidates from one block
-generator, and one kernel gathers and reduces each block with the key
-(cost, canonical encoding).
+Both search modes and enumerate_swapsets draw candidates from block
+generators that share the size-3 one, and one kernel gathers and reduces
+each block with the key (cost, canonical encoding).
 """
 
 from __future__ import annotations
@@ -214,6 +224,21 @@ def _triplet_space():
     return cols, masks
 
 
+def _size3_blocks(first: np.ndarray, second: np.ndarray, rows: np.ndarray):
+    """Yield size-3 candidates as one block per first pair i.
+
+    A block holds the size-2 candidates (first[r], second[r]) with i less
+    than first[r] whose pairs both pass rows[i], kept in their order.
+    """
+    for i in range(_N_PAIRS):
+        lo = np.searchsorted(first, i, side="right")
+        j, k = first[lo:], second[lo:]
+        row = rows[i]
+        sel = np.flatnonzero(row.take(j) & row.take(k))
+        if sel.size:
+            yield np.full(sel.size, i), j[sel], k[sel]
+
+
 def _candidate_blocks(n: int, mode: str):
     """Yield the candidates of one search size as non-empty blocks.
 
@@ -223,7 +248,8 @@ def _candidate_blocks(n: int, mode: str):
     pairs, so in canonical mode the blocks and their rows come in
     canonical SwapSet order. Triplet mode yields one block per
     _PAPER_BLOCK first triplets, holding each one's pairings with every
-    later disjoint triplet, first triplet by first triplet.
+    later disjoint triplet, first triplet by first triplet; it is the
+    reference stream that _paper_set_blocks reduces to distinct sets.
     """
     _, _, _, pair_idx, compat = _pair_space()
     if mode == "paper":
@@ -247,16 +273,21 @@ def _candidate_blocks(n: int, mode: str):
     elif n == 2:
         yield _size2_pairs()
     else:
-        # one block per first pair i: the size-2 candidates (j, k) with
-        # i < j that are disjoint from i, kept in their canonical order
-        first, second = _size2_pairs()
-        for i in range(_N_PAIRS):
-            lo = np.searchsorted(first, i, side="right")
-            j, k = first[lo:], second[lo:]
-            row = compat[i]
-            sel = np.flatnonzero(row.take(j) & row.take(k))
-            if sel.size:
-                yield np.full(sel.size, i), j[sel], k[sel]
+        # the size-2 candidates (j, k) with i < j that are disjoint from i
+        yield from _size3_blocks(*_size2_pairs(), compat)
+
+
+def _paper_set_blocks():
+    """Yield triplet mode's distinct swap sets once each, in canonical order.
+
+    These are the canonical size-3 rows (i, j, k) with v[i] < v[j] < v[k]
+    (see the module docstring); the filter is applied to the size-2 pairs
+    (v[j] < v[k]) and to the first-pair rows (v[i] < v[j]).
+    """
+    _, _, v, _, compat = _pair_space()
+    first, second = _size2_pairs()
+    keep = v.take(first) < v.take(second)
+    yield from _size3_blocks(first[keep], second[keep], compat & (v[:, None] < v))
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +459,10 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
         sizes, raw_pairs = (range(1, n + 1) if cfg.cumulative else (n,)), None
     # a cumulative search also considers size 0, the stock layout
     found = [(0.0, ())] if cfg.cumulative else []
-    candidates = len(found)
+    candidates = len(found) + sum(swap_count(size, cfg.mode) for size in sizes)
     for size in sizes:
-        for block in _candidate_blocks(size, cfg.mode):
-            found.append(_best(d1, c2, block))
-            candidates += block[0].size
+        blocks = _paper_set_blocks() if cfg.mode == "paper" else _candidate_blocks(size, cfg.mode)
+        found.extend(_best(d1, c2, block) for block in blocks)
 
     _, idx = min(found)
     letter_pairs = _pair_space()[0]

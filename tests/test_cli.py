@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -417,6 +418,8 @@ def test_threads_resolve_flag_over_env_over_manifest_over_config(monkeypatch):
 
 
 BAD_WIDTH_SPEC = {**DEFAULT_SPEC.to_json_dict(), "key_width_mm": 0}
+INFINITE_WIDTH_SPEC = {**DEFAULT_SPEC.to_json_dict(), "key_width_mm": math.inf}
+BOOL_GAP_SPEC = {**DEFAULT_SPEC.to_json_dict(), "h_gap_mm": True}
 ALL_COMMANDS = ("ingest", "optimize", "report", "batch")
 
 # name, --config contents, manifest contents (a dict updates the default
@@ -444,6 +447,13 @@ BAD_SETTINGS = [
     ("manifest-model-inside-search", None, {"search": {"model": {"kind": "fitts"}}}, [], 1, ("batch",)),
     ("config-model-invalid", {"model": {"kind": "nope"}}, None, [], 1, ("optimize", "batch")),
     ("config-model-alpha-string", {"model": {"kind": "fitts", "alpha": "x"}}, None, [], 1, ("optimize", "batch")),
+    ("config-model-beta-nan", {"model": {"kind": "fitts", "beta": math.nan}}, None, [], 1, ("optimize", "batch")),
+    ("config-model-alpha-infinite", {"model": {"kind": "fitts", "alpha": math.inf}}, None, [], 1, ("optimize", "batch")),
+    ("config-model-key-area-bool", {"model": {"kind": "fitts", "key_area_mm2": True}}, None, [], 1, ("optimize", "batch")),
+    ("beta-flag-nan", None, None, ["--model", "fitts", "--beta", "nan"], 1, ("optimize",)),
+    ("config-geometry-infinite-width", {"geometry": INFINITE_WIDTH_SPEC}, None, [], 2, ("optimize", "report", "batch")),
+    ("config-geometry-bool-gap", {"geometry": BOOL_GAP_SPEC}, None, [], 2, ("optimize", "report", "batch")),
+    ("manifest-geometry-infinite-width", None, {"geometry": INFINITE_WIDTH_SPEC}, [], 2, ("batch",)),
     ("threads-flag-zero", None, None, ["--threads", "0"], 1, ("optimize", "batch")),
 ]
 
@@ -485,6 +495,24 @@ def test_bad_settings_fail_with_one_line_before_any_output(workdir, capsys, comm
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("keyswap: error:"), err
     assert "Traceback" not in err
+    assert all_paths(workdir) == before
+
+
+@pytest.mark.parametrize("out", ["nodir/r.json", "plain/r.json"])
+def test_optimize_checks_its_output_directory_before_it_searches(workdir, capsys, monkeypatch, out):
+    ingest(workdir)
+    (workdir / "plain").write_text("not a directory", encoding="utf-8")
+
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("keyswap.cli.optimize", search)
+    before = all_paths(workdir)
+    capsys.readouterr()
+    assert main(["optimize", "u.txt", "-o", out, "--mode", "paper"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("keyswap: error:"), err
+    assert out in err
     assert all_paths(workdir) == before
 
 

@@ -95,6 +95,13 @@ def test_effort_model_validation():
         EffortModel(kind="quadratic")
     with pytest.raises(ValueError):
         EffortModel(kind="fitts", key_area_mm2=0.0)
+    for bad in (math.nan, math.inf, -math.inf, True):
+        with pytest.raises(ValueError):
+            EffortModel(kind="fitts", alpha=bad)
+        with pytest.raises(ValueError):
+            EffortModel(kind="fitts", beta=bad)
+        with pytest.raises(ValueError):
+            EffortModel(kind="fitts", key_area_mm2=bad)
 
 
 def test_distance_table_shapes_and_symmetry(geometry):

@@ -124,6 +124,15 @@ def test_spec_validation_rejects_bad_measurements():
         GeometrySpec(row_x_offsets=(0.0, 2.885))
     with pytest.raises(ValueError):
         GeometrySpec(space_subkey_columns=(2, 2, 4, 5))
+    for name in ("key_width", "key_height", "h_gap", "v_gap"):
+        for bad in (math.inf, math.nan, True, "5"):
+            with pytest.raises(ValueError):
+                GeometrySpec(**{name: bad})
+    for bad in (math.inf, math.nan, True, "1.5"):
+        with pytest.raises(ValueError):
+            GeometrySpec(row_x_offsets=(0.0, 2.885, bad, 8.655))
+        with pytest.raises(ValueError):
+            GeometrySpec(space_subkey_columns=(2, 3, 4, bad))
 
 
 def test_spec_json_round_trip():

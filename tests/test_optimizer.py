@@ -18,8 +18,10 @@ from keyswap.geometry import LETTERS, SwapSet, apply_swaps, qwerty_layout
 from keyswap.optimizer import (
     OptimizationResult,
     SearchConfig,
+    _best,
     _build_delta_tables,
     _candidate_blocks,
+    _paper_set_blocks,
     enumerate_swapsets,
     optimize,
     swap_count,
@@ -100,8 +102,12 @@ def tie_heavy_text(rng: random.Random) -> str:
     return " ".join(rng.choice(words) for _ in range(rng.randint(10, 80)))
 
 
+def bundled_texts() -> list[str]:
+    return [ingest_tweets(read_tweet_file(str(p))).text for p in sorted(DATA.glob("*.jsonl"))]
+
+
 def test_delta_tables_are_bit_identical_to_their_references(geometry):
-    texts = [ingest_tweets(read_tweet_file(str(p))).text for p in sorted(DATA.glob("*.jsonl"))]
+    texts = bundled_texts()
     texts += [random_corpus_text(random.Random(1000 + s), 200, 1500) for s in range(5)]
     texts += [tie_heavy_text(random.Random(2000 + s)) for s in range(3)]
     base = qwerty_layout()
@@ -153,6 +159,39 @@ def test_paper_mode_enumeration_prefix():
     # Triplet (a,b,c) paired with (d,e,f) position-wise.
     assert first.pairs == (("a", "d"), ("b", "e"), ("c", "f"))
     assert first.is_canonical()
+
+
+def _encodings(blocks) -> np.ndarray:
+    # base-325 keys order like canonical encodings
+    i, j, k = (np.concatenate(col) for col in zip(*blocks))
+    return (i * 325 + j) * 325 + k
+
+
+def test_paper_set_blocks_are_the_triplet_streams_distinct_sets():
+    distinct = _encodings(_paper_set_blocks())
+    assert np.all(np.diff(distinct) > 0)
+    sets, counts = np.unique(_encodings(_candidate_blocks(3, "paper")), return_counts=True)
+    assert np.array_equal(distinct, sets)
+    # Not every set is reached twice; only the total is 2 * 1,151,150.
+    multiplicity = dict(zip(*(x.tolist() for x in np.unique(counts, return_counts=True))))
+    assert multiplicity == {1: 460_460, 2: 460_460, 4: 230_230}
+
+
+def test_paper_search_matches_the_triplet_stream_reference(geometry):
+    texts = bundled_texts() + [tie_heavy_text(random.Random(2000 + s)) for s in range(3)]
+    base = qwerty_layout()
+    pairs = list(itertools.combinations(LETTERS, 2))
+    for text in texts:
+        stats = count_bigrams(KeySequence(text))
+        for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
+            got = optimize(geometry, stats, SearchConfig(mode="paper", model=model))
+            base_cost = stats_cost(geometry, base, stats, model)
+            d1, c2 = _build_delta_tables(geometry, stats, base, base_cost, model)
+            _, idx = min(_best(d1, c2, block) for block in _candidate_blocks(3, "paper"))
+            want = SwapSet(tuple(pairs[p] for p in idx))
+            assert got.swaps == want, (text[:20], model.kind)
+            assert got.best_cost_mm == stats_cost(geometry, apply_swaps(base, want), stats, model)
+            assert got.candidates == swap_count(3, "paper")
 
 
 def test_paper_mode_telemetry_and_dominance(geometry):
