@@ -20,6 +20,7 @@ from .effort import (
     EffortModel,
     delta_cost,
     fitts_effort,
+    per,
     sequence_cost,
     stats_cost,
 )
@@ -54,7 +55,6 @@ from .report import (
     layout_svg,
     pair_scatter_svg,
     pairs_table,
-    per,
     top_pairs_table,
 )
 from .stats import BigramStats, PairUsage, count_bigrams, pair_usage

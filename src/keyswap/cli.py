@@ -22,9 +22,9 @@ model lives only in the top-level "model" section; a "model" key inside
 A setting value that fails validation exits 1, whichever layer it came
 from. A config, manifest, geometry spec or result file that cannot be
 parsed, or has the wrong shape, exits 2; so does a geometry spec with a
-bad value. Any file a command cannot read or write, whether input,
-output or output directory, exits 2 too: main turns the OSError into one
-line that names the path.
+bad value or one that puts two keys on the same center. Any file a
+command cannot read or write, whether input, output or output directory,
+exits 2 too: main turns the OSError into one line that names the path.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .effort import EffortModel
 from .geometry import (
     DEFAULT_SPEC,
     GeometrySpec,
+    KeyboardGeometry,
     apply_swaps,
     build_geometry,
     qwerty_layout,
@@ -122,7 +123,7 @@ class Settings:
 
     policy: IngestPolicy
     search: SearchConfig
-    geometry: GeometrySpec
+    geometry: KeyboardGeometry
     top_pairs: int
     out_dir: str
 
@@ -132,8 +133,9 @@ def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settin
 
     The policy, search and model sections merge key by key; flag dests are
     named after the dataclass fields they set. A geometry spec is taken
-    whole. Bad values raise UsageError; a section that is not an object,
-    or a bad geometry spec, raises DataError.
+    whole and built here, once. Bad values raise UsageError; a section
+    that is not an object, or a geometry spec that is bad or cannot be
+    built, raises DataError.
     """
     layers = ((args.config, config), (getattr(args, "manifest", None), manifest or {}))
 
@@ -182,7 +184,7 @@ def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settin
     geometry_path = getattr(args, "geometry", None)
     spec = _load_json(geometry_path, "geometry spec") if geometry_path else top("geometry")
     try:
-        geometry = DEFAULT_SPEC if spec is None else GeometrySpec.from_json_dict(spec)
+        geometry = build_geometry(DEFAULT_SPEC if spec is None else GeometrySpec.from_json_dict(spec))
     except KeyError as exc:
         raise DataError(f"geometry spec lacks the field {exc}")
     except (TypeError, ValueError) as exc:
@@ -273,8 +275,7 @@ def cmd_optimize(args, config: dict) -> int:
     # fail before the search, not after it, when -o cannot be written
     _check_out_dir(args.out)
     settings = resolve_settings(args, config)
-    g = build_geometry(settings.geometry)
-    _, result = _search_stage(g, _read_corpus(args.corpus), settings.search, args.out)
+    _, result = _search_stage(settings.geometry, _read_corpus(args.corpus), settings.search, args.out)
     swaps = " ".join(a + b for a, b in result.swaps.pairs) or "(none)"
     print(
         f"best swaps {swaps}  improvement {result.per_pct:.2f}%  "
@@ -306,11 +307,11 @@ def cmd_report(args, config: dict) -> int:
     data = _load_json(args.result, "result file")
     try:
         result = OptimizationResult.from_json_dict(data)
+        # the geometry the result records wins over config and defaults
+        recorded = "geometry" in data and not args.geometry
+        g = build_geometry(result.geometry) if recorded else settings.geometry
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed result file {args.result}: {exc}")
-    # the geometry the result records wins over config and defaults
-    recorded = "geometry" in data and not args.geometry
-    g = build_geometry(result.geometry if recorded else settings.geometry)
     seq = _read_corpus(args.corpus)
     stats = count_bigrams(seq)
     if stats.is_empty:
@@ -342,7 +343,7 @@ def _batch_user(settings: Settings, user_id: str, tweet_path: str) -> tuple[dict
         user_dir = os.path.join(settings.out_dir, user_id)
         os.makedirs(user_dir, exist_ok=True)
         seq = _ingest_stage(tweet_path, settings.policy, os.path.join(user_dir, "corpus.txt"))
-        g = build_geometry(settings.geometry)
+        g = settings.geometry
         stats, result = _search_stage(g, seq, settings.search, os.path.join(user_dir, "result.json"))
         if not verify_result(g, stats, result):
             raise RuntimeError("internal consistency check failed for optimization result")

@@ -190,6 +190,13 @@ def stats_cost(
     return total
 
 
+def per(d_qwerty: float, d_optimized: float) -> float:
+    """Percent effort reduction relative to the stock layout."""
+    if not d_qwerty > 0:
+        raise ValueError("baseline distance must be strictly positive")
+    return 100.0 * (d_qwerty - d_optimized) / d_qwerty
+
+
 def _affected_terms(
     t: EffortTables,
     stats: BigramStats,

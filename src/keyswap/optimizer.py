@@ -25,9 +25,13 @@ pairwise cross terms c2[p, q]; both tables are precomputed once per
 d1 comes from one batched pass that repeats delta_cost's floating-point
 operations for all 325 pairs, so it equals delta_cost bit for bit; c2 is
 gathered from flat tables one letter combination at a time.
-Both search modes and enumerate_swapsets draw candidates from block
-generators that share the size-3 one, and one kernel gathers and reduces
-each block with the key (cost, canonical encoding).
+
+Each search draws one stream, _candidate_blocks(n, mode), whose rows
+ascend in canonical encoding; paper mode is the size-3 stream filtered as
+above. One kernel, _best, scores a block and takes a plain argmin, whose
+first minimum is then the smallest tied encoding. The triplet pairings
+themselves, _triplet_pairings, are kept only as the reference stream of
+enumerate_swapsets(3, "paper") and of the tests.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .effort import (
     EffortModel,
     effort_tables,
     letter_slot_vector,
+    per,
     stats_cost,
 )
 from .geometry import (
@@ -64,8 +68,6 @@ MODES = ("canonical", "paper")
 _N_LETTERS = 26
 _N_PAIRS = 325  # C(26, 2)
 _N_TRIPLETS = 2600  # C(26, 3)
-# first triplets per paper-mode block; larger blocks raise peak memory
-_PAPER_BLOCK = 16
 
 
 def _put_model(d: dict, model: EffortModel) -> None:
@@ -189,105 +191,68 @@ class OptimizationResult:
 
 
 # ---------------------------------------------------------------------------
-# static candidate structure (depends only on the 26-letter alphabet)
+# candidate streams (depend only on the 26-letter alphabet)
+
+# pair p is the unordered letter pair (_U[p], _V[p]), _U[p] < _V[p], in
+# lexicographic order; _PAIR_IDX[a, b] == _PAIR_IDX[b, a] is its index
+_LETTER_PAIRS = tuple(itertools.combinations(LETTERS, 2))
+_U, _V = np.triu_indices(_N_LETTERS, 1)
+_PAIR_IDX = np.full((_N_LETTERS, _N_LETTERS), -1, dtype=np.intp)
+_PAIR_IDX[_U, _V] = _PAIR_IDX[_V, _U] = np.arange(_N_PAIRS)
+# _COMPAT[p, q]: pairs p and q share no letter (so p != q)
+_COMPAT = (_U[:, None] != _U) & (_U[:, None] != _V) & (_V[:, None] != _U) & (_V[:, None] != _V)
+# every disjoint (i, j) with i < j, in canonical order
+_SIZE2 = np.nonzero(np.triu(_COMPAT, 1))
 
 
-@lru_cache(maxsize=1)
-def _pair_space():
-    pairs = tuple(itertools.combinations(range(_N_LETTERS), 2))
-    u = np.array([p[0] for p in pairs], dtype=np.intp)
-    v = np.array([p[1] for p in pairs], dtype=np.intp)
-    # pair_idx[a, b] == pair_idx[b, a]: index of the unordered pair {a, b}
-    pair_idx = np.full((_N_LETTERS, _N_LETTERS), -1, dtype=np.intp)
-    for k, (a, b) in enumerate(pairs):
-        pair_idx[a, b] = pair_idx[b, a] = k
-    compat = np.ones((_N_PAIRS, _N_PAIRS), dtype=bool)
-    for k, (a, b) in enumerate(pairs):
-        clash = (u == a) | (u == b) | (v == a) | (v == b)
-        compat[k] = ~clash
-        compat[k, k] = False
-    letter_pairs = tuple((LETTERS[a], LETTERS[b]) for a, b in pairs)
-    return letter_pairs, u, v, pair_idx, compat
+def _candidate_blocks(n: int, mode: str = "canonical"):
+    """Yield the rows that one search size scores, as non-empty blocks.
 
-
-@lru_cache(maxsize=1)
-def _size2_pairs() -> tuple[np.ndarray, np.ndarray]:
-    """All disjoint pair-index pairs (i, j) with i < j, in canonical order."""
-    return np.nonzero(np.triu(_pair_space()[4], 1))
-
-
-@lru_cache(maxsize=1)
-def _triplet_space():
-    """Sorted letter triplets as three position columns, plus letter bitmasks."""
-    cols = np.array(list(itertools.combinations(range(_N_LETTERS), 3)), dtype=np.intp).T.copy()
-    masks = (1 << cols[0]) | (1 << cols[1]) | (1 << cols[2])
-    return cols, masks
-
-
-def _size3_blocks(first: np.ndarray, second: np.ndarray, rows: np.ndarray):
-    """Yield size-3 candidates as one block per first pair i.
-
-    A block holds the size-2 candidates (first[r], second[r]) with i less
-    than first[r] whose pairs both pass rows[i], kept in their order.
+    A block is a tuple of n pair-index arrays; row r is the candidate
+    (block[0][r], ..., block[n-1][r]), sorted ascending, which is its
+    canonical encoding. The rows of the whole stream ascend in encoding,
+    the precondition of _best. Size 3 is one block per first pair i,
+    holding the size-2 rows (j, k) with i < j that are disjoint from i.
+    Paper mode is the size-3 stream filtered to v[i] < v[j] < v[k]: the
+    filter is applied to the size-2 rows (v[j] < v[k]) and to the
+    first-pair rows (v[i] < v[j]).
     """
-    for i in range(_N_PAIRS):
-        lo = np.searchsorted(first, i, side="right")
-        j, k = first[lo:], second[lo:]
-        row = rows[i]
-        sel = np.flatnonzero(row.take(j) & row.take(k))
-        if sel.size:
-            yield np.full(sel.size, i), j[sel], k[sel]
-
-
-def _candidate_blocks(n: int, mode: str):
-    """Yield the candidates of one search size as non-empty blocks.
-
-    A block is a tuple of n pair-index arrays; row r of the block is the
-    candidate (block[0][r], ..., block[n-1][r]), sorted ascending, which
-    is its canonical encoding. Pair indices are lexicographic over letter
-    pairs, so in canonical mode the blocks and their rows come in
-    canonical SwapSet order. Triplet mode yields one block per
-    _PAPER_BLOCK first triplets, holding each one's pairings with every
-    later disjoint triplet, first triplet by first triplet; it is the
-    reference stream that _paper_set_blocks reduces to distinct sets.
-    """
-    _, _, _, pair_idx, compat = _pair_space()
-    if mode == "paper":
-        cols, masks = _triplet_space()
-        flat_idx = pair_idx.ravel()
-        order = np.arange(_N_TRIPLETS)
-        for a0 in range(0, _N_TRIPLETS, _PAPER_BLOCK):
-            a = order[a0 : a0 + _PAPER_BLOCK, None]
-            # row-major nonzero keeps the per-first-triplet order
-            first, second = np.nonzero(((masks[a] & masks) == 0) & (order > a))
-            if not first.size:
-                continue
-            first += a0
-            # both triplets are sorted, so the position-wise pairs'
-            # smaller letters, and with them the pair indices, ascend
-            yield tuple(
-                flat_idx.take(cols[c].take(first) * _N_LETTERS + cols[c].take(second)) for c in range(3)
-            )
-    elif n == 1:
+    if n == 1:
         yield (np.arange(_N_PAIRS),)
     elif n == 2:
-        yield _size2_pairs()
+        yield _SIZE2
     else:
-        # the size-2 candidates (j, k) with i < j that are disjoint from i
-        yield from _size3_blocks(*_size2_pairs(), compat)
+        first, second = _SIZE2
+        rows = _COMPAT
+        if mode == "paper":
+            keep = _V.take(first) < _V.take(second)
+            first, second = first[keep], second[keep]
+            rows = rows & (_V[:, None] < _V)
+        for i in range(_N_PAIRS):
+            lo = np.searchsorted(first, i, side="right")
+            j, k = first[lo:], second[lo:]
+            row = rows[i]
+            sel = np.flatnonzero(row.take(j) & row.take(k))
+            if sel.size:
+                yield np.full(sel.size, i), j[sel], k[sel]
 
 
-def _paper_set_blocks():
-    """Yield triplet mode's distinct swap sets once each, in canonical order.
+def _triplet_pairings():
+    """Yield the paper's 2,302,300 triplet pairings, one block per first triplet.
 
-    These are the canonical size-3 rows (i, j, k) with v[i] < v[j] < v[k]
-    (see the module docstring); the filter is applied to the size-2 pairs
-    (v[j] < v[k]) and to the first-pair rows (v[i] < v[j]).
+    Sorted letter triplet a is paired position by position with every
+    later triplet that shares no letter with it, in triplet order. Both
+    triplets are sorted, so the pairs' smaller letters, and with them the
+    pair indices, ascend: each row is a canonical encoding, and the rows
+    of a block ascend. The stream reaches each set of
+    _candidate_blocks(3, "paper") once, twice or four times.
     """
-    _, _, v, _, compat = _pair_space()
-    first, second = _size2_pairs()
-    keep = v.take(first) < v.take(second)
-    yield from _size3_blocks(first[keep], second[keep], compat & (v[:, None] < v))
+    triplets = np.array(list(itertools.combinations(range(_N_LETTERS), 3)))
+    masks = np.bitwise_or.reduce(1 << triplets, axis=1)
+    for a in range(_N_TRIPLETS):
+        later = a + 1 + np.flatnonzero((masks[a + 1 :] & masks[a]) == 0)
+        if later.size:
+            yield tuple(_PAIR_IDX[triplets[a, c], triplets[later, c]] for c in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +288,7 @@ def _build_delta_tables(
     order; each combination gathers its index arrays from 325-long
     per-pair sides, so only one combination's temporaries exist at a time.
     """
-    _, u, v, _, _ = _pair_space()
+    u, v = _U, _V
     t = effort_tables(g, model)
     o = letter_slot_vector(base)
     f = stats.within_word.astype(np.float64)
@@ -353,7 +318,7 @@ def _build_delta_tables(
     new = affected(new_slots, np.stack((o[v], o[u]), axis=1))
     d1 = (base_cost + (new - affected(o, o[moved]))) - base_cost
 
-    idx_i, idx_j = _size2_pairs()
+    idx_i, idx_j = _SIZE2
     # side s of a pair: (letter, its old slot, its new slot); as the first
     # letter of a combination its indices are pre-scaled to table rows
     sides = ((u, o[u], o[v]), (v, o[v], o[u]))
@@ -377,10 +342,12 @@ def _build_delta_tables(
 def _best(d1: np.ndarray, c2: np.ndarray, block) -> tuple[float, tuple[int, ...]]:
     """Cheapest candidate of one block as (cost delta, encoding).
 
-    Ties go to the smallest encoding, so comparing the returned tuples
-    across blocks and sizes reproduces canonical SwapSet order (shorter
-    encodings win on a shared prefix). The sum is always associated as
-    ((d1[i] + d1[j]) + c2[i, j]), then + d1[k], + c2[i, k], + c2[j, k].
+    Precondition: the block's rows ascend in encoding. argmin returns the
+    first minimum, so ties go to the smallest encoding, and comparing the
+    returned tuples across blocks and sizes reproduces canonical SwapSet
+    order (shorter encodings win on a shared prefix). The sum is always
+    associated as ((d1[i] + d1[j]) + c2[i, j]), then + d1[k], + c2[i, k],
+    + c2[j, k].
     """
     c2 = c2.ravel()
     i = block[0]
@@ -391,18 +358,22 @@ def _best(d1: np.ndarray, c2: np.ndarray, block) -> tuple[float, tuple[int, ...]
     if len(block) > 2:
         k = block[2]
         deltas = ((deltas + d1.take(k)) + c2.take(i * _N_PAIRS + k)) + c2.take(j * _N_PAIRS + k)
-    m = deltas.min()
-    tied = np.flatnonzero(deltas == m)
-    # pair indices are below _N_PAIRS, so base-_N_PAIRS keys order like encodings
-    key = np.zeros(tied.size, dtype=np.int64)
-    for col in block:
-        key = key * _N_PAIRS + col[tied]
-    r = tied[np.argmin(key)]
-    return float(m), tuple(int(col[r]) for col in block)
+    r = int(np.argmin(deltas))
+    return float(deltas[r]), tuple(int(col[r]) for col in block)
 
 
 # ---------------------------------------------------------------------------
 # public API
+
+
+def _check_size(n: int, mode: str) -> None:
+    """Reject a size and mode that enumerate_swapsets and swap_count do not define."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if mode == "paper" and n != 3:
+        raise ValueError("triplet mode is defined only for n=3")
+    if type(n) is not int or n not in (1, 2, 3):
+        raise ValueError("n must be 1, 2 or 3")
 
 
 def enumerate_swapsets(n: int, mode: str = "canonical"):
@@ -412,23 +383,16 @@ def enumerate_swapsets(n: int, mode: str = "canonical"):
     size. Triplet mode yields one (already canonicalized) SwapSet per
     unordered pair of disjoint letter triplets.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if mode == "paper" and n != 3:
-        raise ValueError("triplet mode is defined only for n=3")
-    if n not in (1, 2, 3):
-        raise ValueError("n must be 1, 2 or 3")
-    letter_pairs = _pair_space()[0]
-    for block in _candidate_blocks(n, mode):
-        for row in zip(*([letter_pairs[p] for p in col.tolist()] for col in block)):
+    _check_size(n, mode)
+    for block in _triplet_pairings() if mode == "paper" else _candidate_blocks(n):
+        for row in zip(*([_LETTER_PAIRS[p] for p in col.tolist()] for col in block)):
             yield SwapSet(row)
 
 
 def swap_count(n: int, mode: str = "canonical") -> int:
     """Closed-form candidate count for one search size."""
+    _check_size(n, mode)
     if mode == "paper":
-        if n != 3:
-            raise ValueError("triplet mode is defined only for n=3")
         return _N_TRIPLETS * math.comb(23, 3) // 2
     total = 1
     for k in range(n):
@@ -461,19 +425,16 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
     found = [(0.0, ())] if cfg.cumulative else []
     candidates = len(found) + sum(swap_count(size, cfg.mode) for size in sizes)
     for size in sizes:
-        blocks = _paper_set_blocks() if cfg.mode == "paper" else _candidate_blocks(size, cfg.mode)
-        found.extend(_best(d1, c2, block) for block in blocks)
+        found.extend(_best(d1, c2, block) for block in _candidate_blocks(size, cfg.mode))
 
     _, idx = min(found)
-    letter_pairs = _pair_space()[0]
-    swaps = SwapSet(tuple(letter_pairs[p] for p in idx))
+    swaps = SwapSet(tuple(_LETTER_PAIRS[p] for p in idx))
     best_cost = stats_cost(g, apply_swaps(base, swaps), stats, cfg.model)
-    per_pct = 100.0 * (base_cost - best_cost) / base_cost
     return OptimizationResult(
         swaps=swaps,
         qwerty_cost_mm=base_cost,
         best_cost_mm=best_cost,
-        per_pct=per_pct,
+        per_pct=per(base_cost, best_cost),
         candidates=candidates,
         mode=cfg.mode,
         cumulative=cfg.cumulative,
@@ -504,9 +465,8 @@ def verify_result(
     b = stats_cost(g, apply_swaps(base, result.swaps), stats, model)
     if not q > 0.0:
         return False
-    per = 100.0 * (q - b) / q
     return (
         math.isclose(q, result.qwerty_cost_mm, rel_tol=rel_tol, abs_tol=0.0)
         and math.isclose(b, result.best_cost_mm, rel_tol=rel_tol, abs_tol=0.0)
-        and math.isclose(per, result.per_pct, rel_tol=rel_tol, abs_tol=1e-12)
+        and math.isclose(per(q, b), result.per_pct, rel_tol=rel_tol, abs_tol=1e-12)
     )

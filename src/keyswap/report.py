@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .effort import per  # noqa: F401 - keyswap.report.per stays importable
 from .geometry import (
     LETTERS,
     KeyboardGeometry,
@@ -25,13 +26,6 @@ from .optimizer import OptimizationResult
 from .stats import BigramStats, pair_usage, traversals
 
 HIGHLIGHT_COLORS = ("#d62728", "#2ca02c", "#1f77b4")
-
-
-def per(d_qwerty: float, d_optimized: float) -> float:
-    """Percent effort reduction relative to the stock layout."""
-    if not d_qwerty > 0:
-        raise ValueError("baseline distance must be strictly positive")
-    return 100.0 * (d_qwerty - d_optimized) / d_qwerty
 
 
 @dataclass(frozen=True)

@@ -420,6 +420,8 @@ def test_threads_resolve_flag_over_env_over_manifest_over_config(monkeypatch):
 BAD_WIDTH_SPEC = {**DEFAULT_SPEC.to_json_dict(), "key_width_mm": 0}
 INFINITE_WIDTH_SPEC = {**DEFAULT_SPEC.to_json_dict(), "key_width_mm": math.inf}
 BOOL_GAP_SPEC = {**DEFAULT_SPEC.to_json_dict(), "h_gap_mm": True}
+# a valid spec whose top-row keys all land on x = 1e300
+OVERLAP_SPEC = {**DEFAULT_SPEC.to_json_dict(), "row_x_offsets_mm": [1e300, 2.885, 8.655, 8.655]}
 ALL_COMMANDS = ("ingest", "optimize", "report", "batch")
 
 # name, --config contents, manifest contents (a dict updates the default
@@ -454,6 +456,9 @@ BAD_SETTINGS = [
     ("config-geometry-infinite-width", {"geometry": INFINITE_WIDTH_SPEC}, None, [], 2, ("optimize", "report", "batch")),
     ("config-geometry-bool-gap", {"geometry": BOOL_GAP_SPEC}, None, [], 2, ("optimize", "report", "batch")),
     ("manifest-geometry-infinite-width", None, {"geometry": INFINITE_WIDTH_SPEC}, [], 2, ("batch",)),
+    ("geometry-file-overlapping-slots", None, None, ["--geometry", "overlap.json"], 2, ("optimize", "report", "batch")),
+    ("config-geometry-overlapping-slots", {"geometry": OVERLAP_SPEC}, None, [], 2, ("optimize", "report", "batch")),
+    ("manifest-geometry-overlapping-slots", None, {"geometry": OVERLAP_SPEC}, [], 2, ("batch",)),
     ("threads-flag-zero", None, None, ["--threads", "0"], 1, ("optimize", "batch")),
 ]
 
@@ -481,6 +486,7 @@ def test_bad_settings_fail_with_one_line_before_any_output(workdir, capsys, comm
     optimize(workdir)
     (workdir / "short.json").write_text(json.dumps({"key_width_mm": 5}), encoding="utf-8")
     (workdir / "flat.json").write_text(json.dumps(BAD_WIDTH_SPEC), encoding="utf-8")
+    (workdir / "overlap.json").write_text(json.dumps(OVERLAP_SPEC), encoding="utf-8")
     default_manifest = {"users": [{"id": "u", "corpus": "u.jsonl"}], "search": {"n_swap_pairs": 1}}
     if isinstance(manifest, dict):
         manifest = {**default_manifest, **manifest}
@@ -495,6 +501,18 @@ def test_bad_settings_fail_with_one_line_before_any_output(workdir, capsys, comm
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("keyswap: error:"), err
     assert "Traceback" not in err
+    assert all_paths(workdir) == before
+
+
+def test_report_rejects_a_recorded_geometry_it_cannot_build(workdir, capsys):
+    result = optimize(workdir)
+    result.write_text(json.dumps({**json.loads(result.read_text()), "geometry": OVERLAP_SPEC}), encoding="utf-8")
+    before = all_paths(workdir)
+    capsys.readouterr()
+    assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("keyswap: error:"), err
+    assert "overlapping slot centers" in err
     assert all_paths(workdir) == before
 
 

@@ -21,7 +21,7 @@ from keyswap.optimizer import (
     _best,
     _build_delta_tables,
     _candidate_blocks,
-    _paper_set_blocks,
+    _triplet_pairings,
     enumerate_swapsets,
     optimize,
     swap_count,
@@ -133,7 +133,7 @@ STREAM_SHA256 = {
 def test_size3_candidate_streams_are_pinned(mode):
     # The block boundaries may move; the concatenated rows, their order
     # and their count may not.
-    blocks = list(_candidate_blocks(3, mode))
+    blocks = list(_candidate_blocks(3) if mode == "canonical" else _triplet_pairings())
     cols = np.stack([np.concatenate([b[c] for b in blocks]) for c in range(3)]).astype(np.int64)
     assert hashlib.sha256(cols.tobytes()).hexdigest() == STREAM_SHA256[mode]
 
@@ -151,6 +151,10 @@ def test_enumeration_rejects_bad_arguments():
         list(enumerate_swapsets(2, "paper"))
     with pytest.raises(ValueError):
         list(enumerate_swapsets(1, "random"))
+    # swap_count shares enumerate_swapsets' argument check
+    for n, mode in ((4, "canonical"), (2, "paper"), (3, "random"), (3.0, "canonical"), (True, "canonical")):
+        with pytest.raises(ValueError):
+            swap_count(n, mode)
 
 
 def test_paper_mode_enumeration_prefix():
@@ -167,10 +171,33 @@ def _encodings(blocks) -> np.ndarray:
     return (i * 325 + j) * 325 + k
 
 
+@pytest.mark.parametrize("n, mode", [(1, "canonical"), (2, "canonical"), (3, "canonical"), (3, "paper")])
+def test_candidate_streams_ascend_so_argmin_breaks_ties(n, mode):
+    # _best's plain argmin keeps the first minimum; that is the smallest
+    # tied encoding only because the rows ascend in encoding.
+    blocks = list(_candidate_blocks(n, mode))
+    keys = np.zeros(sum(len(b[0]) for b in blocks), dtype=np.int64)
+    for c in range(n):
+        keys = keys * 325 + np.concatenate([b[c] for b in blocks])
+    assert np.all(np.diff(keys) > 0)
+    # With every delta zero, all rows tie and the first row must win.
+    d1, c2 = np.zeros(325), np.zeros((325, 325))
+    first = tuple(int(col[0]) for col in blocks[0])
+    assert min(_best(d1, c2, block) for block in blocks) == (0.0, first)
+
+
+def test_each_triplet_pairing_block_ascends():
+    # The paper reference test takes min over _best of these blocks, so
+    # each block, though not the whole stream, must ascend.
+    for block in _triplet_pairings():
+        keys = (block[0].astype(np.int64) * 325 + block[1]) * 325 + block[2]
+        assert np.all(np.diff(keys) > 0)
+
+
 def test_paper_set_blocks_are_the_triplet_streams_distinct_sets():
-    distinct = _encodings(_paper_set_blocks())
+    distinct = _encodings(_candidate_blocks(3, "paper"))
     assert np.all(np.diff(distinct) > 0)
-    sets, counts = np.unique(_encodings(_candidate_blocks(3, "paper")), return_counts=True)
+    sets, counts = np.unique(_encodings(_triplet_pairings()), return_counts=True)
     assert np.array_equal(distinct, sets)
     # Not every set is reached twice; only the total is 2 * 1,151,150.
     multiplicity = dict(zip(*(x.tolist() for x in np.unique(counts, return_counts=True))))
@@ -187,7 +214,7 @@ def test_paper_search_matches_the_triplet_stream_reference(geometry):
             got = optimize(geometry, stats, SearchConfig(mode="paper", model=model))
             base_cost = stats_cost(geometry, base, stats, model)
             d1, c2 = _build_delta_tables(geometry, stats, base, base_cost, model)
-            _, idx = min(_best(d1, c2, block) for block in _candidate_blocks(3, "paper"))
+            _, idx = min(_best(d1, c2, block) for block in _triplet_pairings())
             want = SwapSet(tuple(pairs[p] for p in idx))
             assert got.swaps == want, (text[:20], model.kind)
             assert got.best_cost_mm == stats_cost(geometry, apply_swaps(base, want), stats, model)
