@@ -24,8 +24,14 @@ SUBKEY_TIE_REL = 1e-9
 
 
 def is_finite_number(value) -> bool:
-    """True for a finite int or float; bools, NaN and infinities are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """True for an int or float with a finite float value; bools, NaN, infinities
+    and ints beyond the float range are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -21,25 +21,35 @@ The search kernel never recomputes full layout costs. Because cost is a
 sum over letter pairs, the change from applying disjoint transpositions
 p1..pn decomposes exactly into per-transposition deltas d1[p] plus
 pairwise cross terms c2[p, q]; both tables are precomputed once per
-(geometry, stats, model), after which each candidate costs six lookups.
-d1 comes from one batched pass that repeats delta_cost's floating-point
-operations for all 325 pairs, so it equals delta_cost bit for bit; c2 is
-gathered from flat tables one letter combination at a time.
+(geometry, stats, model). d1 comes from one batched pass that repeats
+delta_cost's floating-point operations for all 325 pairs, so it equals
+delta_cost bit for bit; c2 is gathered from flat tables one letter
+combination at a time.
 
-Each search draws one stream, _candidate_blocks(n, mode), whose rows
+Each search size has one stream, _candidate_blocks(n, mode), whose rows
 ascend in canonical encoding; paper mode is the size-3 stream filtered as
-above. One kernel, _best, scores a block and takes a plain argmin, whose
-first minimum is then the smallest tied encoding. The triplet pairings
-themselves, _triplet_pairings, are kept only as the reference stream of
-enumerate_swapsets(3, "paper") and of the tests.
+above. Sizes 1 and 2 are scored by _best, which gathers a block's terms
+and takes a plain argmin, whose first minimum is then the smallest tied
+encoding. Size 3 is scored from a plan that depends only on the mode,
+_size3_plan: the size-2 rows (j, k), where the rows with j > i start for
+each first pair i, and which pairs i takes. Per first pair, the kernel
+_best_size3 sums (d1[i] + d1[j]) + c2[i, j] once per j, then adds the
+per-row columns d1[k] and c2[j, k], built once per search, and c2[i, k]
+along that suffix of rows, with the pairs i does not take set to +inf.
+Each row it takes gets the bits _best would give it, and
+_candidate_blocks(3, mode) yields the rows of the same plan. The triplet
+pairings themselves, _triplet_pairings, are kept only as the reference
+stream of enumerate_swapsets(3, "paper") and of the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,17 +110,11 @@ class SearchConfig:
     model: EffortModel = DISTANCE_MODEL
 
     def __post_init__(self) -> None:
-        if type(self.n_swap_pairs) is not int or self.n_swap_pairs not in (1, 2, 3):
-            raise ValueError("n_swap_pairs must be 1, 2 or 3")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        _check_size(self.n_swap_pairs, self.mode, "n_swap_pairs")
         if not isinstance(self.cumulative, bool):
             raise ValueError("cumulative must be true or false")
-        if self.mode == "paper":
-            if self.n_swap_pairs != 3:
-                raise ValueError("triplet mode is defined only for n_swap_pairs=3")
-            if self.cumulative:
-                raise ValueError("triplet mode does not support cumulative search")
+        if self.mode == "paper" and self.cumulative:
+            raise ValueError("triplet mode does not support cumulative search")
         if type(self.workers) is not int or self.workers < 1:
             raise ValueError("workers must be an integer of at least 1")
 
@@ -205,36 +209,89 @@ _COMPAT = (_U[:, None] != _U) & (_U[:, None] != _V) & (_V[:, None] != _U) & (_V[
 _SIZE2 = np.nonzero(np.triu(_COMPAT, 1))
 
 
+class _Size3Plan(NamedTuple):
+    """The rows of a size-3 search, as suffixes of the size-2 rows.
+
+    Row (i, j, k) of the size-3 stream is first pair i followed by size-2
+    row (j, k) = (first[r], second[r]) with r >= lo[i], so that j > i.
+    Of that suffix, i takes the rows with takes[i, j] and takes[i, k]:
+    pairs that share no letter with i and, in paper mode, whose larger
+    letter is above v[i]. firsts lists the first pairs that take at least
+    one row. The plan depends only on the alphabet and the mode.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    lo: np.ndarray
+    takes: np.ndarray
+    firsts: tuple[int, ...]
+
+
+def _size3_rows(mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plan's size-2 columns first and second, and takes."""
+    first, second = _SIZE2
+    takes = _COMPAT
+    if mode == "paper":
+        keep = _V.take(first) < _V.take(second)
+        first, second = first[keep], second[keep]
+        takes = takes & (_V[:, None] < _V)
+    return first, second, takes
+
+
+def _size3_plan(mode: str) -> _Size3Plan:
+    """Rebuilt on each call, in well under a millisecond, so that no copy
+    of its arrays outlives a search; only firsts is kept."""
+    first, second, takes = _size3_rows(mode)
+    lo = np.searchsorted(first, np.arange(_N_PAIRS), side="right")
+    return _Size3Plan(first, second, lo, takes, _size3_firsts(mode))
+
+
+@functools.cache
+def _size3_firsts(mode: str) -> tuple[int, ...]:
+    """The first pairs that take a row, counted without a pass over each suffix.
+
+    Once i takes j, i takes row (j, k) unless k holds a letter of i (in
+    paper mode v[k] > v[j] > v[i] holds already), and k > j > i, so k
+    never holds both. hits[j, x] counts the rows (j, k) with letter x in
+    k, so free[j, i] is the number of rows (j, .) that i takes once it
+    takes j.
+    """
+    first, second, takes = _size3_rows(mode)
+    pos = first * _N_LETTERS
+    hits = np.bincount(pos + _U.take(second), minlength=_N_PAIRS * _N_LETTERS)
+    hits += np.bincount(pos + _V.take(second), minlength=_N_PAIRS * _N_LETTERS)
+    hits = hits.reshape(_N_PAIRS, _N_LETTERS)
+    free = np.bincount(first, minlength=_N_PAIRS)[:, None] - hits[:, _U] - hits[:, _V]
+    sizes = (np.triu(takes, 1) * free.T).sum(axis=1)
+    return tuple(np.flatnonzero(sizes).tolist())
+
+
+def _taken(plan: _Size3Plan, i: int) -> np.ndarray:
+    """Indices of the plan rows that first pair i takes, ascending."""
+    lo, t = int(plan.lo[i]), plan.takes[i]
+    return lo + np.flatnonzero(t.take(plan.first[lo:]) & t.take(plan.second[lo:]))
+
+
 def _candidate_blocks(n: int, mode: str = "canonical"):
     """Yield the rows that one search size scores, as non-empty blocks.
 
     A block is a tuple of n pair-index arrays; row r is the candidate
     (block[0][r], ..., block[n-1][r]), sorted ascending, which is its
     canonical encoding. The rows of the whole stream ascend in encoding,
-    the precondition of _best. Size 3 is one block per first pair i,
-    holding the size-2 rows (j, k) with i < j that are disjoint from i.
-    Paper mode is the size-3 stream filtered to v[i] < v[j] < v[k]: the
-    filter is applied to the size-2 rows (v[j] < v[k]) and to the
-    first-pair rows (v[i] < v[j]).
+    the precondition of _best. Size 3 is one block per first pair i: the
+    rows of _size3_plan(mode) that i takes. Paper mode is the size-3
+    stream filtered to v[i] < v[j] < v[k]: the plan's size-2 rows keep
+    v[j] < v[k], and first pair i keeps the rows with v[i] < v[j].
     """
     if n == 1:
         yield (np.arange(_N_PAIRS),)
     elif n == 2:
         yield _SIZE2
     else:
-        first, second = _SIZE2
-        rows = _COMPAT
-        if mode == "paper":
-            keep = _V.take(first) < _V.take(second)
-            first, second = first[keep], second[keep]
-            rows = rows & (_V[:, None] < _V)
-        for i in range(_N_PAIRS):
-            lo = np.searchsorted(first, i, side="right")
-            j, k = first[lo:], second[lo:]
-            row = rows[i]
-            sel = np.flatnonzero(row.take(j) & row.take(k))
-            if sel.size:
-                yield np.full(sel.size, i), j[sel], k[sel]
+        plan = _size3_plan(mode)
+        for i in plan.firsts:
+            rows = _taken(plan, i)
+            yield np.full(rows.size, i), plan.first.take(rows), plan.second.take(rows)
 
 
 def _triplet_pairings():
@@ -347,7 +404,8 @@ def _best(d1: np.ndarray, c2: np.ndarray, block) -> tuple[float, tuple[int, ...]
     returned tuples across blocks and sizes reproduces canonical SwapSet
     order (shorter encodings win on a shared prefix). The sum is always
     associated as ((d1[i] + d1[j]) + c2[i, j]), then + d1[k], + c2[i, k],
-    + c2[j, k].
+    + c2[j, k]. The search scores size 3 with _best_size3; this is the
+    reference it is tested against.
     """
     c2 = c2.ravel()
     i = block[0]
@@ -362,18 +420,49 @@ def _best(d1: np.ndarray, c2: np.ndarray, block) -> tuple[float, tuple[int, ...]
     return float(deltas[r]), tuple(int(col[r]) for col in block)
 
 
+def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan) -> list[tuple[float, tuple[int, int, int]]]:
+    """_best of each block of the size-3 stream, scored from the plan.
+
+    For first pair i, a = (d1[i] + d1) + c2[i] holds the first two sums
+    of every row (i, j, .). Each row of the suffix lo[i]: adds d1[k],
+    c2[i, k] and c2[j, k] to a[j] in that order, so a row that i takes
+    gets the same bits as in _best. The pairs that i does not take are
+    +inf in a and in the c2[i, k] vector, which makes every row that i
+    does not take +inf (or NaN, if a table holds one). The suffix ascends
+    in encoding, so argmin's first minimum is the block's smallest tied
+    encoding; if it is a row that i does not take, only non-finite
+    deltas tie or beat it, and the argmin runs over the taken rows alone.
+    """
+    first, second = plan.first, plan.second
+    d1k = d1.take(second)
+    c2jk = c2[first, second]
+    out = []
+    for i in plan.firsts:
+        lo, takes, c2i = int(plan.lo[i]), plan.takes[i], c2[i]
+        deltas = np.where(takes, (d1[i] + d1) + c2i, np.inf).take(first[lo:])
+        deltas += d1k[lo:]
+        deltas += np.where(takes, c2i, np.inf).take(second[lo:])
+        deltas += c2jk[lo:]
+        r = lo + int(np.argmin(deltas))
+        if not (takes[first[r]] and takes[second[r]]):
+            rows = _taken(plan, i)
+            r = rows[np.argmin(deltas[rows - lo])]
+        out.append((float(deltas[r - lo]), (i, int(first[r]), int(second[r]))))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # public API
 
 
-def _check_size(n: int, mode: str) -> None:
-    """Reject a size and mode that enumerate_swapsets and swap_count do not define."""
+def _check_size(n: int, mode: str, name: str = "n") -> None:
+    """Reject a size and mode that no search defines; messages call the size name."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "paper" and n != 3:
-        raise ValueError("triplet mode is defined only for n=3")
+        raise ValueError(f"triplet mode is defined only for {name}=3")
     if type(n) is not int or n not in (1, 2, 3):
-        raise ValueError("n must be 1, 2 or 3")
+        raise ValueError(f"{name} must be 1, 2 or 3")
 
 
 def enumerate_swapsets(n: int, mode: str = "canonical"):
@@ -425,7 +514,10 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
     found = [(0.0, ())] if cfg.cumulative else []
     candidates = len(found) + sum(swap_count(size, cfg.mode) for size in sizes)
     for size in sizes:
-        found.extend(_best(d1, c2, block) for block in _candidate_blocks(size, cfg.mode))
+        if size == 3:
+            found.extend(_best_size3(d1, c2, _size3_plan(cfg.mode)))
+        else:
+            found.extend(_best(d1, c2, block) for block in _candidate_blocks(size, cfg.mode))
 
     _, idx = min(found)
     swaps = SwapSet(tuple(_LETTER_PAIRS[p] for p in idx))

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from keyswap.cli import main
+from keyswap.cli import DataError, UsageError, build_parser, main, resolve_settings
+from keyswap.corpus import IngestPolicy
+from keyswap.effort import EffortModel
 from keyswap.geometry import DEFAULT_SPEC
+from keyswap.optimizer import SearchConfig
 
 TWEETS = [
     {"text": "Morning walk along the river, the light was unreal today."},
@@ -417,9 +422,52 @@ def test_threads_resolve_flag_over_env_over_manifest_over_config(monkeypatch):
     assert resolve_settings(args, config, manifest).search.workers == 5
 
 
+# JSON integers are unbounded; some lie beyond the float range
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**1024, max_value=2**1030)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+SECTION_KEYS = {
+    "policy": [f.name for f in dataclasses.fields(IngestPolicy)],
+    "search": [f.name for f in dataclasses.fields(SearchConfig)],
+    "model": [f.name for f in dataclasses.fields(EffortModel)],
+    "geometry": sorted(DEFAULT_SPEC.to_json_dict()),
+}
+
+
+def section_values(name: str):
+    """Any JSON value; or an object over the section's own keys; or a valid geometry with fields replaced."""
+    fields = st.dictionaries(st.sampled_from(SECTION_KEYS[name]), JSON_SCALARS | JSON_VALUES, max_size=4)
+    fields |= st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=2)
+    if name == "geometry":
+        fields = fields.map(lambda d: {**DEFAULT_SPEC.to_json_dict(), **d})
+    return JSON_VALUES | fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SECTION_KEYS)).flatmap(lambda name: section_values(name).map(lambda v: {name: v})))
+def test_any_json_settings_raise_only_usage_or_data_errors(config):
+    # one section at a time, so that an earlier bad section does not hide it
+    args = build_parser().parse_args(["batch", "m.json"])
+    try:
+        resolve_settings(args, config)
+    except (UsageError, DataError):
+        pass
+
+
 BAD_WIDTH_SPEC = {**DEFAULT_SPEC.to_json_dict(), "key_width_mm": 0}
 INFINITE_WIDTH_SPEC = {**DEFAULT_SPEC.to_json_dict(), "key_width_mm": math.inf}
 BOOL_GAP_SPEC = {**DEFAULT_SPEC.to_json_dict(), "h_gap_mm": True}
+HUGE_WIDTH_SPEC = {**DEFAULT_SPEC.to_json_dict(), "key_width_mm": 2**1024}
 # a valid spec whose top-row keys all land on x = 1e300
 OVERLAP_SPEC = {**DEFAULT_SPEC.to_json_dict(), "row_x_offsets_mm": [1e300, 2.885, 8.655, 8.655]}
 ALL_COMMANDS = ("ingest", "optimize", "report", "batch")
@@ -452,9 +500,11 @@ BAD_SETTINGS = [
     ("config-model-beta-nan", {"model": {"kind": "fitts", "beta": math.nan}}, None, [], 1, ("optimize", "batch")),
     ("config-model-alpha-infinite", {"model": {"kind": "fitts", "alpha": math.inf}}, None, [], 1, ("optimize", "batch")),
     ("config-model-key-area-bool", {"model": {"kind": "fitts", "key_area_mm2": True}}, None, [], 1, ("optimize", "batch")),
+    ("config-model-alpha-beyond-float", {"model": {"kind": "fitts", "alpha": 2**1024}}, None, [], 1, ("optimize", "batch")),
     ("beta-flag-nan", None, None, ["--model", "fitts", "--beta", "nan"], 1, ("optimize",)),
     ("config-geometry-infinite-width", {"geometry": INFINITE_WIDTH_SPEC}, None, [], 2, ("optimize", "report", "batch")),
     ("config-geometry-bool-gap", {"geometry": BOOL_GAP_SPEC}, None, [], 2, ("optimize", "report", "batch")),
+    ("config-geometry-width-beyond-float", {"geometry": HUGE_WIDTH_SPEC}, None, [], 2, ("optimize", "report", "batch")),
     ("manifest-geometry-infinite-width", None, {"geometry": INFINITE_WIDTH_SPEC}, [], 2, ("batch",)),
     ("geometry-file-overlapping-slots", None, None, ["--geometry", "overlap.json"], 2, ("optimize", "report", "batch")),
     ("config-geometry-overlapping-slots", {"geometry": OVERLAP_SPEC}, None, [], 2, ("optimize", "report", "batch")),

@@ -16,11 +16,14 @@ from keyswap.corpus import KeySequence, ingest_tweets, read_tweet_file
 from keyswap.effort import EffortModel, delta_cost, stats_cost
 from keyswap.geometry import LETTERS, SwapSet, apply_swaps, qwerty_layout
 from keyswap.optimizer import (
+    MODES,
     OptimizationResult,
     SearchConfig,
     _best,
+    _best_size3,
     _build_delta_tables,
     _candidate_blocks,
+    _size3_plan,
     _triplet_pairings,
     enumerate_swapsets,
     optimize,
@@ -184,6 +187,46 @@ def test_candidate_streams_ascend_so_argmin_breaks_ties(n, mode):
     d1, c2 = np.zeros(325), np.zeros((325, 325))
     first = tuple(int(col[0]) for col in blocks[0])
     assert min(_best(d1, c2, block) for block in blocks) == (0.0, first)
+    if n == 3:
+        assert min(_best_size3(d1, c2, _size3_plan(mode))) == (0.0, first)
+
+
+def _bits(found) -> list[tuple[bytes, tuple[int, ...]]]:
+    # compare deltas as bytes: == would let -0.0 stand for 0.0
+    return [(np.float64(delta).tobytes(), idx) for delta, idx in found]
+
+
+def test_size3_kernel_matches_best_on_every_block(geometry):
+    texts = bundled_texts() + [tie_heavy_text(random.Random(2000 + s)) for s in range(3)]
+    blocks = {mode: list(_candidate_blocks(3, mode)) for mode in MODES}
+    assert all(len(b[0]) for mode in MODES for b in blocks[mode])
+    base = qwerty_layout()
+    for text in texts:
+        stats = count_bigrams(KeySequence(text))
+        for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
+            base_cost = stats_cost(geometry, base, stats, model)
+            d1, c2 = _build_delta_tables(geometry, stats, base, base_cost, model)
+            for mode in MODES:
+                got = _best_size3(d1, c2, _size3_plan(mode))
+                assert all(math.isfinite(delta) for delta, _ in got)
+                want = [_best(d1, c2, block) for block in blocks[mode]]
+                assert _bits(got) == _bits(want), (text[:20], model.kind, mode)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("mode", MODES)
+def test_size3_kernel_matches_best_with_non_finite_deltas(mode):
+    # Rows a first pair does not take are +inf in the kernel, or NaN when a
+    # table holds one; neither may displace a row that _best would pick.
+    rng = np.random.default_rng(7)
+    blocks = list(_candidate_blocks(3, mode))
+    d1 = rng.random(325)
+    d1[rng.choice(325, 20, replace=False)] = np.nan
+    d1[rng.choice(325, 20, replace=False)] = -np.inf
+    for d1 in (np.full(325, np.inf), d1):
+        c2 = np.zeros((325, 325))
+        want = [_best(d1, c2, block) for block in blocks]
+        assert _bits(_best_size3(d1, c2, _size3_plan(mode))) == _bits(want)
 
 
 def test_each_triplet_pairing_block_ascends():
@@ -274,6 +317,39 @@ def test_optimize_rejects_degenerate_inputs(geometry):
     # A corpus of one doubled letter has positive presses but zero cost.
     with pytest.raises(ValueError):
         optimize(geometry, count_bigrams(KeySequence("aa")))
+
+
+# (n, mode, whether a search of that size and mode exists)
+SIZE_MODE_CASES = [
+    (1, "canonical", True),
+    (2, "canonical", True),
+    (3, "canonical", True),
+    (3, "paper", True),
+    (0, "canonical", False),
+    (4, "canonical", False),
+    (2, "paper", False),
+    (4, "paper", False),
+    (3, "random", False),
+    (3, None, False),
+    (3.0, "canonical", False),
+    (3.0, "paper", False),
+    (True, "canonical", False),
+    ("3", "canonical", False),
+    (None, "paper", False),
+]
+
+
+@pytest.mark.parametrize("n, mode, ok", SIZE_MODE_CASES)
+def test_search_config_and_swap_count_share_the_size_rule(n, mode, ok):
+    def accepts(make) -> bool:
+        try:
+            make()
+        except ValueError:
+            return False
+        return True
+
+    assert accepts(lambda: SearchConfig(n_swap_pairs=n, mode=mode)) is ok
+    assert accepts(lambda: swap_count(n, mode)) is ok
 
 
 def test_search_config_validation():
