@@ -485,11 +485,3 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"keyswap: error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_DATA
-
-
-def console_main() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

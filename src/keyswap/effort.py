@@ -81,7 +81,7 @@ def _segment_effort(d_mm: float, model: EffortModel, area: float) -> float:
         return 0.0
     if model.kind == "distance":
         return d_mm
-    return model.alpha + model.beta * math.log2(d_mm / area + 1.0)
+    return fitts_effort(d_mm, model, area)
 
 
 def _resolved_area(g: KeyboardGeometry, model: EffortModel) -> float:
@@ -101,7 +101,6 @@ class EffortTables:
     slot_to_slot: np.ndarray   # (26, 26) effort between letter slots
     slot_to_space: np.ndarray  # (26,) slot -> its nearest sub-key
     space_to_slot: np.ndarray  # (26, 26) [s, t]: sub-key of s -> slot t
-    sub_index: tuple[int, ...]  # nearest sub-key index per slot, 0..3
 
 
 @lru_cache(maxsize=16)
@@ -118,8 +117,7 @@ def effort_tables(g: KeyboardGeometry, model: EffortModel) -> EffortTables:
         for j, b in enumerate(ids):
             d_ss[i, j] = _segment_effort(distance(g, a, b), model, area)
             d_ps[i, j] = _segment_effort(distance(g, subs[i], b), model, area)
-    sub_index = tuple(int(s[2:]) - 1 for s in subs)
-    return EffortTables(d_ss, d_sp, d_ps, sub_index)
+    return EffortTables(d_ss, d_sp, d_ps)
 
 
 def letter_slot_vector(layout: Layout) -> np.ndarray:

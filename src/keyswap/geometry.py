@@ -131,7 +131,6 @@ def _letter_slot_ids() -> tuple[str, ...]:
 
 
 LETTER_SLOT_IDS = _letter_slot_ids()
-ALL_SLOT_IDS = LETTER_SLOT_IDS + SPACE_SLOT_IDS
 
 
 class KeyboardGeometry:
@@ -196,7 +195,7 @@ def distance(g: KeyboardGeometry, a: str, b: str) -> float:
 def nearest_space_slot(g: KeyboardGeometry, from_slot: str) -> str:
     """Space sub-key nearest to ``from_slot``, lowest index on ties."""
     xa, ya = g.center(from_slot)
-    best = None
+    best = 0
     best_d = math.inf
     for i, (xs, ys) in enumerate(g._space_centers):
         d = math.hypot(xa - xs, ya - ys)

@@ -37,7 +37,10 @@ _best_size3 sums (d1[i] + d1[j]) + c2[i, j] once per j, then adds the
 per-row columns d1[k] and c2[j, k], built once per search, and c2[i, k]
 along that suffix of rows, with the pairs i does not take set to +inf.
 Each row it takes gets the bits _best would give it, and
-_candidate_blocks(3, mode) yields the rows of the same plan. The triplet
+_candidate_blocks(3, mode) yields the rows of the same plan. Every
+kernel requires finite tables: optimize does all of its cost arithmetic
+with numpy overflow and invalid values raising, so costs that overflow on
+a corpus are a ValueError, never a non-finite winner. The triplet
 pairings themselves, _triplet_pairings, are kept only as the reference
 stream of enumerate_swapsets(3, "paper") and of the tests.
 """
@@ -266,12 +269,6 @@ def _size3_firsts(mode: str) -> tuple[int, ...]:
     return tuple(np.flatnonzero(sizes).tolist())
 
 
-def _taken(plan: _Size3Plan, i: int) -> np.ndarray:
-    """Indices of the plan rows that first pair i takes, ascending."""
-    lo, t = int(plan.lo[i]), plan.takes[i]
-    return lo + np.flatnonzero(t.take(plan.first[lo:]) & t.take(plan.second[lo:]))
-
-
 def _candidate_blocks(n: int, mode: str = "canonical"):
     """Yield the rows that one search size scores, as non-empty blocks.
 
@@ -279,7 +276,8 @@ def _candidate_blocks(n: int, mode: str = "canonical"):
     (block[0][r], ..., block[n-1][r]), sorted ascending, which is its
     canonical encoding. The rows of the whole stream ascend in encoding,
     the precondition of _best. Size 3 is one block per first pair i: the
-    rows of _size3_plan(mode) that i takes. Paper mode is the size-3
+    rows of _size3_plan(mode) that i takes, the rows that _best_size3
+    leaves finite when the tables are finite. Paper mode is the size-3
     stream filtered to v[i] < v[j] < v[k]: the plan's size-2 rows keep
     v[j] < v[k], and first pair i keeps the rows with v[i] < v[j].
     """
@@ -290,7 +288,8 @@ def _candidate_blocks(n: int, mode: str = "canonical"):
     else:
         plan = _size3_plan(mode)
         for i in plan.firsts:
-            rows = _taken(plan, i)
+            lo, t = int(plan.lo[i]), plan.takes[i]
+            rows = lo + np.flatnonzero(t.take(plan.first[lo:]) & t.take(plan.second[lo:]))
             yield np.full(rows.size, i), plan.first.take(rows), plan.second.take(rows)
 
 
@@ -427,11 +426,11 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan) -> list[tuple[
     of every row (i, j, .). Each row of the suffix lo[i]: adds d1[k],
     c2[i, k] and c2[j, k] to a[j] in that order, so a row that i takes
     gets the same bits as in _best. The pairs that i does not take are
-    +inf in a and in the c2[i, k] vector, which makes every row that i
-    does not take +inf (or NaN, if a table holds one). The suffix ascends
-    in encoding, so argmin's first minimum is the block's smallest tied
-    encoding; if it is a row that i does not take, only non-finite
-    deltas tie or beat it, and the argmin runs over the taken rows alone.
+    +inf in a and in the c2[i, k] vector. Precondition: d1 and c2 are
+    finite and no row's sum overflows, as optimize ensures. Then every
+    row that i takes is finite and every other row is exactly +inf, and
+    i takes at least one row, so argmin's first minimum over the suffix,
+    which ascends in encoding, is the block's smallest tied encoding.
     """
     first, second = plan.first, plan.second
     d1k = d1.take(second)
@@ -443,11 +442,8 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan) -> list[tuple[
         deltas += d1k[lo:]
         deltas += np.where(takes, c2i, np.inf).take(second[lo:])
         deltas += c2jk[lo:]
-        r = lo + int(np.argmin(deltas))
-        if not (takes[first[r]] and takes[second[r]]):
-            rows = _taken(plan, i)
-            r = rows[np.argmin(deltas[rows - lo])]
-        out.append((float(deltas[r - lo]), (i, int(first[r]), int(second[r]))))
+        r = int(np.argmin(deltas))
+        out.append((float(deltas[r]), (i, int(first[lo + r]), int(second[lo + r]))))
     return out
 
 
@@ -494,39 +490,50 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
 
     Ties are broken toward the lexicographically smallest canonical
     encoding. The winning cost is recomputed from scratch before being
-    reported.
+    reported. Costs that are not finite on this corpus and geometry
+    raise ValueError.
     """
     if stats.is_empty:
         raise ValueError("cannot optimize over empty bigram stats")
     t0 = time.perf_counter()
     base = qwerty_layout()
-    base_cost = stats_cost(g, base, stats, cfg.model)
-    if not base_cost > 0.0:
-        raise ValueError("base layout cost is zero; improvement rate is undefined")
-    d1, c2 = _build_delta_tables(g, stats, base, base_cost, cfg.model)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            base_cost = stats_cost(g, base, stats, cfg.model)
+            if not base_cost > 0.0:
+                raise ValueError("base layout cost is zero; improvement rate is undefined")
+            # stats_cost and per add in Python floats, which overflow without raising
+            if not math.isfinite(base_cost):
+                raise FloatingPointError("overflow in the base layout cost")
+            d1, c2 = _build_delta_tables(g, stats, base, base_cost, cfg.model)
 
-    if cfg.mode == "paper":
-        sizes, raw_pairs = (3,), _N_TRIPLETS * (_N_TRIPLETS - 1)
-    else:
-        n = cfg.n_swap_pairs
-        sizes, raw_pairs = (range(1, n + 1) if cfg.cumulative else (n,)), None
-    # a cumulative search also considers size 0, the stock layout
-    found = [(0.0, ())] if cfg.cumulative else []
-    candidates = len(found) + sum(swap_count(size, cfg.mode) for size in sizes)
-    for size in sizes:
-        if size == 3:
-            found.extend(_best_size3(d1, c2, _size3_plan(cfg.mode)))
-        else:
-            found.extend(_best(d1, c2, block) for block in _candidate_blocks(size, cfg.mode))
+            if cfg.mode == "paper":
+                sizes, raw_pairs = (3,), _N_TRIPLETS * (_N_TRIPLETS - 1)
+            else:
+                n = cfg.n_swap_pairs
+                sizes, raw_pairs = (range(1, n + 1) if cfg.cumulative else (n,)), None
+            # a cumulative search also considers size 0, the stock layout
+            found = [(0.0, ())] if cfg.cumulative else []
+            candidates = len(found) + sum(swap_count(size, cfg.mode) for size in sizes)
+            for size in sizes:
+                if size == 3:
+                    found.extend(_best_size3(d1, c2, _size3_plan(cfg.mode)))
+                else:
+                    found.extend(_best(d1, c2, block) for block in _candidate_blocks(size, cfg.mode))
 
-    _, idx = min(found)
-    swaps = SwapSet(tuple(_LETTER_PAIRS[p] for p in idx))
-    best_cost = stats_cost(g, apply_swaps(base, swaps), stats, cfg.model)
+            _, idx = min(found)
+            swaps = SwapSet(tuple(_LETTER_PAIRS[p] for p in idx))
+            best_cost = stats_cost(g, apply_swaps(base, swaps), stats, cfg.model)
+            per_pct = per(base_cost, best_cost)
+            if not (math.isfinite(best_cost) and math.isfinite(per_pct)):
+                raise FloatingPointError("overflow in the best layout cost or the improvement rate")
+    except FloatingPointError as exc:
+        raise ValueError(f"layout costs are not finite on this corpus and geometry ({exc})") from None
     return OptimizationResult(
         swaps=swaps,
         qwerty_cost_mm=base_cost,
         best_cost_mm=best_cost,
-        per_pct=per(base_cost, best_cost),
+        per_pct=per_pct,
         candidates=candidates,
         mode=cfg.mode,
         cumulative=cfg.cumulative,

@@ -584,6 +584,33 @@ def test_optimize_checks_its_output_directory_before_it_searches(workdir, capsys
     assert all_paths(workdir) == before
 
 
+HUGE_SPEC = {**DEFAULT_SPEC.to_json_dict(), **dict.fromkeys(("key_width_mm", "key_height_mm", "h_gap_mm", "v_gap_mm"), 1e306)}
+NOT_FINITE = "layout costs are not finite on this corpus and geometry"
+
+
+@pytest.mark.parametrize("flags", [["--swaps", "1"], [], ["--mode", "paper"]], ids=["size1", "default", "paper"])
+def test_optimize_exits_2_with_one_line_when_costs_overflow(workdir, capsys, flags):
+    ingest(workdir)
+    (workdir / "huge.json").write_text(json.dumps(HUGE_SPEC), encoding="utf-8")
+    before = all_paths(workdir)
+    capsys.readouterr()
+    assert main(["optimize", "u.txt", "-o", "r.json", "--geometry", "huge.json", *flags]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"keyswap: error: {NOT_FINITE}"), err
+    assert all_paths(workdir) == before
+
+
+def test_batch_users_whose_costs_overflow_fail_with_that_message(workdir, capsys):
+    write_batch_inputs(workdir, {"geometry": HUGE_SPEC})
+    assert main(["batch", "manifest.json", "--out-dir", "hb"]) == 2
+    batch = json.loads((workdir / "hb" / "batch.json").read_text())
+    assert [u["user_id"] for u in batch["users"]] == list(BATCH_TWEETS)
+    for row in batch["users"]:
+        assert row["status"] == "error" and row["message"].startswith(NOT_FINITE), row
+    assert batch["aggregate"] is None
+    assert "Warning" not in capsys.readouterr().err
+
+
 # name, argv, the path the error line must name; "tweets_dir" and
 # "corpus_dir" are directories, "plain" is a plain file
 FILE_ERRORS = [

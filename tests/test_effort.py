@@ -121,7 +121,6 @@ def test_slot_to_space_uses_nearest_subkey(geometry):
     for si, sid in enumerate(LETTER_SLOT_IDS):
         sub = nearest_space_slot(geometry, sid)
         assert t.slot_to_space[si] == pytest.approx(distance(geometry, sid, sub), rel=1e-15)
-        assert t.sub_index[si] == int(sub[2]) - 1
 
 
 def test_stats_cost_equals_sequence_cost(geometry, qwerty):

@@ -14,7 +14,7 @@ import pytest
 
 from keyswap.corpus import KeySequence, ingest_tweets, read_tweet_file
 from keyswap.effort import EffortModel, delta_cost, stats_cost
-from keyswap.geometry import LETTERS, SwapSet, apply_swaps, qwerty_layout
+from keyswap.geometry import LETTERS, GeometrySpec, SwapSet, apply_swaps, build_geometry, qwerty_layout
 from keyswap.optimizer import (
     MODES,
     OptimizationResult,
@@ -213,20 +213,33 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
                 assert _bits(got) == _bits(want), (text[:20], model.kind, mode)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.parametrize("mode", MODES)
-def test_size3_kernel_matches_best_with_non_finite_deltas(mode):
-    # Rows a first pair does not take are +inf in the kernel, or NaN when a
-    # table holds one; neither may displace a row that _best would pick.
-    rng = np.random.default_rng(7)
-    blocks = list(_candidate_blocks(3, mode))
-    d1 = rng.random(325)
-    d1[rng.choice(325, 20, replace=False)] = np.nan
-    d1[rng.choice(325, 20, replace=False)] = -np.inf
-    for d1 in (np.full(325, np.inf), d1):
-        c2 = np.zeros((325, 325))
-        want = [_best(d1, c2, block) for block in blocks]
-        assert _bits(_best_size3(d1, c2, _size3_plan(mode))) == _bits(want)
+# Key sizes and gaps (all four set to x) whose costs overflow on river,
+# with the part of the message that names the check that fires first.
+NON_FINITE_GEOMETRIES = [
+    pytest.param(1e304, "overflow in the best layout cost or the improvement rate", id="per-overflows"),
+    pytest.param(3e304, "overflow in the base layout cost", id="base-cost-sum-overflows"),
+    pytest.param(1e306, "overflow encountered in", id="numpy-sum-overflows"),
+    pytest.param(1e307, "encountered in", id="distances-overflow"),
+]
+SEARCHES = {
+    "size1": SearchConfig(n_swap_pairs=1),
+    "size2": SearchConfig(n_swap_pairs=2),
+    "size3": SearchConfig(),
+    "size3-cumulative": SearchConfig(cumulative=True),
+    "paper": SearchConfig(mode="paper"),
+}
+
+
+@pytest.mark.parametrize("x, check", NON_FINITE_GEOMETRIES)
+def test_optimize_rejects_costs_that_are_not_finite(x, check):
+    # Any RuntimeWarning fails the suite, so this also shows that no
+    # overflow is left to warn: optimize raises on the first one.
+    g = build_geometry(GeometrySpec(key_width=x, key_height=x, h_gap=x, v_gap=x))
+    stats = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text))
+    for name, cfg in SEARCHES.items():
+        with pytest.raises(ValueError, match="not finite on this corpus and geometry") as info:
+            optimize(g, stats, cfg)
+        assert check in str(info.value), name
 
 
 def test_each_triplet_pairing_block_ascends():
