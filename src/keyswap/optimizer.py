@@ -23,24 +23,27 @@ p1..pn decomposes exactly into per-transposition deltas d1[p] plus
 pairwise cross terms c2[p, q]; both tables are precomputed once per
 (geometry, stats, model). d1 comes from one batched pass that repeats
 delta_cost's floating-point operations for all 325 pairs, so it equals
-delta_cost bit for bit; c2 is gathered from flat tables one letter
-combination at a time.
+delta_cost bit for bit. c2 sums eight letter combinations; the effort
+tables are indexed by letter once per build, so each combination only
+gathers them at the same four flat letter-pair keys.
 
 Each search size has one stream, _candidate_blocks(n, mode), whose rows
 ascend in canonical encoding; paper mode is the size-3 stream filtered as
 above. Sizes 1 and 2 are scored by _best, which gathers a block's terms
 and takes a plain argmin, whose first minimum is then the smallest tied
 encoding. Size 3 is scored from a plan that depends only on the mode,
-_size3_plan: the size-2 rows (j, k), where the rows with j > i start for
-each first pair i, and which pairs i takes. Per first pair, the kernel
-_best_size3 sums (d1[i] + d1[j]) + c2[i, j] once per j, then adds the
-per-row columns d1[k] and c2[j, k], built once per search, and c2[i, k]
-along that suffix of rows, with the pairs i does not take set to +inf.
-Each row it takes gets the bits _best would give it, and
-_candidate_blocks(3, mode) yields the rows of the same plan. Every
-kernel requires finite tables: optimize does all of its cost arithmetic
-with numpy overflow and invalid values raising, so costs that overflow on
-a corpus are a ValueError, never a non-finite winner. The triplet
+_size3_plan: the size-2 rows (j, k), grouped by j, where the rows with
+j > i start for each first pair i, how many rows each j has, and which
+pairs i takes. Per first pair, the kernel _best_size3 sums
+(d1[i] + d1[j]) + c2[i, j] once per j and repeats it over j's run of
+rows, then adds the per-row columns d1[k] and c2[j, k], built once per
+search, and c2[i, k] along that suffix of rows, with the pairs i does
+not take set to +inf. Each row it takes gets the bits _best would give
+it, and _candidate_blocks(3, mode) yields the rows of the same plan.
+Every kernel requires finite tables: optimize does all of its cost
+arithmetic with numpy overflow and invalid values raising, so costs that
+overflow on a corpus are a ValueError, never a non-finite winner; a
+result whose recomputed costs are not finite does not verify. The triplet
 pairings themselves, _triplet_pairings, are kept only as the reference
 stream of enumerate_swapsets(3, "paper") and of the tests.
 """
@@ -217,7 +220,9 @@ class _Size3Plan(NamedTuple):
 
     Row (i, j, k) of the size-3 stream is first pair i followed by size-2
     row (j, k) = (first[r], second[r]) with r >= lo[i], so that j > i.
-    Of that suffix, i takes the rows with takes[i, j] and takes[i, k]:
+    first ascends and j has runs[j] rows, so lo[i] = runs[0] + ... +
+    runs[i] and that suffix is runs[j] rows of each j > i in turn.
+    Of the suffix, i takes the rows with takes[i, j] and takes[i, k]:
     pairs that share no letter with i and, in paper mode, whose larger
     letter is above v[i]. firsts lists the first pairs that take at least
     one row. The plan depends only on the alphabet and the mode.
@@ -226,6 +231,7 @@ class _Size3Plan(NamedTuple):
     first: np.ndarray
     second: np.ndarray
     lo: np.ndarray
+    runs: np.ndarray
     takes: np.ndarray
     firsts: tuple[int, ...]
 
@@ -245,8 +251,8 @@ def _size3_plan(mode: str) -> _Size3Plan:
     """Rebuilt on each call, in well under a millisecond, so that no copy
     of its arrays outlives a search; only firsts is kept."""
     first, second, takes = _size3_rows(mode)
-    lo = np.searchsorted(first, np.arange(_N_PAIRS), side="right")
-    return _Size3Plan(first, second, lo, takes, _size3_firsts(mode))
+    runs = np.bincount(first, minlength=_N_PAIRS)
+    return _Size3Plan(first, second, np.cumsum(runs), runs, takes, _size3_firsts(mode))
 
 
 @functools.cache
@@ -341,8 +347,13 @@ def _build_delta_tables(
     as (base_cost + (new - old)) - base_cost. Every entry is therefore the
     same bits as delta_cost(..., SwapSet((pair,)), ...) - base_cost.
     c2 sums the eight (letter of p, letter of q) combinations in a fixed
-    order; each combination gathers its index arrays from 325-long
-    per-pair sides, so only one combination's temporaries exist at a time.
+    order, each as f[a, b] * (((e[a', b'] - e[a', b]) - e[a, b']) + e[a, b])
+    plus the same with s_in and h, where x' is the partner of x in its
+    pair and e, h are dd, gg indexed by the letters' old slots. For
+    p < q, keys[x][y] flattens (letter x of p, letter y of q), so every
+    combination gathers f, s_in, e and h at the same four keys; the
+    combinations led by q gather the transposed tables there. Only the
+    keys and one term's gathers exist at a time.
     """
     u, v = _U, _V
     t = effort_tables(g, model)
@@ -375,19 +386,18 @@ def _build_delta_tables(
     d1 = (base_cost + (new - affected(o, o[moved]))) - base_cost
 
     idx_i, idx_j = _SIZE2
-    # side s of a pair: (letter, its old slot, its new slot); as the first
-    # letter of a combination its indices are pre-scaled to table rows
-    sides = ((u, o[u], o[v]), (v, o[v], o[u]))
-    firsts = tuple(tuple(x * _N_LETTERS for x in side) for side in sides)
+    keys = tuple(tuple(_N_LETTERS * x.take(idx_i) + y.take(idx_j) for y in (u, v)) for x in (u, v))
+    e, h = dd.take(o, 0).take(o, 1), gg.take(o, 0).take(o, 1)
+    tabs = (f, s_in, e, h)
     vals = np.zeros(idx_i.shape[0])
-    for p, q in ((idx_i, idx_j), (idx_j, idx_i)):
-        for first in firsts:
-            a, oa, na = (x.take(p) for x in first)
-            for second in sides:
-                b, ob, nb = (x.take(q) for x in second)
-                ab, nn, no, on, oo = a + b, na + nb, na + ob, oa + nb, oa + ob
-                vals += f.take(ab) * (dd.take(nn) - dd.take(no) - dd.take(on) + dd.take(oo))
-                vals += s_in.take(ab) * (gg.take(nn) - gg.take(no) - gg.take(on) + gg.take(oo))
+    # (p, q) = (idx_i, idx_j), then (idx_j, idx_i) on the transposed tables
+    for (fw, sw, ee, hh), k in ((tabs, keys), (tuple(m.T.copy() for m in tabs), tuple(zip(*keys)))):
+        for x in (0, 1):
+            for y in (0, 1):
+                # o/n: the letter of p, then of q, at its old or new slot
+                oo, no, on, nn = k[x][y], k[1 - x][y], k[x][1 - y], k[1 - x][1 - y]
+                vals += fw.take(oo) * (ee.take(nn) - ee.take(no) - ee.take(on) + ee.take(oo))
+                vals += sw.take(oo) * (hh.take(nn) - hh.take(no) - hh.take(on) + hh.take(oo))
 
     c2 = np.zeros((_N_PAIRS, _N_PAIRS))
     c2[idx_i, idx_j] = vals
@@ -422,25 +432,28 @@ def _best(d1: np.ndarray, c2: np.ndarray, block) -> tuple[float, tuple[int, ...]
 def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan) -> list[tuple[float, tuple[int, int, int]]]:
     """_best of each block of the size-3 stream, scored from the plan.
 
-    For first pair i, a = (d1[i] + d1) + c2[i] holds the first two sums
-    of every row (i, j, .). Each row of the suffix lo[i]: adds d1[k],
-    c2[i, k] and c2[j, k] to a[j] in that order, so a row that i takes
-    gets the same bits as in _best. The pairs that i does not take are
-    +inf in a and in the c2[i, k] vector. Precondition: d1 and c2 are
-    finite and no row's sum overflows, as optimize ensures. Then every
-    row that i takes is finite and every other row is exactly +inf, and
-    i takes at least one row, so argmin's first minimum over the suffix,
-    which ascends in encoding, is the block's smallest tied encoding.
+    For first pair i, a[j] = (d1[i] + d1[j]) + c2[i, j] holds the first
+    two sums of every row (i, j, .), j > i. The suffix lo[i]: is runs[j]
+    rows of each j in turn, so repeating a by runs lays a[j] under each
+    of j's rows with no gather. Each row then adds d1[k], c2[i, k] and
+    c2[j, k] in that order, so a row that i takes gets the same bits as
+    in _best. The pairs that i does not take are +inf in a and in the
+    c2[i, k] vector. Precondition: d1 and c2 are finite and no row's sum
+    overflows, as optimize ensures. Then every row that i takes is finite
+    and every other row is exactly +inf, and i takes at least one row, so
+    argmin's first minimum over the suffix, which ascends in encoding, is
+    the block's smallest tied encoding.
     """
-    first, second = plan.first, plan.second
+    first, second, runs = plan.first, plan.second, plan.runs
     d1k = d1.take(second)
     c2jk = c2[first, second]
     out = []
     for i in plan.firsts:
         lo, takes, c2i = int(plan.lo[i]), plan.takes[i], c2[i]
-        deltas = np.where(takes, (d1[i] + d1) + c2i, np.inf).take(first[lo:])
+        j = slice(i + 1, None)
+        deltas = np.repeat(np.where(takes[j], (d1[i] + d1[j]) + c2i[j], np.inf), runs[j])
         deltas += d1k[lo:]
-        deltas += np.where(takes, c2i, np.inf).take(second[lo:])
+        deltas += np.where(takes, c2i, np.inf)[second[lo:]]
         deltas += c2jk[lo:]
         r = int(np.argmin(deltas))
         out.append((float(deltas[r]), (i, int(first[lo + r]), int(second[lo + r]))))
@@ -485,6 +498,11 @@ def swap_count(n: int, mode: str = "canonical") -> int:
     return total // math.factorial(n)
 
 
+def _raising():
+    """The non-finite cost policy: numpy overflow and invalid values raise."""
+    return np.errstate(over="raise", invalid="raise")
+
+
 def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = SearchConfig()) -> OptimizationResult:
     """Exhaustively search swap sets and return the cheapest layout found.
 
@@ -498,7 +516,7 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
     t0 = time.perf_counter()
     base = qwerty_layout()
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with _raising():
             base_cost = stats_cost(g, base, stats, cfg.model)
             if not base_cost > 0.0:
                 raise ValueError("base layout cost is zero; improvement rate is undefined")
@@ -554,18 +572,25 @@ def verify_result(
     """Recompute both costs from scratch and audit the stored result.
 
     The costs are recomputed under ``model``, by default the model the
-    result records.
+    result records, and under optimize's rule for non-finite costs: a
+    cost or improvement rate that is not finite does not verify.
     """
     if not result.swaps.is_canonical():
         return False
     model = result.model if model is None else model
     base = qwerty_layout()
-    q = stats_cost(g, base, stats, model)
-    b = stats_cost(g, apply_swaps(base, result.swaps), stats, model)
-    if not q > 0.0:
+    try:
+        with _raising():
+            q = stats_cost(g, base, stats, model)
+            b = stats_cost(g, apply_swaps(base, result.swaps), stats, model)
+    except FloatingPointError:
         return False
+    if not (q > 0.0 and math.isfinite(q) and math.isfinite(b)):
+        return False
+    p = per(q, b)
     return (
-        math.isclose(q, result.qwerty_cost_mm, rel_tol=rel_tol, abs_tol=0.0)
+        math.isfinite(p)
+        and math.isclose(q, result.qwerty_cost_mm, rel_tol=rel_tol, abs_tol=0.0)
         and math.isclose(b, result.best_cost_mm, rel_tol=rel_tol, abs_tol=0.0)
-        and math.isclose(per(q, b), result.per_pct, rel_tol=rel_tol, abs_tol=1e-12)
+        and math.isclose(p, result.per_pct, rel_tol=rel_tol, abs_tol=1e-12)
     )

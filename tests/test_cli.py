@@ -600,6 +600,18 @@ def test_optimize_exits_2_with_one_line_when_costs_overflow(workdir, capsys, fla
     assert all_paths(workdir) == before
 
 
+def test_report_exits_2_with_one_line_when_costs_overflow(workdir, capsys):
+    # a good result whose costs overflow under the geometry given to report
+    optimize(workdir)
+    (workdir / "huge.json").write_text(json.dumps(HUGE_SPEC), encoding="utf-8")
+    before = all_paths(workdir)
+    capsys.readouterr()
+    assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--geometry", "huge.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "keyswap: error: result does not verify against this corpus and geometry\n", err
+    assert all_paths(workdir) == before
+
+
 def test_batch_users_whose_costs_overflow_fail_with_that_message(workdir, capsys):
     write_batch_inputs(workdir, {"geometry": HUGE_SPEC})
     assert main(["batch", "manifest.json", "--out-dir", "hb"]) == 2

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,22 @@ def test_delta_tables_are_bit_identical_to_their_references(geometry):
             assert np.array_equal(c2, reference_c2(geometry, stats, base, model)), (text[:20], model.kind)
 
 
+def test_delta_table_build_peak_memory(geometry):
+    # The c2 loop keeps only its four shared keys and one term's gathers
+    # alive; perfbench's peak_rss_mb follows this transient.
+    stats = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text))
+    base, model = qwerty_layout(), EffortModel()
+    base_cost = stats_cost(geometry, base, stats, model)
+    _build_delta_tables(geometry, stats, base, base_cost, model)  # fill effort_tables' cache
+    tracemalloc.start()
+    try:
+        _build_delta_tables(geometry, stats, base, base_cost, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
+
+
 # SHA-256 of the size-3 candidate columns, stacked as int64
 STREAM_SHA256 = {
     "canonical": "b20d6498d1598c5cf276ed0f197fcc4782e50105573663d8ac49a7d9502423af",
@@ -189,6 +206,16 @@ def test_candidate_streams_ascend_so_argmin_breaks_ties(n, mode):
     assert min(_best(d1, c2, block) for block in blocks) == (0.0, first)
     if n == 3:
         assert min(_best_size3(d1, c2, _size3_plan(mode))) == (0.0, first)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_size3_plan_suffixes_are_runs_of_first_pairs(mode):
+    # _best_size3 repeats each first-pair term runs[j] times in place of
+    # gathering it, so each suffix must hold every later j, in order.
+    plan = _size3_plan(mode)
+    for i in plan.firsts:
+        runs = np.repeat(np.arange(325)[i + 1 :], plan.runs[i + 1 :])
+        assert np.array_equal(runs, plan.first[plan.lo[i] :]), i
 
 
 def _bits(found) -> list[tuple[bytes, tuple[int, ...]]]:
