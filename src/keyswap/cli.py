@@ -107,7 +107,7 @@ def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"cannot parse {what} {path}: {exc}")
     if not isinstance(data, dict):
         raise DataError(f"{what} {path} must hold a JSON object")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 SPACE = " "
 _ALPHABET = set("abcdefghijklmnopqrstuvwxyz" + SPACE)
@@ -46,12 +46,7 @@ class IngestPolicy:
                 raise ValueError(f"IngestPolicy.{name} must be true or false")
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_raw_chars": self.max_raw_chars,
-            "drop_retweets": self.drop_retweets,
-            "strip_urls": self.strip_urls,
-            "fold_diacritics": self.fold_diacritics,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> IngestPolicy:
@@ -183,7 +178,7 @@ def read_tweet_file(path: str) -> list[dict]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also too deep or too many digits
                 raise ValueError(f"{path}:{lineno}: invalid JSON line: {exc}") from None
             if not isinstance(rec, dict) or "text" not in rec:
                 raise ValueError(f'{path}:{lineno}: expected an object with a "text" field')

@@ -10,7 +10,7 @@ and y growing downward. Distances are straight lines between key centers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 LETTER_INDEX = {ch: i for i, ch in enumerate(LETTERS)}
@@ -32,6 +32,10 @@ def is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+# the JSON key of each GeometrySpec field, in field order
+_SPEC_KEYS = ("key_width_mm", "key_height_mm", "h_gap_mm", "v_gap_mm", "row_x_offsets_mm", "space_subkey_columns")
 
 
 @dataclass(frozen=True)
@@ -90,25 +94,13 @@ class GeometrySpec:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "key_width_mm": self.key_width,
-            "key_height_mm": self.key_height,
-            "h_gap_mm": self.h_gap,
-            "v_gap_mm": self.v_gap,
-            "row_x_offsets_mm": list(self.row_x_offsets),
-            "space_subkey_columns": list(self.space_subkey_columns),
-        }
+        values = (getattr(self, f.name) for f in fields(self))
+        # tuples are written as lists, so the dict equals its JSON round trip
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in zip(_SPEC_KEYS, values)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> GeometrySpec:
-        return cls(
-            key_width=data["key_width_mm"],
-            key_height=data["key_height_mm"],
-            h_gap=data["h_gap_mm"],
-            v_gap=data["v_gap_mm"],
-            row_x_offsets=tuple(data["row_x_offsets_mm"]),
-            space_subkey_columns=tuple(data["space_subkey_columns"]),
-        )
+        return cls(**{f.name: data[key] for key, f in zip(_SPEC_KEYS, fields(cls))})
 
 
 DEFAULT_SPEC = GeometrySpec()

@@ -17,35 +17,19 @@ triplet of their smaller letters with the triplet of their larger ones.
 Canonical rows already have ascending smaller letters. The result keeps
 candidates = 2,302,300, the count of triplet pairings.
 
-The search kernel never recomputes full layout costs. Because cost is a
-sum over letter pairs, the change from applying disjoint transpositions
-p1..pn decomposes exactly into per-transposition deltas d1[p] plus
-pairwise cross terms c2[p, q]; both tables are precomputed once per
-(geometry, stats, model). d1 comes from one batched pass that repeats
-delta_cost's floating-point operations for all 325 pairs, so it equals
-delta_cost bit for bit. c2 sums eight letter combinations; the effort
-tables are indexed by letter once per build, so each combination only
-gathers them at the same four flat letter-pair keys.
+The search never recomputes full layout costs. Cost is a sum over letter
+pairs, so the change from applying disjoint transpositions p1..pn is
+exactly the per-transposition deltas d1[p] plus the pairwise cross terms
+c2[p, q], built once per search by _build_delta_tables. Each size has one
+candidate stream, _candidate_blocks(n, mode), scored by _best (sizes 1 and
+2) or by _best_size3 over the rows of _size3_plan(mode) (size 3); ties go
+to the smallest canonical encoding. _triplet_pairings is kept only as the
+reference stream of enumerate_swapsets(3, "paper") and of the tests.
 
-Each search size has one stream, _candidate_blocks(n, mode), whose rows
-ascend in canonical encoding; paper mode is the size-3 stream filtered as
-above. Sizes 1 and 2 are scored by _best, which gathers a block's terms
-and takes a plain argmin, whose first minimum is then the smallest tied
-encoding. Size 3 is scored from a plan that depends only on the mode,
-_size3_plan: the size-2 rows (j, k), grouped by j, where the rows with
-j > i start for each first pair i, how many rows each j has, and which
-pairs i takes. Per first pair, the kernel _best_size3 sums
-(d1[i] + d1[j]) + c2[i, j] once per j and repeats it over j's run of
-rows, then adds the per-row columns d1[k] and c2[j, k], built once per
-search, and c2[i, k] along that suffix of rows, with the pairs i does
-not take set to +inf. Each row it takes gets the bits _best would give
-it, and _candidate_blocks(3, mode) yields the rows of the same plan.
 Every kernel requires finite tables: optimize does all of its cost
 arithmetic with numpy overflow and invalid values raising, so costs that
 overflow on a corpus are a ValueError, never a non-finite winner; a
-result whose recomputed costs are not finite does not verify. The triplet
-pairings themselves, _triplet_pairings, are kept only as the reference
-stream of enumerate_swapsets(3, "paper") and of the tests.
+result whose recomputed costs are not finite does not verify.
 """
 
 from __future__ import annotations
@@ -54,7 +38,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +59,7 @@ from .geometry import (
     Layout,
     SwapSet,
     apply_swaps,
+    is_finite_number,
     qwerty_layout,
 )
 from .stats import END, BigramStats
@@ -85,16 +70,14 @@ _N_LETTERS = 26
 _N_PAIRS = 325  # C(26, 2)
 _N_TRIPLETS = 2600  # C(26, 3)
 
+# verify_result's relative tolerance between stored and recomputed costs
+VERIFY_REL_TOL = 1e-9
+
 
 def _put_model(d: dict, model: EffortModel) -> None:
     """Add a non-default cost model to d; default-model files keep their bytes."""
     if model != DISTANCE_MODEL:
-        d["model"] = {
-            "kind": model.kind,
-            "alpha": model.alpha,
-            "beta": model.beta,
-            "key_area_mm2": model.key_area_mm2,
-        }
+        d["model"] = {f.name: getattr(model, f.name) for f in fields(model)}
 
 
 def _get_model(data: dict) -> EffortModel:
@@ -125,24 +108,15 @@ class SearchConfig:
             raise ValueError("workers must be an integer of at least 1")
 
     def to_json_dict(self) -> dict:
-        d = {
-            "n_swap_pairs": self.n_swap_pairs,
-            "mode": self.mode,
-            "cumulative": self.cumulative,
-            "workers": self.workers,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "model"}
         _put_model(d, self.model)
         return d
 
     @classmethod
     def from_json_dict(cls, data: dict) -> SearchConfig:
-        return cls(
-            n_swap_pairs=data.get("n_swap_pairs", 3),
-            mode=data.get("mode", "canonical"),
-            cumulative=data.get("cumulative", False),
-            workers=data.get("workers", 1),
-            model=_get_model(data),
-        )
+        """A missing key takes its default; an unknown key is ignored."""
+        known = {f.name: data[f.name] for f in fields(cls) if f.name in data and f.name != "model"}
+        return cls(model=_get_model(data), **known)
 
 
 @dataclass(frozen=True)
@@ -185,8 +159,16 @@ class OptimizationResult:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> OptimizationResult:
+        """Raises ValueError for swap letters that are not strings and costs
+        that are not finite numbers, so that no check trips over their type."""
+        swaps = tuple((a, b) for a, b in data["swaps"])
+        if not all(isinstance(ch, str) for pair in swaps for ch in pair):
+            raise ValueError(f"swap letters must be strings, got {data['swaps']!r}")
+        for key in ("qwerty_cost_mm", "best_cost_mm", "per_pct"):
+            if not is_finite_number(data[key]):
+                raise ValueError(f"{key} must be a finite number, got {data[key]!r}")
         return cls(
-            swaps=SwapSet(tuple((a, b) for a, b in data["swaps"])),
+            swaps=SwapSet(swaps),
             qwerty_cost_mm=data["qwerty_cost_mm"],
             best_cost_mm=data["best_cost_mm"],
             per_pct=data["per_pct"],
@@ -567,7 +549,6 @@ def verify_result(
     stats: BigramStats,
     result: OptimizationResult,
     model: EffortModel | None = None,
-    rel_tol: float = 1e-9,
 ) -> bool:
     """Recompute both costs from scratch and audit the stored result.
 
@@ -590,7 +571,7 @@ def verify_result(
     p = per(q, b)
     return (
         math.isfinite(p)
-        and math.isclose(q, result.qwerty_cost_mm, rel_tol=rel_tol, abs_tol=0.0)
-        and math.isclose(b, result.best_cost_mm, rel_tol=rel_tol, abs_tol=0.0)
-        and math.isclose(p, result.per_pct, rel_tol=rel_tol, abs_tol=1e-12)
+        and math.isclose(q, result.qwerty_cost_mm, rel_tol=VERIFY_REL_TOL, abs_tol=0.0)
+        and math.isclose(b, result.best_cost_mm, rel_tol=VERIFY_REL_TOL, abs_tol=0.0)
+        and math.isclose(p, result.per_pct, rel_tol=VERIFY_REL_TOL, abs_tol=1e-12)
     )

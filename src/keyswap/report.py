@@ -9,7 +9,7 @@ identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -121,48 +121,20 @@ class UserReport:
     top_usage_pct: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "usable_letters": self.usable_letters,
-            "total_qwerty_cm": self.total_qwerty_cm,
-            "total_optimized_cm": self.total_optimized_cm,
-            "avg_qwerty_cm": self.avg_qwerty_cm,
-            "avg_optimized_cm": self.avg_optimized_cm,
-            "per_pct": self.per_pct,
-            "swaps": [[a, b] for a, b in self.swaps],
-            "top_pairs": [
-                {
-                    "pair": r.pair,
-                    "count": r.count,
-                    "usage_pct": r.usage_pct,
-                    "d_qwerty_cm": r.d_qwerty_cm,
-                    "d_opt_cm": r.d_opt_cm,
-                    "ratio": r.ratio,
-                }
-                for r in self.top_pairs
-            ],
-            "top_letters": self.top_letters,
-            "top_usage_pct": self.top_usage_pct,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["swaps"] = [[a, b] for a, b in self.swaps]
+        row_fields = fields(PairRow)
+        d["top_pairs"] = [{**{f.name: getattr(r, f.name) for f in row_fields}, "ratio": r.ratio} for r in self.top_pairs]
+        return d
 
     @classmethod
     def from_json_dict(cls, data: dict) -> UserReport:
-        return cls(
-            user_id=data["user_id"],
-            usable_letters=data["usable_letters"],
-            total_qwerty_cm=data["total_qwerty_cm"],
-            total_optimized_cm=data["total_optimized_cm"],
-            avg_qwerty_cm=data["avg_qwerty_cm"],
-            avg_optimized_cm=data["avg_optimized_cm"],
-            per_pct=data["per_pct"],
-            swaps=tuple((a, b) for a, b in data["swaps"]),
-            top_pairs=tuple(
-                PairRow(r["pair"], r["count"], r["usage_pct"], r["d_qwerty_cm"], r["d_opt_cm"])
-                for r in data["top_pairs"]
-            ),
-            top_letters=data["top_letters"],
-            top_usage_pct=data["top_usage_pct"],
-        )
+        """The inverse of to_json_dict; each pair's ratio is derived, so it is not read."""
+        d = {f.name: data[f.name] for f in fields(cls)}
+        d["swaps"] = tuple((a, b) for a, b in d["swaps"])
+        row_fields = fields(PairRow)
+        d["top_pairs"] = tuple(PairRow(**{f.name: r[f.name] for f in row_fields}) for r in d["top_pairs"])
+        return cls(**d)
 
 
 def build_user_report(

@@ -83,6 +83,12 @@ def test_ingest_data_errors(workdir, capsys):
         write_jsonl(workdir / "typed.jsonl", [{"text": "fine"}, record])
         assert main(["ingest", "typed.jsonl", "-o", "x.txt"]) == 2
         assert "typed.jsonl:2" in capsys.readouterr().err
+    # nested past the parser's recursion limit, and past Python's int-digit limit
+    for line in ("[" * 5000, '{"text": ' + "1" * 5000 + "}"):
+        (workdir / "odd.jsonl").write_text('{"text": "fine"}\n' + line + "\n", encoding="utf-8")
+        assert main(["ingest", "odd.jsonl", "-o", "x.txt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("keyswap: error: odd.jsonl:2: ") and len(err.splitlines()) == 1, err
     for name in ("latin.jsonl", "latin.txt"):
         (workdir / name).write_bytes(b"\xff\xfehello\n")
         assert main(["ingest", name, "-o", "x.txt"]) == 2
@@ -177,6 +183,46 @@ def test_report_verifies_with_the_result_geometry(workdir):
     assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"]) == 0
 
 
+def test_json_key_order_is_pinned(workdir):
+    # key order is part of each file's bytes; a reordered key must fail here
+    ingest(workdir)
+    (workdir / "big.json").write_text(json.dumps(DEFAULT_SPEC.scaled(2.0).to_json_dict()), encoding="utf-8")
+    assert main([
+        "optimize", "u.txt", "-o", "r.json", "--model", "fitts", "--alpha", "0.2",
+        "--geometry", "big.json", "--swaps", "1",
+    ]) == 0
+    assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"]) == 0
+
+    def load(name):
+        return json.loads((workdir / name).read_text(encoding="utf-8"))
+
+    meta = load("u.meta.json")
+    assert list(meta) == ["source", "records", "usable_letters", "key_presses", "policy"]
+    policy_keys = ["max_raw_chars", "drop_retweets", "strip_urls", "fold_diacritics"]
+    assert list(meta["policy"]) == policy_keys
+    result = load("r.json")
+    assert list(result) == [
+        "swaps", "qwerty_cost_mm", "best_cost_mm", "per_pct", "candidates", "mode", "wall_time_s",
+        "model", "geometry",
+    ]
+    model_keys = ["kind", "alpha", "beta", "key_area_mm2"]
+    assert list(result["model"]) == model_keys
+    assert list(result["geometry"]) == [
+        "key_width_mm", "key_height_mm", "h_gap_mm", "v_gap_mm", "row_x_offsets_mm", "space_subkey_columns",
+    ]
+    report = load("rep/u.report.json")
+    assert list(report) == [
+        "user_id", "usable_letters", "total_qwerty_cm", "total_optimized_cm", "avg_qwerty_cm",
+        "avg_optimized_cm", "per_pct", "swaps", "top_pairs", "top_letters", "top_usage_pct",
+    ]
+    assert list(report["top_pairs"][0]) == ["pair", "count", "usage_pct", "d_qwerty_cm", "d_opt_cm", "ratio"]
+    search_keys = ["n_swap_pairs", "mode", "cumulative", "workers"]
+    assert list(SearchConfig(n_swap_pairs=2).to_json_dict()) == search_keys
+    fitts = SearchConfig(n_swap_pairs=2, model=EffortModel(kind="fitts", alpha=0.2))
+    assert list(fitts.to_json_dict()) == search_keys + ["model"]
+    assert list(fitts.to_json_dict()["model"]) == model_keys
+
+
 def test_report_svg_dir_split(workdir):
     optimize(workdir)
     assert main([
@@ -195,6 +241,20 @@ def test_report_rejects_tampered_result(workdir, capsys):
     result_path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"]) == 2
     assert "does not verify" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("swaps", [[["a"], "b"]]), ("qwerty_cost_mm", "x")], ids=["swap-letter-list", "cost-string"]
+)
+def test_report_rejects_result_fields_of_the_wrong_type(workdir, capsys, key, value):
+    result_path = optimize(workdir)
+    data = json.loads(result_path.read_text())
+    data[key] = value
+    result_path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("keyswap: error: malformed result file r.json: ") and len(err.splitlines()) == 1, err
 
 
 def test_report_rejects_wrong_corpus(workdir):
@@ -624,7 +684,8 @@ def test_batch_users_whose_costs_overflow_fail_with_that_message(workdir, capsys
 
 
 # name, argv, the path the error line must name; "tweets_dir" and
-# "corpus_dir" are directories, "plain" is a plain file
+# "corpus_dir" are directories, "plain" is a plain file, "deep.json" holds
+# JSON nested past the parser's recursion limit
 FILE_ERRORS = [
     ("ingest-input-is-a-directory", ["ingest", "tweets_dir", "-o", "x.txt"], "tweets_dir"),
     ("optimize-input-is-a-directory", ["optimize", "corpus_dir", "-o", "x.json", "--swaps", "1"], "corpus_dir"),
@@ -634,6 +695,10 @@ FILE_ERRORS = [
     ("report-out-dir-is-a-file", ["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "plain"], "plain"),
     ("report-svg-dir-is-a-file", ["report", "--result", "r.json", "--corpus", "u.txt", "--svg-dir", "plain"], "plain"),
     ("batch-out-dir-is-a-file", ["batch", "m.json", "--out-dir", "plain"], "plain"),
+    ("config-nested-too-deep", ["--config", "deep.json", "ingest", "u.jsonl", "-o", "x.txt"], "deep.json"),
+    ("batch-manifest-nested-too-deep", ["batch", "deep.json"], "deep.json"),
+    ("geometry-nested-too-deep", ["optimize", "u.txt", "-o", "x.json", "--geometry", "deep.json"], "deep.json"),
+    ("result-nested-too-deep", ["report", "--result", "deep.json", "--corpus", "u.txt"], "deep.json"),
 ]
 
 
@@ -645,6 +710,7 @@ def test_file_errors_exit_2_with_one_line_naming_the_path(workdir, capsys, argv,
     (workdir / "tweets_dir").mkdir()
     (workdir / "corpus_dir").mkdir()
     (workdir / "plain").write_text("not a directory", encoding="utf-8")
+    (workdir / "deep.json").write_text("[" * 5000, encoding="utf-8")
     manifest = {"users": [{"id": "u", "corpus": "u.jsonl"}], "search": {"n_swap_pairs": 1}}
     (workdir / "m.json").write_text(json.dumps(manifest), encoding="utf-8")
     capsys.readouterr()
