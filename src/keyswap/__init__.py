@@ -1,7 +1,7 @@
 """Corpus-driven keyboard letter-swap optimizer for one-finger typing.
 
 The pipeline: clean a user's tweets into a 27-symbol key stream, tally
-bigram statistics, exhaustively search up to three disjoint letter swaps
+bigram statistics, exactly search up to three disjoint letter swaps
 for the layout that minimizes total finger travel, then render tables
 and figures comparing the stock and optimized keyboards.
 """

@@ -1,4 +1,4 @@
-"""Exhaustive search over letter-swap sets.
+"""Exact search over letter-swap sets.
 
 Two candidate generators are supported. Canonical mode enumerates every
 set of n disjoint unordered letter pairs (325 / 44,850 / 3,453,450 for
@@ -20,11 +20,24 @@ candidates = 2,302,300, the count of triplet pairings.
 The search never recomputes full layout costs. Cost is a sum over letter
 pairs, so the change from applying disjoint transpositions p1..pn is
 exactly the per-transposition deltas d1[p] plus the pairwise cross terms
-c2[p, q], built once per search by _build_delta_tables. Each size has one
-candidate stream, _candidate_blocks(n, mode), scored by _best (sizes 1 and
-2) or by _best_size3 over the rows of _size3_plan(mode) (size 3); ties go
-to the smallest canonical encoding. _triplet_pairings is kept only as the
-reference stream of enumerate_swapsets(3, "paper") and of the tests.
+c2[p, q], built once per search by _build_d1 and, for sizes above 1,
+_build_c2. Each size has one candidate stream, _candidate_blocks(n, mode),
+scored by _best (sizes 1 and 2) or by _best_size3 over the rows of
+_size3_plan(mode) (size 3); ties go to the smallest canonical encoding.
+_triplet_pairings is kept only as the reference stream of
+enumerate_swapsets(3, "paper") and of the tests.
+
+The size-3 search is exact but does not score every block. Each first
+pair i gets a lower bound on its block, bound[i] = min_j (a[i, j] + r[j])
++ min_k c2[i, k], with a[i, j] = (d1[i] + d1[j]) + c2[i, j] and r[j] the
+least d1[k] + c2[j, k] over j's size-2 rows (a Gilmore-Lawler bound for
+this restricted quadratic assignment problem). Blocks are scored in
+ascending bound order, and the scan stops at the first block whose bound
+exceeds the best delta so far by more than tau = 2**-40 * 3 * (max|d1| +
+max|c2|), far more than the rounding of any row or bound; _best_size3
+holds the proof. So every candidate is either scored or shown to cost
+strictly more than the winner, and the winner and its tie-break are
+those of scoring every row.
 
 Every kernel requires finite tables: optimize does all of its cost
 arithmetic with numpy overflow and invalid values raising, so costs that
@@ -121,7 +134,12 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Winner of a search plus enough telemetry to audit it."""
+    """Winner of a search plus enough telemetry to audit it.
+
+    ``candidates`` counts the search space (the swap sets, or in paper
+    mode the triplet pairings, that the search covers), not the rows it
+    scored: the size-3 search skips blocks its bound proves too costly.
+    """
 
     swaps: SwapSet
     qwerty_cost_mm: float
@@ -314,6 +332,13 @@ def _term_sums(m: np.ndarray, tab: np.ndarray, a, b, sa, sb) -> np.ndarray:
     return prod.reshape(_N_PAIRS, -1).sum(axis=1)
 
 
+def _table_inputs(g: KeyboardGeometry, stats: BigramStats, base: Layout, model: EffortModel):
+    """The effort tables, the base letter slots, and f and s_in as floats."""
+    f = stats.within_word.astype(np.float64)
+    s_in = stats.across_space[:, :END].astype(np.float64)
+    return effort_tables(g, model), letter_slot_vector(base), f, s_in
+
+
 def _build_delta_tables(
     g: KeyboardGeometry,
     stats: BigramStats,
@@ -321,27 +346,28 @@ def _build_delta_tables(
     base_cost: float,
     model: EffortModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """d1[p]: cost change of single swap p; c2[p, q]: cross term of p and q.
+    """Both delta tables, (d1, c2); optimize builds c2 only for a search of
+    size 2 or more, since a size-1 search never reads it."""
+    return _build_d1(g, stats, base, base_cost, model), _build_c2(g, stats, base, model)
+
+
+def _build_d1(
+    g: KeyboardGeometry,
+    stats: BigramStats,
+    base: Layout,
+    base_cost: float,
+    model: EffortModel,
+) -> np.ndarray:
+    """d1[p]: cost change of single swap p.
 
     d1 repeats delta_cost's floating-point operations for all 325 pairs in
     one batched pass: the seven terms of _affected_terms, each reduced per
     pair in the same order, combined with the same + and -, and finished
     as (base_cost + (new - old)) - base_cost. Every entry is therefore the
     same bits as delta_cost(..., SwapSet((pair,)), ...) - base_cost.
-    c2 sums the eight (letter of p, letter of q) combinations in a fixed
-    order, each as f[a, b] * (((e[a', b'] - e[a', b]) - e[a, b']) + e[a, b])
-    plus the same with s_in and h, where x' is the partner of x in its
-    pair and e, h are dd, gg indexed by the letters' old slots. For
-    p < q, keys[x][y] flattens (letter x of p, letter y of q), so every
-    combination gathers f, s_in, e and h at the same four keys; the
-    combinations led by q gather the transposed tables there. Only the
-    keys and one term's gathers exist at a time.
     """
     u, v = _U, _V
-    t = effort_tables(g, model)
-    o = letter_slot_vector(base)
-    f = stats.within_word.astype(np.float64)
-    s_in = stats.across_space[:, :END].astype(np.float64)
+    t, o, f, s_in = _table_inputs(g, stats, base, model)
     row_s = stats.across_space.sum(axis=1)
     dd, gg, sp = t.slot_to_slot, t.space_to_slot, t.slot_to_space
 
@@ -365,7 +391,24 @@ def _build_delta_tables(
         return (((((f_rows + f_cols) - f_both) + s_rows) + s_cols) - s_both) + space
 
     new = affected(new_slots, np.stack((o[v], o[u]), axis=1))
-    d1 = (base_cost + (new - affected(o, o[moved]))) - base_cost
+    return (base_cost + (new - affected(o, o[moved]))) - base_cost
+
+
+def _build_c2(g: KeyboardGeometry, stats: BigramStats, base: Layout, model: EffortModel) -> np.ndarray:
+    """c2[p, q]: cross term of disjoint pairs p and q (0 for the others).
+
+    c2 sums the eight (letter of p, letter of q) combinations in a fixed
+    order, each as f[a, b] * (((e[a', b'] - e[a', b]) - e[a, b']) + e[a, b])
+    plus the same with s_in and h, where x' is the partner of x in its
+    pair and e, h are dd, gg indexed by the letters' old slots. For
+    p < q, keys[x][y] flattens (letter x of p, letter y of q), so every
+    combination gathers f, s_in, e and h at the same four keys; the
+    combinations led by q gather the transposed tables there. Only the
+    keys and one term's gathers exist at a time.
+    """
+    u, v = _U, _V
+    t, o, f, s_in = _table_inputs(g, stats, base, model)
+    dd, gg = t.slot_to_slot, t.space_to_slot
 
     idx_i, idx_j = _SIZE2
     keys = tuple(tuple(_N_LETTERS * x.take(idx_i) + y.take(idx_j) for y in (u, v)) for x in (u, v))
@@ -384,10 +427,10 @@ def _build_delta_tables(
     c2 = np.zeros((_N_PAIRS, _N_PAIRS))
     c2[idx_i, idx_j] = vals
     c2[idx_j, idx_i] = vals
-    return d1, c2
+    return c2
 
 
-def _best(d1: np.ndarray, c2: np.ndarray, block) -> tuple[float, tuple[int, ...]]:
+def _best(d1: np.ndarray, c2: np.ndarray | None, block) -> tuple[float, tuple[int, ...]]:
     """Cheapest candidate of one block as (cost delta, encoding).
 
     Precondition: the block's rows ascend in encoding. argmin returns the
@@ -395,13 +438,14 @@ def _best(d1: np.ndarray, c2: np.ndarray, block) -> tuple[float, tuple[int, ...]
     returned tuples across blocks and sizes reproduces canonical SwapSet
     order (shorter encodings win on a shared prefix). The sum is always
     associated as ((d1[i] + d1[j]) + c2[i, j]), then + d1[k], + c2[i, k],
-    + c2[j, k]. The search scores size 3 with _best_size3; this is the
-    reference it is tested against.
+    + c2[j, k]; a size-1 block reads no c2, which may then be None. The
+    search scores size 3 with _best_size3; this is the reference it is
+    tested against.
     """
-    c2 = c2.ravel()
     i = block[0]
     deltas = d1.take(i)
     if len(block) > 1:
+        c2 = c2.ravel()
         j = block[1]
         deltas = (deltas + d1.take(j)) + c2.take(i * _N_PAIRS + j)
     if len(block) > 2:
@@ -411,34 +455,100 @@ def _best(d1: np.ndarray, c2: np.ndarray, block) -> tuple[float, tuple[int, ...]
     return float(deltas[r]), tuple(int(col[r]) for col in block)
 
 
-def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan) -> list[tuple[float, tuple[int, int, int]]]:
-    """_best of each block of the size-3 stream, scored from the plan.
+class _Size3Kernel:
+    """Scores the blocks of the size-3 stream from the plan, and bounds them.
 
-    For first pair i, a[j] = (d1[i] + d1[j]) + c2[i, j] holds the first
-    two sums of every row (i, j, .), j > i. The suffix lo[i]: is runs[j]
-    rows of each j in turn, so repeating a by runs lays a[j] under each
-    of j's rows with no gather. Each row then adds d1[k], c2[i, k] and
-    c2[j, k] in that order, so a row that i takes gets the same bits as
-    in _best. The pairs that i does not take are +inf in a and in the
-    c2[i, k] vector. Precondition: d1 and c2 are finite and no row's sum
-    overflows, as optimize ensures. Then every row that i takes is finite
-    and every other row is exactly +inf, and i takes at least one row, so
-    argmin's first minimum over the suffix, which ascends in encoding, is
-    the block's smallest tied encoding.
+    Precondition: d1 and c2 are finite and no row's sum overflows, as
+    optimize ensures.
     """
-    first, second, runs = plan.first, plan.second, plan.runs
-    d1k = d1.take(second)
-    c2jk = c2[first, second]
-    out = []
-    for i in plan.firsts:
-        lo, takes, c2i = int(plan.lo[i]), plan.takes[i], c2[i]
+
+    def __init__(self, d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan):
+        self.d1, self.c2, self.plan = d1, c2, plan
+        self.d1k = d1.take(plan.second)
+        self.c2jk = c2[plan.first, plan.second]
+
+    def block(self, i: int) -> tuple[float, tuple[int, int, int]]:
+        """_best of first pair i's block.
+
+        a[j] = (d1[i] + d1[j]) + c2[i, j] holds the first two sums of every
+        row (i, j, .), j > i. The suffix lo[i]: is runs[j] rows of each j in
+        turn, so repeating a by runs lays a[j] under each of j's rows with
+        no gather. Each row then adds d1[k], c2[i, k] and c2[j, k] in that
+        order, so a row that i takes gets the same bits as in _best. The
+        pairs that i does not take are +inf in a and in the c2[i, k]
+        vector, so every row that i takes is finite and every other row is
+        exactly +inf. i takes at least one row, so argmin's first minimum
+        over the suffix, which ascends in encoding, is the block's smallest
+        tied encoding.
+        """
+        d1, c2i, plan = self.d1, self.c2[i], self.plan
+        lo, takes = int(plan.lo[i]), plan.takes[i]
         j = slice(i + 1, None)
-        deltas = np.repeat(np.where(takes[j], (d1[i] + d1[j]) + c2i[j], np.inf), runs[j])
-        deltas += d1k[lo:]
-        deltas += np.where(takes, c2i, np.inf)[second[lo:]]
-        deltas += c2jk[lo:]
+        deltas = np.repeat(np.where(takes[j], (d1[i] + d1[j]) + c2i[j], np.inf), plan.runs[j])
+        deltas += self.d1k[lo:]
+        deltas += np.where(takes, c2i, np.inf)[plan.second[lo:]]
+        deltas += self.c2jk[lo:]
         r = int(np.argmin(deltas))
-        out.append((float(deltas[r]), (i, int(first[lo + r]), int(second[lo + r]))))
+        return float(deltas[r]), (i, int(plan.first[lo + r]), int(plan.second[lo + r]))
+
+    def bounds(self) -> np.ndarray:
+        """bound[i] = min_j (a[i, j] + r[j]) + min_k c2[i, k], over the
+        pairs j and k above i that i takes; +inf where i takes none.
+
+        r[j] is the least d1[k] + c2[j, k] over j's run of plan rows, and
+        a[i, j] is block()'s a[j]. All 325 x 325 values of a + r are built
+        in place in one array, so the bound adds one such array to the
+        search's memory.
+        """
+        plan = self.plan
+        has = plan.runs > 0
+        r = np.full(_N_PAIRS, np.inf)
+        r[has] = np.minimum.reduceat(self.d1k + self.c2jk, (plan.lo - plan.runs)[has])
+        later = np.triu(plan.takes, 1)
+        s = np.add.outer(self.d1, self.d1)
+        s += self.c2
+        s += r
+        least_c2ik = np.min(self.c2, axis=1, where=later, initial=np.inf)
+        return np.min(s, axis=1, where=later, initial=np.inf) + least_c2ik
+
+
+def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan) -> list[tuple[float, tuple[int, int, int]]]:
+    """_best of every block of the size-3 stream that can hold the winner.
+
+    Blocks are scored in ascending order of their bound (ties by first
+    pair), keeping best, the least delta scored so far, and the scan
+    stops at the first block whose bound exceeds best + tau, with
+    tau = 2**-40 * S and S = 3 * (max|d1| + max|c2|).
+
+    Proof that no skipped row computes at or below best. Take any row
+    (i, j, k) and its exact sum X of six terms, with |terms| summing to at
+    most S. The row's j and k are pairs above i that i takes, and (j, k)
+    is a row of j's run, so each min in bound[i] is at most that row's
+    term, and rounding is monotone: the computed bound[i] is at most the
+    computed ((a[i, j] + (d1[k] + c2[j, k])) + c2[i, k]), a five-addition
+    sum of the row's own terms. That sum and the kernel's row are each
+    within gamma_5 * S of X (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 4.2), so the computed row is at least bound[i] -
+    2 * gamma_5 * S, about bound[i] - 10u * S. tau is 8192u * S, far
+    above that plus the rounding of best + tau (|best| is about S at
+    most), so the block that stops the scan, and every later block,
+    whose bound is no smaller, holds only rows that compute strictly
+    above best; an equal-cost twin of the winner is always scored.
+    optimize takes min over (delta, encoding), so the visiting order
+    does not change the winner or its tie-break. All-zero tables give
+    tau = 0 and skip nothing. A max that overflows gives tau = inf,
+    which skips nothing either.
+    """
+    kernel = _Size3Kernel(d1, c2, plan)
+    bound = kernel.bounds()
+    tau = 2.0**-40 * 3 * (max(float(d1.max()), -float(d1.min())) + max(float(c2.max()), -float(c2.min())))
+    firsts = np.array(plan.firsts)
+    best, out = math.inf, []
+    for i in firsts[np.argsort(bound[firsts], kind="stable")].tolist():
+        if bound[i] > best + tau:
+            break
+        out.append(kernel.block(i))
+        best = min(best, out[-1][0])
     return out
 
 
@@ -486,7 +596,7 @@ def _raising():
 
 
 def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = SearchConfig()) -> OptimizationResult:
-    """Exhaustively search swap sets and return the cheapest layout found.
+    """Search swap sets exactly and return the cheapest layout.
 
     Ties are broken toward the lexicographically smallest canonical
     encoding. The winning cost is recomputed from scratch before being
@@ -505,13 +615,14 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
             # stats_cost and per add in Python floats, which overflow without raising
             if not math.isfinite(base_cost):
                 raise FloatingPointError("overflow in the base layout cost")
-            d1, c2 = _build_delta_tables(g, stats, base, base_cost, cfg.model)
 
             if cfg.mode == "paper":
                 sizes, raw_pairs = (3,), _N_TRIPLETS * (_N_TRIPLETS - 1)
             else:
                 n = cfg.n_swap_pairs
                 sizes, raw_pairs = (range(1, n + 1) if cfg.cumulative else (n,)), None
+            d1 = _build_d1(g, stats, base, base_cost, cfg.model)
+            c2 = _build_c2(g, stats, base, cfg.model) if max(sizes) > 1 else None
             # a cumulative search also considers size 0, the stock layout
             found = [(0.0, ())] if cfg.cumulative else []
             candidates = len(found) + sum(swap_count(size, cfg.mode) for size in sizes)

@@ -21,6 +21,7 @@ from keyswap.optimizer import (
     OptimizationResult,
     SearchConfig,
     _best,
+    _Size3Kernel,
     _best_size3,
     _build_delta_tables,
     _candidate_blocks,
@@ -224,6 +225,9 @@ def _bits(found) -> list[tuple[bytes, tuple[int, ...]]]:
 
 
 def test_size3_kernel_matches_best_on_every_block(geometry):
+    # The kernel's per-block scorer equals _best on every block. The scan
+    # finds the same least (delta, encoding), and every block it skips
+    # costs strictly more than that.
     texts = bundled_texts() + [tie_heavy_text(random.Random(2000 + s)) for s in range(3)]
     blocks = {mode: list(_candidate_blocks(3, mode)) for mode in MODES}
     assert all(len(b[0]) for mode in MODES for b in blocks[mode])
@@ -234,10 +238,57 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
             base_cost = stats_cost(geometry, base, stats, model)
             d1, c2 = _build_delta_tables(geometry, stats, base, base_cost, model)
             for mode in MODES:
-                got = _best_size3(d1, c2, _size3_plan(mode))
-                assert all(math.isfinite(delta) for delta, _ in got)
+                case = (text[:20], model.kind, mode)
+                plan = _size3_plan(mode)
+                kernel = _Size3Kernel(d1, c2, plan)
                 want = [_best(d1, c2, block) for block in blocks[mode]]
-                assert _bits(got) == _bits(want), (text[:20], model.kind, mode)
+                assert [int(b[0][0]) for b in blocks[mode]] == list(plan.firsts)
+                assert _bits([kernel.block(i) for i in plan.firsts]) == _bits(want), case
+                found = _best_size3(d1, c2, plan)
+                assert all(math.isfinite(delta) for delta, _ in found)
+                assert set(_bits(found)) <= set(_bits(want)), case
+                assert _bits([min(found)]) == _bits([min(want)]), case
+                scanned = {idx[0] for _, idx in found}
+                skipped = [delta for i, (delta, _) in zip(plan.firsts, want) if i not in scanned]
+                assert all(delta > min(want)[0] for delta in skipped), case
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode):
+    # Small integers add exactly, so rows (ad, be, cf) and (gm, hn, io)
+    # both cost -3 and every other row costs more. c2[gm, jz] = -10 gives
+    # the later block the lower bound, so it is scanned first; the earlier
+    # block must still be scanned, and its smaller encoding must win.
+    idx = {"".join(p): n for n, p in enumerate(itertools.combinations(LETTERS, 2))}
+    rows = [tuple(idx[p] for p in row) for row in (("ad", "be", "cf"), ("gm", "hn", "io"))]
+    d1, c2 = np.full(325, 2.0), np.full((325, 325), 5.0)
+    for row in rows:
+        for p, q in itertools.combinations(row, 2):
+            c2[p, q] = c2[q, p] = -3.0
+    c2[idx["gm"], idx["jz"]] = c2[idx["jz"], idx["gm"]] = -10.0
+    plan = _size3_plan(mode)
+    found = _best_size3(d1, c2, plan)
+    assert found[0][1][0] == rows[1][0]
+    assert {rows[0][0], rows[1][0]} <= {i for _, (i, _, _) in found}
+    assert len(found) < len(plan.firsts)
+    assert min(found) == (-3.0, rows[0])
+    assert min(found) == min(_best(d1, c2, block) for block in _candidate_blocks(3, mode))
+
+
+def test_size3_search_peak_memory(geometry):
+    # The search's own arrays stay inside the table build's allowance.
+    stats = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text))
+    searches = (SearchConfig(cumulative=True), SearchConfig(mode="paper"))
+    for cfg in searches:
+        optimize(geometry, stats, cfg)  # fill the effort table and plan caches
+    for cfg in searches:
+        tracemalloc.start()
+        try:
+            optimize(geometry, stats, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, (cfg.mode, peak)
 
 
 # Key sizes and gaps (all four set to x) whose costs overflow on river,
