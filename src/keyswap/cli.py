@@ -195,9 +195,9 @@ def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settin
         top_pairs = top("top_pairs", 15)
     if type(top_pairs) is not int or top_pairs < 1:
         raise UsageError(f"top_pairs must be an integer of at least 1, got {top_pairs!r}")
-    out_dir = getattr(args, "out_dir", None) or os.environ.get(ENV_OUT_DIR) or top("out_dir") or "out"
-    if not isinstance(out_dir, str):
-        raise UsageError(f"out_dir must be a string, got {out_dir!r}")
+    out_dir = getattr(args, "out_dir", None) or os.environ.get(ENV_OUT_DIR) or top("out_dir", "out")
+    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
+        raise UsageError(f"out_dir must be a non-empty string without NUL, got {out_dir!r}")
     return Settings(
         policy=policy,
         search=search,
@@ -368,7 +368,7 @@ def cmd_batch(args, config: dict) -> int:
         if not isinstance(row, dict) or "id" not in row or not isinstance(row.get("corpus"), str):
             raise DataError('each manifest user needs an "id" and a "corpus" path')
         uid = str(row["id"])
-        if not uid or any(c in uid for c in "/\\") or uid in (".", ".."):
+        if not uid or any(c in uid for c in "/\\\0") or uid in (".", ".."):
             raise DataError(f"manifest user id unusable as a directory name: {uid!r}")
         if uid in ids:
             raise DataError(f"duplicate user id in manifest: {uid!r}")

@@ -31,9 +31,11 @@ The size-3 search is exact but does not score every block. Each first
 pair i gets a lower bound on its block, bound[i] = min_j (a[i, j] + r[j])
 + min_k c2[i, k], with a[i, j] = (d1[i] + d1[j]) + c2[i, j] and r[j] the
 least d1[k] + c2[j, k] over j's size-2 rows (a Gilmore-Lawler bound for
-this restricted quadratic assignment problem). Blocks are scored in
-ascending bound order, and the scan stops at the first block whose bound
-exceeds the best delta so far by more than tau = 2**-40 * 3 * (max|d1| +
+this restricted quadratic assignment problem). Some first pairs take no
+row; the bound of most of them is +inf. First pairs of finite bound are
+scored in ascending bound order, one that takes no row scores +inf and
+is dropped, and the scan stops at the first block whose bound exceeds
+the best delta so far by more than tau = 2**-40 * 3 * (max|d1| +
 max|c2|), far more than the rounding of any row or bound; _best_size3
 holds the proof. So every candidate is either scored or shown to cost
 strictly more than the winner, and the winner and its tie-break are
@@ -47,7 +49,6 @@ result whose recomputed costs are not finite does not verify.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -224,8 +225,10 @@ class _Size3Plan(NamedTuple):
     runs[i] and that suffix is runs[j] rows of each j > i in turn.
     Of the suffix, i takes the rows with takes[i, j] and takes[i, k]:
     pairs that share no letter with i and, in paper mode, whose larger
-    letter is above v[i]. firsts lists the first pairs that take at least
-    one row. The plan depends only on the alphabet and the mode.
+    letter is above v[i]. Some first pairs take no row: the last ones,
+    whose suffix is empty, and a few whose later pairs all hold a letter
+    of i, such as canonical 316-318 and paper 316. The plan depends only
+    on the alphabet and the mode.
     """
 
     first: np.ndarray
@@ -233,46 +236,19 @@ class _Size3Plan(NamedTuple):
     lo: np.ndarray
     runs: np.ndarray
     takes: np.ndarray
-    firsts: tuple[int, ...]
 
 
-def _size3_rows(mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The plan's size-2 columns first and second, and takes."""
+def _size3_plan(mode: str) -> _Size3Plan:
+    """Rebuilt on each call, in well under a millisecond, so that no copy
+    of its arrays outlives a search."""
     first, second = _SIZE2
     takes = _COMPAT
     if mode == "paper":
         keep = _V.take(first) < _V.take(second)
         first, second = first[keep], second[keep]
         takes = takes & (_V[:, None] < _V)
-    return first, second, takes
-
-
-def _size3_plan(mode: str) -> _Size3Plan:
-    """Rebuilt on each call, in well under a millisecond, so that no copy
-    of its arrays outlives a search; only firsts is kept."""
-    first, second, takes = _size3_rows(mode)
     runs = np.bincount(first, minlength=_N_PAIRS)
-    return _Size3Plan(first, second, np.cumsum(runs), runs, takes, _size3_firsts(mode))
-
-
-@functools.cache
-def _size3_firsts(mode: str) -> tuple[int, ...]:
-    """The first pairs that take a row, counted without a pass over each suffix.
-
-    Once i takes j, i takes row (j, k) unless k holds a letter of i (in
-    paper mode v[k] > v[j] > v[i] holds already), and k > j > i, so k
-    never holds both. hits[j, x] counts the rows (j, k) with letter x in
-    k, so free[j, i] is the number of rows (j, .) that i takes once it
-    takes j.
-    """
-    first, second, takes = _size3_rows(mode)
-    pos = first * _N_LETTERS
-    hits = np.bincount(pos + _U.take(second), minlength=_N_PAIRS * _N_LETTERS)
-    hits += np.bincount(pos + _V.take(second), minlength=_N_PAIRS * _N_LETTERS)
-    hits = hits.reshape(_N_PAIRS, _N_LETTERS)
-    free = np.bincount(first, minlength=_N_PAIRS)[:, None] - hits[:, _U] - hits[:, _V]
-    sizes = (np.triu(takes, 1) * free.T).sum(axis=1)
-    return tuple(np.flatnonzero(sizes).tolist())
+    return _Size3Plan(first, second, np.cumsum(runs), runs, takes)
 
 
 def _candidate_blocks(n: int, mode: str = "canonical"):
@@ -281,11 +257,12 @@ def _candidate_blocks(n: int, mode: str = "canonical"):
     A block is a tuple of n pair-index arrays; row r is the candidate
     (block[0][r], ..., block[n-1][r]), sorted ascending, which is its
     canonical encoding. The rows of the whole stream ascend in encoding,
-    the precondition of _best. Size 3 is one block per first pair i: the
-    rows of _size3_plan(mode) that i takes, the rows that _best_size3
-    leaves finite when the tables are finite. Paper mode is the size-3
-    stream filtered to v[i] < v[j] < v[k]: the plan's size-2 rows keep
-    v[j] < v[k], and first pair i keeps the rows with v[i] < v[j].
+    the precondition of _best. Size 3 is one block per first pair i that
+    takes a row: the rows of _size3_plan(mode) that i takes, the rows that
+    _Size3Kernel.block leaves finite when the tables are finite. Paper
+    mode is the size-3 stream filtered to v[i] < v[j] < v[k]: the plan's
+    size-2 rows keep v[j] < v[k], and first pair i keeps the rows with
+    v[i] < v[j].
     """
     if n == 1:
         yield (np.arange(_N_PAIRS),)
@@ -293,10 +270,11 @@ def _candidate_blocks(n: int, mode: str = "canonical"):
         yield _SIZE2
     else:
         plan = _size3_plan(mode)
-        for i in plan.firsts:
+        for i in range(_N_PAIRS):
             lo, t = int(plan.lo[i]), plan.takes[i]
             rows = lo + np.flatnonzero(t.take(plan.first[lo:]) & t.take(plan.second[lo:]))
-            yield np.full(rows.size, i), plan.first.take(rows), plan.second.take(rows)
+            if rows.size:
+                yield np.full(rows.size, i), plan.first.take(rows), plan.second.take(rows)
 
 
 def _triplet_pairings():
@@ -337,18 +315,6 @@ def _table_inputs(g: KeyboardGeometry, stats: BigramStats, base: Layout, model: 
     f = stats.within_word.astype(np.float64)
     s_in = stats.across_space[:, :END].astype(np.float64)
     return effort_tables(g, model), letter_slot_vector(base), f, s_in
-
-
-def _build_delta_tables(
-    g: KeyboardGeometry,
-    stats: BigramStats,
-    base: Layout,
-    base_cost: float,
-    model: EffortModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both delta tables, (d1, c2); optimize builds c2 only for a search of
-    size 2 or more, since a size-1 search never reads it."""
-    return _build_d1(g, stats, base, base_cost, model), _build_c2(g, stats, base, model)
 
 
 def _build_d1(
@@ -477,9 +443,10 @@ class _Size3Kernel:
         order, so a row that i takes gets the same bits as in _best. The
         pairs that i does not take are +inf in a and in the c2[i, k]
         vector, so every row that i takes is finite and every other row is
-        exactly +inf. i takes at least one row, so argmin's first minimum
-        over the suffix, which ascends in encoding, is the block's smallest
-        tied encoding.
+        exactly +inf. If i takes a row, argmin's first minimum over the
+        suffix, which ascends in encoding, is the block's smallest tied
+        encoding; if i takes none, the returned delta is exactly +inf. The
+        suffix must not be empty.
         """
         d1, c2i, plan = self.d1, self.c2[i], self.plan
         lo, takes = int(plan.lo[i]), plan.takes[i]
@@ -515,10 +482,21 @@ class _Size3Kernel:
 def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan) -> list[tuple[float, tuple[int, int, int]]]:
     """_best of every block of the size-3 stream that can hold the winner.
 
-    Blocks are scored in ascending order of their bound (ties by first
-    pair), keeping best, the least delta scored so far, and the scan
-    stops at the first block whose bound exceeds best + tau, with
-    tau = 2**-40 * S and S = 3 * (max|d1| + max|c2|).
+    The first pairs with a finite bound are scored in ascending order of
+    their bound (ties by first pair), keeping best, the least delta scored
+    so far, and the scan stops at the first block whose bound exceeds
+    best + tau, with tau = 2**-40 * S and S = 3 * (max|d1| + max|c2|). A
+    block whose delta is +inf is dropped.
+
+    Which first pairs are visited. A first pair that takes a row has a
+    finite bound, since that row's own terms bound each min; so one whose
+    bound is +inf takes no row and has no block. That includes every
+    first pair whose suffix is empty: each of its later pairs j has no
+    row, so r[j] is +inf. So block() never sees an empty suffix, even
+    when tau is inf. A visited pair that takes no row (canonical 316-318,
+    paper 316) scores exactly +inf and is dropped, and a pair that takes
+    a row scores a finite delta, so the kept blocks are those of
+    _candidate_blocks(3, mode) that were scanned.
 
     Proof that no skipped row computes at or below best. Take any row
     (i, j, k) and its exact sum X of six terms, with |terms| summing to at
@@ -542,13 +520,15 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan) -> list[tuple[
     kernel = _Size3Kernel(d1, c2, plan)
     bound = kernel.bounds()
     tau = 2.0**-40 * 3 * (max(float(d1.max()), -float(d1.min())) + max(float(c2.max()), -float(c2.min())))
-    firsts = np.array(plan.firsts)
+    live = np.flatnonzero(bound < math.inf)
     best, out = math.inf, []
-    for i in firsts[np.argsort(bound[firsts], kind="stable")].tolist():
+    for i in live[np.argsort(bound[live], kind="stable")].tolist():
         if bound[i] > best + tau:
             break
-        out.append(kernel.block(i))
-        best = min(best, out[-1][0])
+        delta, idx = kernel.block(i)
+        if delta < math.inf:
+            out.append((delta, idx))
+            best = min(best, delta)
     return out
 
 

@@ -333,6 +333,10 @@ def test_batch_out_dir_precedence(workdir, monkeypatch):
     assert not (workdir / "from_manifest").exists()
     assert main(["batch", "manifest.json", "--out-dir", "from_flag"]) == 0
     assert (workdir / "from_flag" / "batch.json").exists()
+    # an empty variable is unset, as an empty KEYSWAP_THREADS is
+    monkeypatch.setenv("KEYSWAP_OUT_DIR", "")
+    assert main(["batch", "manifest.json"]) == 0
+    assert (workdir / "from_manifest" / "batch.json").exists()
 
 
 def test_batch_partial_failure(workdir, capsys):
@@ -374,6 +378,19 @@ def test_batch_manifest_validation(workdir):
     )
     assert main(["batch", "manifest.json"]) == 2
     assert main(["batch", "nothere.json"]) == 2
+
+
+def test_batch_rejects_a_user_id_holding_nul_before_any_output(workdir, capsys):
+    manifest_path = write_batch_inputs(workdir)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["users"].append({"id": "a\0b", "corpus": "alice.jsonl"})
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    before = all_paths(workdir)
+    capsys.readouterr()
+    assert main(["batch", "manifest.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "keyswap: error: manifest user id unusable as a directory name: 'a\\x00b'\n", err
+    assert all_paths(workdir) == before
 
 
 def test_config_file_defaults(workdir):
@@ -570,13 +587,20 @@ BAD_SETTINGS = [
     ("config-geometry-overlapping-slots", {"geometry": OVERLAP_SPEC}, None, [], 2, ("optimize", "report", "batch")),
     ("manifest-geometry-overlapping-slots", None, {"geometry": OVERLAP_SPEC}, [], 2, ("batch",)),
     ("threads-flag-zero", None, None, ["--threads", "0"], 1, ("optimize", "batch")),
+    ("config-out-dir-false", {"out_dir": False}, None, [], 1, ("ingest", "optimize", "batch")),
+    ("config-out-dir-empty", {"out_dir": ""}, None, [], 1, ("ingest", "optimize", "batch")),
+    ("config-out-dir-nul", {"out_dir": "a\0b"}, None, [], 1, ("ingest", "optimize", "batch")),
+    ("manifest-out-dir-zero", None, {"out_dir": 0}, [], 1, ("batch",)),
+    ("manifest-out-dir-list", None, {"out_dir": []}, [], 1, ("batch",)),
+    ("manifest-out-dir-null", None, {"out_dir": None}, [], 1, ("batch",)),
+    ("manifest-out-dir-nul", None, {"out_dir": "a\0b"}, [], 1, ("batch",)),
 ]
 
 COMMAND_ARGV = {
     "ingest": ["ingest", "u.jsonl", "-o", "x.txt"],
     "optimize": ["optimize", "u.txt", "-o", "x.json", "--swaps", "1"],
     "report": ["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"],
-    "batch": ["batch", "m.json", "--out-dir", "bo"],
+    "batch": ["batch", "m.json"],
 }
 
 

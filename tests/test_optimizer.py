@@ -23,7 +23,8 @@ from keyswap.optimizer import (
     _best,
     _Size3Kernel,
     _best_size3,
-    _build_delta_tables,
+    _build_c2,
+    _build_d1,
     _candidate_blocks,
     _size3_plan,
     _triplet_pairings,
@@ -121,7 +122,7 @@ def test_delta_tables_are_bit_identical_to_their_references(geometry):
         stats = count_bigrams(KeySequence(text))
         for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
             base_cost = stats_cost(geometry, base, stats, model)
-            d1, c2 = _build_delta_tables(geometry, stats, base, base_cost, model)
+            d1, c2 = _build_d1(geometry, stats, base, base_cost, model), _build_c2(geometry, stats, base, model)
             want = [delta_cost(geometry, base, base_cost, stats, SwapSet((p,)), model) - base_cost for p in pairs]
             assert np.array_equal(d1, want), (text[:20], model.kind)
             assert np.array_equal(c2, reference_c2(geometry, stats, base, model)), (text[:20], model.kind)
@@ -133,10 +134,10 @@ def test_delta_table_build_peak_memory(geometry):
     stats = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text))
     base, model = qwerty_layout(), EffortModel()
     base_cost = stats_cost(geometry, base, stats, model)
-    _build_delta_tables(geometry, stats, base, base_cost, model)  # fill effort_tables' cache
+    _build_d1(geometry, stats, base, base_cost, model)  # fill effort_tables' cache
     tracemalloc.start()
     try:
-        _build_delta_tables(geometry, stats, base, base_cost, model)
+        _build_d1(geometry, stats, base, base_cost, model), _build_c2(geometry, stats, base, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -206,7 +207,12 @@ def test_candidate_streams_ascend_so_argmin_breaks_ties(n, mode):
     first = tuple(int(col[0]) for col in blocks[0])
     assert min(_best(d1, c2, block) for block in blocks) == (0.0, first)
     if n == 3:
-        assert min(_best_size3(d1, c2, _size3_plan(mode))) == (0.0, first)
+        # tau is 0, so nothing is pruned: every block is scored once, and
+        # the first pairs that take no row are dropped, not returned as +inf
+        found = _best_size3(d1, c2, _size3_plan(mode))
+        assert sorted(i for _, (i, _, _) in found) == [int(b[0][0]) for b in blocks]
+        assert all(math.isfinite(delta) for delta, _ in found)
+        assert min(found) == (0.0, first)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -214,7 +220,7 @@ def test_size3_plan_suffixes_are_runs_of_first_pairs(mode):
     # _best_size3 repeats each first-pair term runs[j] times in place of
     # gathering it, so each suffix must hold every later j, in order.
     plan = _size3_plan(mode)
-    for i in plan.firsts:
+    for i in [int(b[0][0]) for b in _candidate_blocks(3, mode)]:
         runs = np.repeat(np.arange(325)[i + 1 :], plan.runs[i + 1 :])
         assert np.array_equal(runs, plan.first[plan.lo[i] :]), i
 
@@ -236,20 +242,20 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
         stats = count_bigrams(KeySequence(text))
         for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
             base_cost = stats_cost(geometry, base, stats, model)
-            d1, c2 = _build_delta_tables(geometry, stats, base, base_cost, model)
+            d1, c2 = _build_d1(geometry, stats, base, base_cost, model), _build_c2(geometry, stats, base, model)
             for mode in MODES:
                 case = (text[:20], model.kind, mode)
                 plan = _size3_plan(mode)
                 kernel = _Size3Kernel(d1, c2, plan)
+                firsts = [int(b[0][0]) for b in blocks[mode]]
                 want = [_best(d1, c2, block) for block in blocks[mode]]
-                assert [int(b[0][0]) for b in blocks[mode]] == list(plan.firsts)
-                assert _bits([kernel.block(i) for i in plan.firsts]) == _bits(want), case
+                assert _bits([kernel.block(i) for i in firsts]) == _bits(want), case
                 found = _best_size3(d1, c2, plan)
                 assert all(math.isfinite(delta) for delta, _ in found)
                 assert set(_bits(found)) <= set(_bits(want)), case
                 assert _bits([min(found)]) == _bits([min(want)]), case
                 scanned = {idx[0] for _, idx in found}
-                skipped = [delta for i, (delta, _) in zip(plan.firsts, want) if i not in scanned]
+                skipped = [delta for i, (delta, _) in zip(firsts, want) if i not in scanned]
                 assert all(delta > min(want)[0] for delta in skipped), case
 
 
@@ -266,13 +272,13 @@ def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode):
         for p, q in itertools.combinations(row, 2):
             c2[p, q] = c2[q, p] = -3.0
     c2[idx["gm"], idx["jz"]] = c2[idx["jz"], idx["gm"]] = -10.0
-    plan = _size3_plan(mode)
-    found = _best_size3(d1, c2, plan)
+    blocks = list(_candidate_blocks(3, mode))
+    found = _best_size3(d1, c2, _size3_plan(mode))
     assert found[0][1][0] == rows[1][0]
     assert {rows[0][0], rows[1][0]} <= {i for _, (i, _, _) in found}
-    assert len(found) < len(plan.firsts)
+    assert len(found) < len(blocks)
     assert min(found) == (-3.0, rows[0])
-    assert min(found) == min(_best(d1, c2, block) for block in _candidate_blocks(3, mode))
+    assert min(found) == min(_best(d1, c2, block) for block in blocks)
 
 
 def test_size3_search_peak_memory(geometry):
@@ -347,7 +353,7 @@ def test_paper_search_matches_the_triplet_stream_reference(geometry):
         for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
             got = optimize(geometry, stats, SearchConfig(mode="paper", model=model))
             base_cost = stats_cost(geometry, base, stats, model)
-            d1, c2 = _build_delta_tables(geometry, stats, base, base_cost, model)
+            d1, c2 = _build_d1(geometry, stats, base, base_cost, model), _build_c2(geometry, stats, base, model)
             _, idx = min(_best(d1, c2, block) for block in _triplet_pairings())
             want = SwapSet(tuple(pairs[p] for p in idx))
             assert got.swaps == want, (text[:20], model.kind)
