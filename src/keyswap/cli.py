@@ -367,7 +367,9 @@ def cmd_batch(args, config: dict) -> int:
     for row in users:
         if not isinstance(row, dict) or "id" not in row or not isinstance(row.get("corpus"), str):
             raise DataError('each manifest user needs an "id" and a "corpus" path')
-        uid = str(row["id"])
+        uid = row["id"]
+        if not isinstance(uid, str):
+            raise DataError(f"manifest user id must be a string, got {json.dumps(uid)}")
         if not uid or any(c in uid for c in "/\\\0") or uid in (".", ".."):
             raise DataError(f"manifest user id unusable as a directory name: {uid!r}")
         if uid in ids:

@@ -21,9 +21,11 @@ The search never recomputes full layout costs. Cost is a sum over letter
 pairs, so the change from applying disjoint transpositions p1..pn is
 exactly the per-transposition deltas d1[p] plus the pairwise cross terms
 c2[p, q], built once per search by _build_d1 and, for sizes above 1,
-_build_c2. Each size has one candidate stream, _candidate_blocks(n, mode),
-scored by _best (sizes 1 and 2) or by _best_size3 over the rows of
-_size3_plan(mode) (size 3); ties go to the smallest canonical encoding.
+_build_c2, which shares its gathers per leading pair and walks the rows
+in cache-sized chunks, each in its old order of operations. Each size
+has one candidate stream, _candidate_blocks(n, mode), scored by _best
+(sizes 1 and 2) or by _best_size3 over the rows of _size3_plan(mode)
+(size 3); ties go to the smallest canonical encoding.
 _triplet_pairings is kept only as the reference stream of
 enumerate_swapsets(3, "paper") and of the tests.
 
@@ -57,14 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .effort import (
-    DISTANCE_MODEL,
-    EffortModel,
-    effort_tables,
-    letter_slot_vector,
-    per,
-    stats_cost,
-)
+from .effort import DISTANCE_MODEL, EffortModel, effort_tables, letter_slot_vector, per, stats_cost
 from .geometry import (
     DEFAULT_SPEC,
     LETTERS,
@@ -83,6 +78,7 @@ MODES = ("canonical", "paper")
 _N_LETTERS = 26
 _N_PAIRS = 325  # C(26, 2)
 _N_TRIPLETS = 2600  # C(26, 3)
+_C2_CHUNK = 8192  # rows per pass of _build_c2, so that its buffers stay in L2
 
 # verify_result's relative tolerance between stored and recomputed costs
 VERIFY_REL_TOL = 1e-9
@@ -212,8 +208,9 @@ _PAIR_IDX = np.full((_N_LETTERS, _N_LETTERS), -1, dtype=np.intp)
 _PAIR_IDX[_U, _V] = _PAIR_IDX[_V, _U] = np.arange(_N_PAIRS)
 # _COMPAT[p, q]: pairs p and q share no letter (so p != q)
 _COMPAT = (_U[:, None] != _U) & (_U[:, None] != _V) & (_V[:, None] != _U) & (_V[:, None] != _V)
-# every disjoint (i, j) with i < j, in canonical order
-_SIZE2 = np.nonzero(np.triu(_COMPAT, 1))
+# every disjoint (i, j) with i < j, in canonical order; divmod of the flat
+# indices gives contiguous columns, where nonzero gives strided views
+_SIZE2 = np.divmod(np.flatnonzero(np.triu(_COMPAT, 1)), _N_PAIRS)
 
 
 class _Size3Plan(NamedTuple):
@@ -299,17 +296,6 @@ def _triplet_pairings():
 # delta tables
 
 
-def _term_sums(m: np.ndarray, tab: np.ndarray, a, b, sa, sb) -> np.ndarray:
-    """Per pair, the sum of m[a, b] * tab[sa, sb] over that pair's block.
-
-    The index arrays broadcast to (325, r, c). Each product block is
-    reduced as one C-contiguous row, so it sums in the same pairwise
-    order as the scalar ``.sum()`` of _affected_terms.
-    """
-    prod = m.take(a * _N_LETTERS + b) * tab.take(sa * _N_LETTERS + sb)
-    return prod.reshape(_N_PAIRS, -1).sum(axis=1)
-
-
 def _table_inputs(g: KeyboardGeometry, stats: BigramStats, base: Layout, model: EffortModel):
     """The effort tables, the base letter slots, and f and s_in as floats."""
     f = stats.within_word.astype(np.float64)
@@ -318,11 +304,7 @@ def _table_inputs(g: KeyboardGeometry, stats: BigramStats, base: Layout, model: 
 
 
 def _build_d1(
-    g: KeyboardGeometry,
-    stats: BigramStats,
-    base: Layout,
-    base_cost: float,
-    model: EffortModel,
+    g: KeyboardGeometry, stats: BigramStats, base: Layout, base_cost: float, model: EffortModel
 ) -> np.ndarray:
     """d1[p]: cost change of single swap p.
 
@@ -332,31 +314,33 @@ def _build_d1(
     as (base_cost + (new - old)) - base_cost. Every entry is therefore the
     same bits as delta_cost(..., SwapSet((pair,)), ...) - base_cost.
     """
-    u, v = _U, _V
     t, o, f, s_in = _table_inputs(g, stats, base, model)
     row_s = stats.across_space.sum(axis=1)
     dd, gg, sp = t.slot_to_slot, t.space_to_slot, t.slot_to_space
 
     letters = np.arange(_N_LETTERS)
-    moved = np.stack((u, v), axis=1)
+    moved = np.stack((_U, _V), axis=1)
     mr, mc = moved[:, :, None], moved[:, None, :]
+    swapped = o[moved[:, ::-1]]
     new_slots = np.tile(o, (_N_PAIRS, 1))
-    new_slots[np.arange(_N_PAIRS), u] = o[v]
-    new_slots[np.arange(_N_PAIRS), v] = o[u]
+    new_slots[np.arange(_N_PAIRS)[:, None], moved] = swapped
+    # each term's letter block per pair: (moved, any), (any, moved), (moved, moved)
+    blocks = ((mr, letters), (letters[:, None], mc), (mr, mc))
+    m_at = [m.take(a * _N_LETTERS + b) for m in (f, s_in) for a, b in blocks]
 
     def affected(slots: np.ndarray, sm: np.ndarray) -> np.ndarray:
-        # _affected_terms per pair; slots is the base vector or one row per pair
+        # _affected_terms per pair, for the base slots or one row per pair; each
+        # block sums as one C-contiguous row, in the scalar .sum()'s order
         sr, sc = sm[:, :, None], sm[:, None, :]
-        terms = []
-        for m, tab in ((f, dd), (s_in, gg)):
-            terms.append(_term_sums(m, tab, mr, letters, sr, slots[..., None, :]))
-            terms.append(_term_sums(m, tab, letters[:, None], mc, slots[..., :, None], sc))
-            terms.append(_term_sums(m, tab, mr, mc, sr, sc))
-        f_rows, f_cols, f_both, s_rows, s_cols, s_both = terms
+        slot_blocks = ((sr, slots[..., None, :]), (slots[..., :, None], sc), (sr, sc))
+        f_rows, f_cols, f_both, s_rows, s_cols, s_both = (
+            (ma * tab.take(sa * _N_LETTERS + sb)).reshape(_N_PAIRS, -1).sum(axis=1)
+            for ma, (tab, (sa, sb)) in zip(m_at, itertools.product((dd, gg), slot_blocks))
+        )
         space = (row_s[moved] * sp[sm]).sum(axis=1)
         return (((((f_rows + f_cols) - f_both) + s_rows) + s_cols) - s_both) + space
 
-    new = affected(new_slots, np.stack((o[v], o[u]), axis=1))
+    new = affected(new_slots, swapped)
     return (base_cost + (new - affected(o, o[moved]))) - base_cost
 
 
@@ -366,33 +350,49 @@ def _build_c2(g: KeyboardGeometry, stats: BigramStats, base: Layout, model: Effo
     c2 sums the eight (letter of p, letter of q) combinations in a fixed
     order, each as f[a, b] * (((e[a', b'] - e[a', b]) - e[a, b']) + e[a, b])
     plus the same with s_in and h, where x' is the partner of x in its
-    pair and e, h are dd, gg indexed by the letters' old slots. For
-    p < q, keys[x][y] flattens (letter x of p, letter y of q), so every
-    combination gathers f, s_in, e and h at the same four keys; the
-    combinations led by q gather the transposed tables there. Only the
-    keys and one term's gathers exist at a time.
+    pair and e, h are dd, gg indexed by the letters' old slots. For p < q,
+    key c = 2x + y flattens (letter x of p, letter y of q); combination c
+    reads oo, no, on, nn at keys c, c ^ 2, c ^ 1, 3 - c, so the four led by
+    p share one gather of e and of h per key, and those led by q read the
+    transposed tables at key 2y + x. Rows go in chunks through buffers
+    allocated once, gathered into (take with mode="clip" writes straight
+    into out; every key is in range) and updated in place. Each row still
+    adds the f term, then the s_in term, of each combination, p-led first,
+    with the same operations, so c2 keeps its bits.
     """
-    u, v = _U, _V
     t, o, f, s_in = _table_inputs(g, stats, base, model)
-    dd, gg = t.slot_to_slot, t.space_to_slot
-
+    tabs = (f, s_in, t.slot_to_slot.take(o, 0).take(o, 1), t.space_to_slot.take(o, 0).take(o, 1))
+    # the tables and the order of the four keys, p-led then q-led
+    directions = ((tabs, (0, 1, 2, 3)), (tuple(m.T.copy() for m in tabs), (0, 2, 1, 3)))
     idx_i, idx_j = _SIZE2
-    keys = tuple(tuple(_N_LETTERS * x.take(idx_i) + y.take(idx_j) for y in (u, v)) for x in (u, v))
-    e, h = dd.take(o, 0).take(o, 1), gg.take(o, 0).take(o, 1)
-    tabs = (f, s_in, e, h)
     vals = np.zeros(idx_i.shape[0])
-    # (p, q) = (idx_i, idx_j), then (idx_j, idx_i) on the transposed tables
-    for (fw, sw, ee, hh), k in ((tabs, keys), (tuple(m.T.copy() for m in tabs), tuple(zip(*keys)))):
-        for x in (0, 1):
-            for y in (0, 1):
-                # o/n: the letter of p, then of q, at its old or new slot
-                oo, no, on, nn = k[x][y], k[1 - x][y], k[x][1 - y], k[1 - x][1 - y]
-                vals += fw.take(oo) * (ee.take(nn) - ee.take(no) - ee.take(on) + ee.take(oo))
-                vals += sw.take(oo) * (hh.take(nn) - hh.take(no) - hh.take(on) + hh.take(oo))
-
+    # rows: the four keys and 26 * a leading letter; e and h at each key, a term, m
+    ibuf, fbuf = np.empty((5, _C2_CHUNK), dtype=np.intp), np.empty((10, _C2_CHUNK))
+    for lo in range(0, idx_i.shape[0], _C2_CHUNK):
+        ii, jj, out = idx_i[lo : lo + _C2_CHUNK], idx_j[lo : lo + _C2_CHUNK], vals[lo : lo + _C2_CHUNK]
+        k, fb = ibuf[:, : out.shape[0]], fbuf[:, : out.shape[0]]
+        term, m_at = fb[8], fb[9]
+        for x, lead in enumerate((_U, _V)):
+            lead.take(ii, out=k[4], mode="clip")
+            k[4] *= _N_LETTERS
+            for y, other in enumerate((_U, _V)):
+                other.take(jj, out=k[2 * x + y], mode="clip")
+                k[2 * x + y] += k[4]
+        for (fw, sw, ee, hh), order in directions:
+            kk = [k[c] for c in order]
+            for c in range(4):
+                ee.take(kk[c], out=fb[c], mode="clip")
+                hh.take(kk[c], out=fb[4 + c], mode="clip")
+            for c in range(4):
+                for m, at in ((fw, fb[:4]), (sw, fb[4:8])):
+                    np.subtract(at[3 - c], at[c ^ 2], out=term)
+                    term -= at[c ^ 1]
+                    term += at[c]
+                    m.take(kk[c], out=m_at, mode="clip")
+                    term *= m_at
+                    out += term
     c2 = np.zeros((_N_PAIRS, _N_PAIRS))
-    c2[idx_i, idx_j] = vals
-    c2[idx_j, idx_i] = vals
+    c2[idx_i, idx_j] = c2[idx_j, idx_i] = vals
     return c2
 
 

@@ -380,16 +380,26 @@ def test_batch_manifest_validation(workdir):
     assert main(["batch", "nothere.json"]) == 2
 
 
-def test_batch_rejects_a_user_id_holding_nul_before_any_output(workdir, capsys):
+@pytest.mark.parametrize(
+    "uid, message",
+    [
+        ("a\0b", "unusable as a directory name: 'a\\x00b'"),
+        (None, "must be a string, got null"),
+        (True, "must be a string, got true"),
+        (7, "must be a string, got 7"),
+        ([], "must be a string, got []"),
+    ],
+)
+def test_batch_rejects_an_unusable_user_id_before_any_output(workdir, capsys, uid, message):
     manifest_path = write_batch_inputs(workdir)
     manifest = json.loads(manifest_path.read_text())
-    manifest["users"].append({"id": "a\0b", "corpus": "alice.jsonl"})
+    manifest["users"].append({"id": uid, "corpus": "alice.jsonl"})
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     before = all_paths(workdir)
     capsys.readouterr()
     assert main(["batch", "manifest.json"]) == 2
     err = capsys.readouterr().err
-    assert err == "keyswap: error: manifest user id unusable as a directory name: 'a\\x00b'\n", err
+    assert err == f"keyswap: error: manifest user id {message}\n", err
     assert all_paths(workdir) == before
 
 
