@@ -374,6 +374,8 @@ def cmd_batch(args, config: dict) -> int:
             raise DataError(f"manifest user id unusable as a directory name: {uid!r}")
         if uid in ids:
             raise DataError(f"duplicate user id in manifest: {uid!r}")
+        if "\0" in row["corpus"]:
+            raise DataError(f"manifest corpus path of user {uid!r} holds a NUL character: {row['corpus']!r}")
         ids.append(uid)
         paths.append(os.path.join(manifest_dir, row["corpus"]))
     settings = resolve_settings(args, config, manifest)

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 LETTER_INDEX = {ch: i for i, ch in enumerate(LETTERS)}
@@ -194,6 +198,31 @@ def nearest_space_slot(g: KeyboardGeometry, from_slot: str) -> str:
         if d < best_d * (1.0 - SUBKEY_TIE_REL):
             best, best_d = i, d
     return SPACE_SLOT_IDS[best]
+
+
+class SlotTable(NamedTuple):
+    """Per-geometry lookups by slot index, the position in ``g.slots``.
+
+    The 26 letter slots come first, in LETTER_SLOT_IDS order, then
+    sp1..sp4. dist holds distance() of every slot pair, computed with the
+    same expression, so each entry has distance()'s bits; sub holds the
+    nearest_space_slot() of each letter slot.
+    """
+
+    ids: tuple[str, ...]
+    index: dict[str, int]
+    dist: np.ndarray  # (30, 30) mm
+    sub: np.ndarray  # (26,) slot index of each letter slot's nearest sub-key
+
+
+@lru_cache(maxsize=16)
+def slot_table(g: KeyboardGeometry) -> SlotTable:
+    """The SlotTable of a geometry, built on first use and cached."""
+    ids = tuple(s.id for s in g.slots)
+    index = {sid: i for i, sid in enumerate(ids)}
+    dist = np.array([[math.hypot(a.x - b.x, a.y - b.y) for b in g.slots] for a in g.slots])
+    sub = np.array([index[nearest_space_slot(g, sid)] for sid in LETTER_SLOT_IDS], dtype=np.intp)
+    return SlotTable(ids, index, dist, sub)
 
 
 @dataclass(frozen=True)

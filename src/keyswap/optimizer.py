@@ -233,19 +233,20 @@ class _Size3Plan(NamedTuple):
     lo: np.ndarray
     runs: np.ndarray
     takes: np.ndarray
+    keep: slice | np.ndarray  # the _SIZE2 rows the plan keeps: first = _SIZE2[0][keep]
 
 
 def _size3_plan(mode: str) -> _Size3Plan:
     """Rebuilt on each call, in well under a millisecond, so that no copy
     of its arrays outlives a search."""
     first, second = _SIZE2
-    takes = _COMPAT
+    takes, keep = _COMPAT, slice(None)
     if mode == "paper":
         keep = _V.take(first) < _V.take(second)
         first, second = first[keep], second[keep]
         takes = takes & (_V[:, None] < _V)
     runs = np.bincount(first, minlength=_N_PAIRS)
-    return _Size3Plan(first, second, np.cumsum(runs), runs, takes)
+    return _Size3Plan(first, second, np.cumsum(runs), runs, takes, keep)
 
 
 def _candidate_blocks(n: int, mode: str = "canonical"):
@@ -344,8 +345,11 @@ def _build_d1(
     return (base_cost + (new - affected(o, o[moved]))) - base_cost
 
 
-def _build_c2(g: KeyboardGeometry, stats: BigramStats, base: Layout, model: EffortModel) -> np.ndarray:
-    """c2[p, q]: cross term of disjoint pairs p and q (0 for the others).
+def _build_c2(
+    g: KeyboardGeometry, stats: BigramStats, base: Layout, model: EffortModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """c2[p, q]: cross term of disjoint pairs p and q (0 for the others),
+    and c2_rows[r] = c2[p, q] at the size-2 rows (p, q) of _SIZE2.
 
     c2 sums the eight (letter of p, letter of q) combinations in a fixed
     order, each as f[a, b] * (((e[a', b'] - e[a', b]) - e[a, b']) + e[a, b])
@@ -393,7 +397,7 @@ def _build_c2(g: KeyboardGeometry, stats: BigramStats, base: Layout, model: Effo
                     out += term
     c2 = np.zeros((_N_PAIRS, _N_PAIRS))
     c2[idx_i, idx_j] = c2[idx_j, idx_i] = vals
-    return c2
+    return c2, vals
 
 
 def _best(d1: np.ndarray, c2: np.ndarray | None, block) -> tuple[float, tuple[int, ...]]:
@@ -425,13 +429,15 @@ class _Size3Kernel:
     """Scores the blocks of the size-3 stream from the plan, and bounds them.
 
     Precondition: d1 and c2 are finite and no row's sum overflows, as
-    optimize ensures.
+    optimize ensures, and c2_rows is _build_c2's, so that c2jk, its
+    values at the plan's rows, is c2[plan.first, plan.second] with no
+    2-D gather.
     """
 
-    def __init__(self, d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan):
+    def __init__(self, d1: np.ndarray, c2: np.ndarray, c2_rows: np.ndarray, plan: _Size3Plan):
         self.d1, self.c2, self.plan = d1, c2, plan
         self.d1k = d1.take(plan.second)
-        self.c2jk = c2[plan.first, plan.second]
+        self.c2jk = c2_rows[plan.keep]
 
     def block(self, i: int) -> tuple[float, tuple[int, int, int]]:
         """_best of first pair i's block.
@@ -479,7 +485,9 @@ class _Size3Kernel:
         return np.min(s, axis=1, where=later, initial=np.inf) + least_c2ik
 
 
-def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan) -> list[tuple[float, tuple[int, int, int]]]:
+def _best_size3(
+    d1: np.ndarray, c2: np.ndarray, c2_rows: np.ndarray, plan: _Size3Plan
+) -> list[tuple[float, tuple[int, int, int]]]:
     """_best of every block of the size-3 stream that can hold the winner.
 
     The first pairs with a finite bound are scored in ascending order of
@@ -517,7 +525,7 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan) -> list[tuple[
     tau = 0 and skip nothing. A max that overflows gives tau = inf,
     which skips nothing either.
     """
-    kernel = _Size3Kernel(d1, c2, plan)
+    kernel = _Size3Kernel(d1, c2, c2_rows, plan)
     bound = kernel.bounds()
     tau = 2.0**-40 * 3 * (max(float(d1.max()), -float(d1.min())) + max(float(c2.max()), -float(c2.min())))
     live = np.flatnonzero(bound < math.inf)
@@ -602,13 +610,13 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
                 n = cfg.n_swap_pairs
                 sizes, raw_pairs = (range(1, n + 1) if cfg.cumulative else (n,)), None
             d1 = _build_d1(g, stats, base, base_cost, cfg.model)
-            c2 = _build_c2(g, stats, base, cfg.model) if max(sizes) > 1 else None
+            c2, c2_rows = _build_c2(g, stats, base, cfg.model) if max(sizes) > 1 else (None, None)
             # a cumulative search also considers size 0, the stock layout
             found = [(0.0, ())] if cfg.cumulative else []
             candidates = len(found) + sum(swap_count(size, cfg.mode) for size in sizes)
             for size in sizes:
                 if size == 3:
-                    found.extend(_best_size3(d1, c2, _size3_plan(cfg.mode)))
+                    found.extend(_best_size3(d1, c2, c2_rows, _size3_plan(cfg.mode)))
                 else:
                     found.extend(_best(d1, c2, block) for block in _candidate_blocks(size, cfg.mode))
 

@@ -4,26 +4,36 @@ Distances here are displayed in cm (internals stay in mm); percentages
 and ratios carry two decimals in rendered tables. All SVG output is
 hand-assembled with fixed number formatting so identical inputs give
 identical bytes.
+
+The pair tables and heat maps count moves from the move table of stats,
+the one that traversals() and pair_usage() read too. The parts of SVG
+elements that depend only on the geometry are formatted once per
+geometry and cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .effort import per  # noqa: F401 - keyswap.report.per stays importable
 from .geometry import (
+    LETTER_SLOT_IDS,
     LETTERS,
+    SPACE_SLOT_IDS,
     KeyboardGeometry,
     Layout,
     SwapSet,
     apply_swaps,
     qwerty_layout,
+    slot_table,
 )
 from .optimizer import OptimizationResult
-from .stats import BigramStats, pair_usage, traversals
+from .stats import BigramStats, _move_table, _pair_columns
 
 HIGHLIGHT_COLORS = ("#d62728", "#2ca02c", "#1f77b4")
 
@@ -45,6 +55,20 @@ class PairRow:
         return self.d_qwerty_cm / self.d_opt_cm
 
 
+def _pair_rows(
+    stats: BigramStats,
+    g: KeyboardGeometry,
+    base: Layout,
+    optimized: Layout,
+    k: int | None = None,
+) -> list[PairRow]:
+    labels, counts, usage_pct, (d_base, d_opt) = _pair_columns(stats, g, (base, optimized), k)
+    return [
+        PairRow(label, count, pct, db / 10.0, do / 10.0)
+        for label, count, pct, db, do in zip(labels, counts, usage_pct, d_base, d_opt)
+    ]
+
+
 def pairs_table(
     stats: BigramStats,
     g: KeyboardGeometry,
@@ -55,17 +79,9 @@ def pairs_table(
 
     Usage counts depend only on the corpus, so both layouts rank pairs
     identically; rows come out sorted by usage descending, label ties
-    alphabetical.
+    alphabetical. The rows are pair_usage's under each layout.
     """
-    rows_base = pair_usage(stats, g, base)
-    rows_opt = pair_usage(stats, g, optimized)
-    out = []
-    for rb, ro in zip(rows_base, rows_opt):
-        assert rb.label == ro.label
-        out.append(
-            PairRow(rb.label, rb.count, rb.usage_pct, rb.distance_mm / 10.0, ro.distance_mm / 10.0)
-        )
-    return out
+    return _pair_rows(stats, g, base, optimized)
 
 
 def top_pairs_table(
@@ -78,7 +94,7 @@ def top_pairs_table(
     """The k most used pairs (all of them when fewer exist)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return pairs_table(stats, g, base, optimized)[:k]
+    return _pair_rows(stats, g, base, optimized, k)
 
 
 def letters_in_pairs(rows: list[PairRow]) -> int:
@@ -168,28 +184,58 @@ def build_user_report(
 # SVG rendering
 
 
+class _SvgHeads(NamedTuple):
+    """The starts of a geometry's SVG elements, each up to its first
+    varying attribute: per slot, its key <rect> up to the fill, and its
+    <text> up to the fill for a letter label and for a slot id label; per
+    slot pair (a, b), a before b in id order, its <line> up to the stroke,
+    at index rank(a) * 30 + rank(b)."""
+
+    rects: list[str]
+    letter_texts: list[str]
+    id_texts: list[str]
+    lines: list[str]
+
+
+# each slot index's rank in slot id order; every geometry has the same ids
+_ID_RANK = np.argsort(np.argsort(LETTER_SLOT_IDS + SPACE_SLOT_IDS))
+
+
+@lru_cache(maxsize=16)
+def _svg_heads(g: KeyboardGeometry) -> _SvgHeads:
+    """The _SvgHeads of a geometry, built on first use and cached."""
+    kw, kh = g.spec.key_width, g.spec.key_height
+    by_rank = sorted(g.slots, key=lambda s: s.id)
+    return _SvgHeads(
+        rects=[
+            f'<rect x="{s.x - kw / 2:.3f}" y="{s.y - kh / 2:.3f}" width="{kw:.3f}" height="{kh:.3f}" rx="0.6" fill="'
+            for s in g.slots
+        ],
+        letter_texts=[f'<text x="{s.x:.3f}" y="{s.y:.3f}" font-size="{kh * 0.55:.2f}" fill="' for s in g.slots],
+        id_texts=[f'<text x="{s.x:.3f}" y="{s.y:.3f}" font-size="{kh * 0.3:.2f}" fill="' for s in g.slots],
+        lines=[
+            f'<line x1="{a.x:.3f}" y1="{a.y:.3f}" x2="{b.x:.3f}" y2="{b.y:.3f}" ' if a.id < b.id else ""
+            for a in by_rank
+            for b in by_rank
+        ],
+    )
+
+
 def _keyboard_body(g: KeyboardGeometry, layout: Layout, highlight: SwapSet) -> list[str]:
     color_of: dict[str, str] = {}
     for idx, (a, b) in enumerate(highlight.pairs):
         color_of[a] = color_of[b] = HIGHLIGHT_COLORS[idx % len(HIGHLIGHT_COLORS)]
     letter_at = {layout.slot_of(ch): ch for ch in LETTERS}
-    kw, kh = g.spec.key_width, g.spec.key_height
+    heads = _svg_heads(g)
     parts = []
-    for slot in g.slots:
+    for slot, rect, letter_text, id_text in zip(g.slots, heads.rects, heads.letter_texts, heads.id_texts):
         ch = letter_at.get(slot.id, "")
         fill = color_of.get(ch, "#e9e9e9")
         label_fill = "#ffffff" if ch in color_of else "#666666"
+        parts.append(f'{rect}{fill}" stroke="#b5b5b5" stroke-width="0.15"/>')
         parts.append(
-            f'<rect x="{slot.x - kw / 2:.3f}" y="{slot.y - kh / 2:.3f}" '
-            f'width="{kw:.3f}" height="{kh:.3f}" rx="0.6" fill="{fill}" '
-            f'stroke="#b5b5b5" stroke-width="0.15"/>'
-        )
-        label = ch if ch else slot.id
-        size = kh * 0.55 if ch else kh * 0.3
-        parts.append(
-            f'<text x="{slot.x:.3f}" y="{slot.y:.3f}" font-size="{size:.2f}" '
-            f'fill="{label_fill}" text-anchor="middle" dominant-baseline="central" '
-            f'font-family="sans-serif">{label}</text>'
+            f'{letter_text if ch else id_text}{label_fill}" text-anchor="middle" dominant-baseline="central" '
+            f'font-family="sans-serif">{ch or slot.id}</text>'
         )
     return parts
 
@@ -220,27 +266,30 @@ def heatmap_svg(
     """Keyboard with every traversed slot pair drawn as a line.
 
     Line opacity grows with log(1 + frequency), normalized to the most
-    frequent pair. Swapped letter pairs are tinted red/green/blue.
+    frequent pair. Swapped letter pairs are tinted red/green/blue. The
+    frequencies are the counts of traversals() summed per undirected pair
+    of distinct slots; lines come in slot id order.
     """
     if stats.is_empty:
         raise ValueError("heat map needs a non-empty corpus")
-    segs: dict[tuple[str, str], int] = {}  # undirected slot pair -> traversals
-    for m in traversals(stats, g, layout):
-        if m.src_slot != m.dst_slot:
-            key = tuple(sorted((m.src_slot, m.dst_slot)))
-            segs[key] = segs.get(key, 0) + m.count
-    f_max = max(segs.values()) if segs else 1
+    m = _move_table(stats, slot_table(g), layout)
+    moved = m.src != m.dst
+    ra, rb = _ID_RANK[m.src[moved]], _ID_RANK[m.dst[moved]]
+    n_slots = _ID_RANK.size
+    segs = np.zeros(n_slots * n_slots, dtype=np.int64)
+    np.add.at(segs, np.minimum(ra, rb) * n_slots + np.maximum(ra, rb), m.count[moved])
+    keys = np.flatnonzero(segs)
+    counts = segs[keys].tolist()
+    f_max = max(counts) if counts else 1
     body = _keyboard_body(g, layout, highlight)
     denom = math.log1p(f_max)
-    for (a, b), n in sorted(segs.items()):
-        xa, ya = g.center(a)
-        xb, yb = g.center(b)
+    # the rest of a line depends only on its count, and counts repeat
+    tails = {}
+    for n in set(counts):
         op = math.log1p(n) / denom if denom > 0 else 1.0
-        body.append(
-            f'<line x1="{xa:.3f}" y1="{ya:.3f}" x2="{xb:.3f}" y2="{yb:.3f}" '
-            f'stroke="#a40000" stroke-width="0.45" stroke-opacity="{op:.4f}" '
-            f'stroke-linecap="round"/>'
-        )
+        tails[n] = f'stroke="#a40000" stroke-width="0.45" stroke-opacity="{op:.4f}" stroke-linecap="round"/>'
+    lines = _svg_heads(g).lines
+    body += [lines[key] + tails[n] for key, n in zip(keys.tolist(), counts)]
     return _svg_document(g, body)
 
 

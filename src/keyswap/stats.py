@@ -10,6 +10,11 @@ Two integer tables capture everything the distance model needs:
 
 An interior space is two traversed segments (into and out of the space
 sub-key nearest the preceding letter), a trailing space just one.
+
+Every tally of the moves a layout implies comes from one move table per
+stats and layout, _move_table, whose slots and distances are looked up
+in the geometry's cached slot_table: traversals() and pair_usage() here,
+and the pair tables and heat maps of report.
 """
 
 from __future__ import annotations
@@ -20,14 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import SPACE, KeySequence
-from .geometry import (
-    LETTER_INDEX,
-    LETTERS,
-    KeyboardGeometry,
-    Layout,
-    distance,
-    nearest_space_slot,
-)
+from .geometry import LETTERS, KeyboardGeometry, Layout, SlotTable, slot_table
 
 END = 26  # column index for a stream-final space
 
@@ -84,26 +82,25 @@ class BigramStats:
         )
 
 
+# byte -> key code: a letter to 0..25, the space to 26, which is also END
+_KEY_CODES = bytes.maketrans(LETTERS.encode("ascii") + SPACE.encode("ascii"), bytes(range(27)))
+
+
 def count_bigrams(seq: KeySequence) -> BigramStats:
-    """Tally a key sequence into the two transition tables."""
-    stats = BigramStats()
-    f = stats.within_word
-    s = stats.across_space
-    text = seq.text
-    n = len(text)
-    for i in range(n - 1):
-        a = text[i]
-        if a == SPACE:
-            continue
-        b = text[i + 1]
-        ia = LETTER_INDEX[a]
-        if b != SPACE:
-            f[ia][LETTER_INDEX[b]] += 1
-        elif i + 2 < n:
-            s[ia][LETTER_INDEX[text[i + 2]]] += 1
-        else:
-            s[ia][END] += 1
-    return stats
+    """Tally a key sequence into the two transition tables.
+
+    A KeySequence holds only a-z and single spaces, never leading, so
+    every press is one byte, and a space code appended past the last
+    press stands for END. A letter a followed by b, then c, counts at
+    within_word[a, b] when b is a letter, else at across_space[a, c];
+    one bincount over both tables' cells, exact in integers, tallies
+    them all.
+    """
+    k = np.frombuffer((seq.text + SPACE).encode("ascii").translate(_KEY_CODES), dtype=np.uint8).astype(np.intp)
+    a, b, c = k[:-2], k[1:-1], k[2:]
+    cells = np.where(b < END, a * 26 + b, 26 * 26 + a * 27 + c)[a < END]
+    counts = np.bincount(cells, minlength=26 * 26 + 26 * 27)
+    return BigramStats(counts[: 26 * 26].reshape(26, 26), counts[26 * 26 :].reshape(26, 27))
 
 
 SP = "sp"  # a space sub-key in pair labels
@@ -119,9 +116,41 @@ class Move(NamedTuple):
     count: int
 
 
-def _cells(table: np.ndarray):
-    rows, cols = np.nonzero(table)
-    return zip(rows.tolist(), cols.tolist(), table[rows, cols].tolist())
+class _MoveTable(NamedTuple):
+    """The moves of traversals() as columns, in its order.
+
+    a and b are letter indices: b is END for a move into a space, and a
+    move out of a space keeps in a the word-final letter before it, which
+    chose its sub-key. src and dst are slot indices of slot_table(g).
+    within and into count the moves of the first two kinds.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    count: np.ndarray
+    within: int
+    into: int
+
+
+def _move_table(stats: BigramStats, t: SlotTable, layout: Layout) -> _MoveTable:
+    slot = np.array([t.index[sid] for sid in layout.slots_by_letter], dtype=np.intp)
+    sub = t.sub.take(slot)
+    f, s = stats.within_word, stats.across_space
+    wa, wb = np.nonzero(f)
+    into_count = s.sum(axis=1)
+    ia = np.flatnonzero(into_count)
+    oa, ob = np.nonzero(s[:, :END])
+    return _MoveTable(
+        a=np.concatenate((wa, ia, oa)),
+        b=np.concatenate((wb, np.full(ia.size, END), ob)),
+        src=np.concatenate((slot[wa], slot[ia], sub[oa])),
+        dst=np.concatenate((slot[wb], sub[ia], slot[ob])),
+        count=np.concatenate((f[wa, wb], into_count[ia], s[oa, ob])),
+        within=wa.size,
+        into=ia.size,
+    )
 
 
 def traversals(stats: BigramStats, g: KeyboardGeometry, layout: Layout) -> list[Move]:
@@ -133,13 +162,15 @@ def traversals(stats: BigramStats, g: KeyboardGeometry, layout: Layout) -> list[
     first letter of the next word. Within a kind, moves ascend by the
     letter typed first, then by the letter typed next.
     """
-    slot = [layout.slot_of(ch) for ch in LETTERS]
-    sub = [nearest_space_slot(g, sid) for sid in slot]
-    s = stats.across_space
-    moves = [Move(LETTERS[a], LETTERS[b], slot[a], slot[b], n) for a, b, n in _cells(stats.within_word)]
-    moves += [Move(LETTERS[a], SP, slot[a], sub[a], n) for a, n in enumerate(s.sum(axis=1).tolist()) if n]
-    moves += [Move(SP, LETTERS[b], sub[a], slot[b], n) for a, b, n in _cells(s[:, :END])]
-    return moves
+    t = slot_table(g)
+    m = _move_table(stats, t, layout)
+    src = [LETTERS[a] for a in m.a[: m.within + m.into].tolist()] + [SP] * (m.a.size - m.within - m.into)
+    dst = [LETTERS[b] if b < END else SP for b in m.b.tolist()]
+    ids = t.ids
+    return [
+        Move(x, y, ids[p], ids[q], n)
+        for x, y, p, q, n in zip(src, dst, m.src.tolist(), m.dst.tolist(), m.count.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -152,6 +183,56 @@ class PairUsage:
     distance_mm: float
 
 
+# Pair labels by id: "a-b" is a * 26 + b, "a-sp" is 676 + a, "sp-b" is 702 + b.
+_LABELS = (
+    [f"{x}-{y}" for x in LETTERS for y in LETTERS] + [f"{x}-{SP}" for x in LETTERS] + [f"{SP}-{y}" for y in LETTERS]
+)
+_LABEL_RANK = np.argsort(np.argsort(_LABELS))
+
+
+def _usage_rows(m: _MoveTable, t: SlotTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The label id, count and distance in mm of each pair row.
+
+    A move into or within a word is one row. The moves out of a space
+    into letter b are one "sp-b" row, whose distance is the usage-weighted
+    mean over the word-final letters a before the space; its numerator
+    adds count * distance in ascending order of a, left to right (cumsum,
+    not the pairwise np.sum).
+    """
+    k = m.within + m.into
+    d = t.dist[m.src, m.dst]
+    travel = np.zeros((26, 26))
+    travel[m.a[k:], m.b[k:]] = m.count[k:] * d[k:]
+    travel = np.cumsum(travel, axis=0)[-1]
+    entered_count = np.zeros(26, dtype=np.int64)
+    np.add.at(entered_count, m.b[k:], m.count[k:])
+    entered = np.flatnonzero(entered_count)
+    ids = np.concatenate((m.a[: m.within] * 26 + m.b[: m.within], 676 + m.a[m.within : k], 702 + entered))
+    counts = np.concatenate((m.count[:k], entered_count[entered]))
+    return ids, counts, np.concatenate((d[:k], travel[entered] / counts[k:]))
+
+
+def _pair_columns(
+    stats: BigramStats, g: KeyboardGeometry, layouts: tuple[Layout, ...], k: int | None = None
+) -> tuple[list[str], list[int], list[float], list[list[float]]]:
+    """The first k pair rows in usage order, as columns: labels, counts,
+    usage shares, and the distances under each layout.
+
+    Counts and labels depend only on the corpus, so one sort by usage
+    descending, ties alphabetically by label, orders every layout's rows.
+    """
+    if stats.is_empty:
+        raise ValueError("pair usage undefined for empty stats")
+    t = slot_table(g)
+    rows = [_usage_rows(_move_table(stats, t, layout), t) for layout in layouts]
+    ids, counts, _ = rows[0]
+    order = np.lexsort((_LABEL_RANK[ids], -counts))[:k]
+    counts = counts[order]
+    usage_pct = 100.0 * counts / stats.total_transitions
+    dists = [d[order].tolist() for _, _, d in rows]
+    return [_LABELS[i] for i in ids[order].tolist()], counts.tolist(), usage_pct.tolist(), dists
+
+
 def pair_usage(stats: BigramStats, g: KeyboardGeometry, layout: Layout) -> list[PairUsage]:
     """Per-pair traversal share and mean distance under one layout.
 
@@ -162,20 +243,5 @@ def pair_usage(stats: BigramStats, g: KeyboardGeometry, layout: Layout) -> list[
     numerator sums in ascending order of those letters. Rows are sorted by
     usage descending, ties alphabetically by label.
     """
-    if stats.is_empty:
-        raise ValueError("pair usage undefined for empty stats")
-    total = stats.total_transitions
-    rows: list[PairUsage] = []
-    out_of_space: dict[str, list] = {}  # letter -> [count, count-weighted distance]
-    for m in traversals(stats, g, layout):
-        d = distance(g, m.src_slot, m.dst_slot)
-        if m.src == SP:
-            acc = out_of_space.setdefault(m.dst, [0, 0.0])
-            acc[0] += m.count
-            acc[1] += m.count * d
-        else:
-            rows.append(PairUsage(f"{m.src}-{m.dst}", m.count, 100.0 * m.count / total, d))
-    for b, (c, travel) in out_of_space.items():
-        rows.append(PairUsage(f"{SP}-{b}", c, 100.0 * c / total, travel / c))
-    rows.sort(key=lambda r: (-r.count, r.label))
-    return rows
+    labels, counts, usage_pct, (dists,) = _pair_columns(stats, g, (layout,))
+    return [PairUsage(*row) for row in zip(labels, counts, usage_pct, dists)]

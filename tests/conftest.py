@@ -36,6 +36,13 @@ def random_corpus_text(rng: random.Random, lo: int = 10, hi: int = 2000) -> str:
     return "".join(out)
 
 
+def tie_heavy_text(rng: random.Random) -> str:
+    """Repeated words over 2-5 letters, so many swap sets cost the same."""
+    letters = rng.sample(LETTERS, rng.randint(2, 5))
+    words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(2, 6))]
+    return " ".join(rng.choice(words) for _ in range(rng.randint(10, 80)))
+
+
 def random_sequence(rng: random.Random, lo: int = 10, hi: int = 2000) -> KeySequence:
     return KeySequence(random_corpus_text(rng, lo, hi))
 

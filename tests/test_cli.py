@@ -403,6 +403,19 @@ def test_batch_rejects_an_unusable_user_id_before_any_output(workdir, capsys, ui
     assert all_paths(workdir) == before
 
 
+def test_batch_rejects_a_nul_corpus_path_before_any_output(workdir, capsys):
+    manifest_path = write_batch_inputs(workdir)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["users"].append({"id": "b", "corpus": "ali\0ce.jsonl"})
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    before = all_paths(workdir)
+    capsys.readouterr()
+    assert main(["batch", "manifest.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "keyswap: error: manifest corpus path of user 'b' holds a NUL character: 'ali\\x00ce.jsonl'\n", err
+    assert all_paths(workdir) == before
+
+
 def test_config_file_defaults(workdir):
     ingest(workdir)
     (workdir / "cfg.json").write_text(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +21,7 @@ from keyswap.geometry import (
     distance,
     nearest_space_slot,
     qwerty_layout,
+    slot_table,
 )
 
 # Column/row pitch from the default measurements: 4.76+1.01 and 6.26+1.70.
@@ -100,6 +102,20 @@ def test_nearest_space_slot_matches_brute_force(geometry):
             dists.append(math.hypot(x - xs, y - ys))
         best = min(range(4), key=lambda i: (dists[i], i))
         assert nearest_space_slot(geometry, slot_id) == subs[best], slot_id
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0, 0.37, 3.3])
+def test_slot_table_is_distance_and_nearest_space_slot_bit_for_bit(factor):
+    # np.hypot rounds differently from math.hypot on a few slot pairs of
+    # these geometries, so the table must be built with distance()'s expression.
+    g = build_geometry(DEFAULT_SPEC.scaled(factor))
+    t = slot_table(g)
+    assert t.ids == tuple(s.id for s in g.slots)
+    assert all(t.index[sid] == i for i, sid in enumerate(t.ids))
+    want = np.array([[distance(g, a, b) for b in t.ids] for a in t.ids])
+    assert t.dist.tobytes() == want.tobytes()
+    assert [t.ids[i] for i in t.sub] == [nearest_space_slot(g, sid) for sid in LETTER_SLOT_IDS]
+    assert slot_table(build_geometry(DEFAULT_SPEC.scaled(factor))) is t
 
 
 def test_nearest_space_slot_known_columns(geometry):

@@ -21,6 +21,7 @@ from keyswap.optimizer import (
     OptimizationResult,
     SearchConfig,
     _best,
+    _SIZE2,
     _Size3Kernel,
     _best_size3,
     _build_c2,
@@ -35,7 +36,7 @@ from keyswap.optimizer import (
 )
 from keyswap.stats import BigramStats, count_bigrams
 
-from conftest import brute_force, canonical_pair_tuples, random_corpus_text, reference_c2
+from conftest import brute_force, canonical_pair_tuples, random_corpus_text, reference_c2, tie_heavy_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -101,13 +102,6 @@ def test_size3_winner_beats_sampled_rescored_candidates(geometry):
             assert cost >= best or math.isclose(cost, best, rel_tol=1e-9), swaps
 
 
-def tie_heavy_text(rng: random.Random) -> str:
-    """Repeated words over 2-5 letters, so many swap sets cost the same."""
-    letters = rng.sample(LETTERS, rng.randint(2, 5))
-    words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(2, 6))]
-    return " ".join(rng.choice(words) for _ in range(rng.randint(10, 80)))
-
-
 def bundled_texts() -> list[str]:
     return [ingest_tweets(read_tweet_file(str(p))).text for p in sorted(DATA.glob("*.jsonl"))]
 
@@ -124,10 +118,12 @@ def test_delta_tables_are_bit_identical_to_their_references(geometry):
         models = (EffortModel(), EffortModel(kind="fitts", alpha=0.2), EffortModel(kind="fitts", alpha=-2.5, beta=3.0))
         for model in models:
             base_cost = stats_cost(geometry, base, stats, model)
-            d1, c2 = _build_d1(geometry, stats, base, base_cost, model), _build_c2(geometry, stats, base, model)
+            d1 = _build_d1(geometry, stats, base, base_cost, model)
+            c2, c2_rows = _build_c2(geometry, stats, base, model)
             want = [delta_cost(geometry, base, base_cost, stats, SwapSet((p,)), model) - base_cost for p in pairs]
             assert d1.tobytes() == np.array(want).tobytes(), (text[:20], model)
             assert c2.tobytes() == reference_c2(geometry, stats, base, model).tobytes(), (text[:20], model)
+            assert c2_rows.tobytes() == c2[_SIZE2].tobytes(), (text[:20], model)
 
 
 def test_delta_table_build_peak_memory(geometry):
@@ -211,7 +207,7 @@ def test_candidate_streams_ascend_so_argmin_breaks_ties(n, mode):
     if n == 3:
         # tau is 0, so nothing is pruned: every block is scored once, and
         # the first pairs that take no row are dropped, not returned as +inf
-        found = _best_size3(d1, c2, _size3_plan(mode))
+        found = _best_size3(d1, c2, c2[_SIZE2], _size3_plan(mode))
         assert sorted(i for _, (i, _, _) in found) == [int(b[0][0]) for b in blocks]
         assert all(math.isfinite(delta) for delta, _ in found)
         assert min(found) == (0.0, first)
@@ -244,15 +240,18 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
         stats = count_bigrams(KeySequence(text))
         for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
             base_cost = stats_cost(geometry, base, stats, model)
-            d1, c2 = _build_d1(geometry, stats, base, base_cost, model), _build_c2(geometry, stats, base, model)
+            d1 = _build_d1(geometry, stats, base, base_cost, model)
+            c2, c2_rows = _build_c2(geometry, stats, base, model)
             for mode in MODES:
                 case = (text[:20], model.kind, mode)
                 plan = _size3_plan(mode)
-                kernel = _Size3Kernel(d1, c2, plan)
+                kernel = _Size3Kernel(d1, c2, c2_rows, plan)
+                # the kernel takes c2 at its rows from the table build, not by a gather
+                assert kernel.c2jk.tobytes() == c2[plan.first, plan.second].tobytes(), case
                 firsts = [int(b[0][0]) for b in blocks[mode]]
                 want = [_best(d1, c2, block) for block in blocks[mode]]
                 assert _bits([kernel.block(i) for i in firsts]) == _bits(want), case
-                found = _best_size3(d1, c2, plan)
+                found = _best_size3(d1, c2, c2_rows, plan)
                 assert all(math.isfinite(delta) for delta, _ in found)
                 assert set(_bits(found)) <= set(_bits(want)), case
                 assert _bits([min(found)]) == _bits([min(want)]), case
@@ -275,7 +274,7 @@ def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode):
             c2[p, q] = c2[q, p] = -3.0
     c2[idx["gm"], idx["jz"]] = c2[idx["jz"], idx["gm"]] = -10.0
     blocks = list(_candidate_blocks(3, mode))
-    found = _best_size3(d1, c2, _size3_plan(mode))
+    found = _best_size3(d1, c2, c2[_SIZE2], _size3_plan(mode))
     assert found[0][1][0] == rows[1][0]
     assert {rows[0][0], rows[1][0]} <= {i for _, (i, _, _) in found}
     assert len(found) < len(blocks)
@@ -355,7 +354,7 @@ def test_paper_search_matches_the_triplet_stream_reference(geometry):
         for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
             got = optimize(geometry, stats, SearchConfig(mode="paper", model=model))
             base_cost = stats_cost(geometry, base, stats, model)
-            d1, c2 = _build_d1(geometry, stats, base, base_cost, model), _build_c2(geometry, stats, base, model)
+            d1, (c2, _) = _build_d1(geometry, stats, base, base_cost, model), _build_c2(geometry, stats, base, model)
             _, idx = min(_best(d1, c2, block) for block in _triplet_pairings())
             want = SwapSet(tuple(pairs[p] for p in idx))
             assert got.swaps == want, (text[:20], model.kind)
