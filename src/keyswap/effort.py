@@ -24,7 +24,6 @@ from .corpus import SPACE, KeySequence
 from .geometry import (
     LETTER_INDEX,
     LETTER_SLOT_IDS,
-    LETTERS,
     DEFAULT_SPEC,
     KeyboardGeometry,
     Layout,
@@ -32,6 +31,7 @@ from .geometry import (
     distance,
     is_finite_number,
     nearest_space_slot,
+    slot_table,
 )
 from .stats import END, BigramStats
 
@@ -105,25 +105,27 @@ class EffortTables:
 
 @lru_cache(maxsize=16)
 def effort_tables(g: KeyboardGeometry, model: EffortModel) -> EffortTables:
+    """The tables, indexed from the geometry's slot table.
+
+    Every entry is _segment_effort of a slot_table distance, which has
+    distance()'s bits; the Fitts model's log2 stays math.log2 per entry.
+    """
     area = _resolved_area(g, model)
-    ids = LETTER_SLOT_IDS
-    n = len(ids)
-    subs = tuple(nearest_space_slot(g, sid) for sid in ids)
-    d_ss = np.zeros((n, n))
-    d_sp = np.zeros(n)
-    d_ps = np.zeros((n, n))
-    for i, a in enumerate(ids):
-        d_sp[i] = _segment_effort(distance(g, a, subs[i]), model, area)
-        for j, b in enumerate(ids):
-            d_ss[i, j] = _segment_effort(distance(g, a, b), model, area)
-            d_ps[i, j] = _segment_effort(distance(g, subs[i], b), model, area)
-    return EffortTables(d_ss, d_sp, d_ps)
+    t = slot_table(g)
+    n = len(LETTER_SLOT_IDS)
+
+    def efforts(d: np.ndarray) -> np.ndarray:
+        return np.array([_segment_effort(x, model, area) for x in d.ravel().tolist()]).reshape(d.shape)
+
+    return EffortTables(
+        efforts(t.dist[:n, :n]), efforts(t.dist[np.arange(n), t.sub]), efforts(t.dist[t.sub, :n])
+    )
 
 
-def letter_slot_vector(layout: Layout) -> np.ndarray:
+def letter_slot_vector(g: KeyboardGeometry, layout: Layout) -> np.ndarray:
     """Letter index -> letter-slot position index, as an int array."""
-    pos = {sid: i for i, sid in enumerate(LETTER_SLOT_IDS)}
-    return np.array([pos[layout.slot_of(ch)] for ch in LETTERS], dtype=np.intp)
+    index = slot_table(g).index
+    return np.array([index[sid] for sid in layout.slots_by_letter], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ def stats_cost(
 ) -> float:
     """Total effort recomputed from bigram tables; equals sequence_cost."""
     t = effort_tables(g, model)
-    slots = letter_slot_vector(layout)
+    slots = letter_slot_vector(g, layout)
     f = stats.within_word
     s_in = stats.across_space[:, :END]
     row_s = stats.across_space.sum(axis=1)
@@ -236,7 +238,7 @@ def delta_cost(
     if not swaps.pairs:
         return base_cost
     t = effort_tables(g, model)
-    old_slots = letter_slot_vector(base)
+    old_slots = letter_slot_vector(g, base)
     new_slots = old_slots.copy()
     for a, b in swaps.pairs:
         ia, ib = LETTER_INDEX[a], LETTER_INDEX[b]

@@ -20,28 +20,35 @@ candidates = 2,302,300, the count of triplet pairings.
 The search never recomputes full layout costs. Cost is a sum over letter
 pairs, so the change from applying disjoint transpositions p1..pn is
 exactly the per-transposition deltas d1[p] plus the pairwise cross terms
-c2[p, q], built once per search by _build_d1 and, for sizes above 1,
-_build_c2, which shares its gathers per leading pair and walks the rows
-in cache-sized chunks, each in its old order of operations. Each size
-has one candidate stream, _candidate_blocks(n, mode), scored by _best
-(sizes 1 and 2) or by _best_size3 over the rows of _size3_plan(mode)
-(size 3); ties go to the smallest canonical encoding.
-_triplet_pairings is kept only as the reference stream of
-enumerate_swapsets(3, "paper") and of the tests.
+c2[p, q]. The search builds them once per search, from _table_inputs, in
+a fast form: _build_d1 from first differences of the bigram and effort
+tables and, for sizes above 1, _build_c2 from second differences, dense
+325 x 325 arrays. Their association order is not the reference's, so
+their bits differ from it in the last places. Each size has one
+candidate stream, _candidate_blocks(n, mode); sizes 1 and 2 keep with
+_band_rows, and size 3 with _best_size3 over the rows of
+_size3_plan(mode), every row whose fast delta is within band of the
+least, where band = 2 * eps and eps bounds |fast row - exact row| for
+every row (_band_width holds the proof). _rescore then scores each
+band with the exact tables, _exact_d1 and _exact_c2 at only the entries
+the band reads, in the reference arithmetic of delta_cost and
+reference_c2; ties go to the smallest canonical encoding. The winner
+and its tie-break are therefore those of scoring every row with the
+exact tables, bit for bit. _triplet_pairings is kept only as the
+reference stream of enumerate_swapsets(3, "paper") and of the tests.
 
-The size-3 search is exact but does not score every block. Each first
-pair i gets a lower bound on its block, bound[i] = min_j (a[i, j] + r[j])
-+ min_k c2[i, k], with a[i, j] = (d1[i] + d1[j]) + c2[i, j] and r[j] the
-least d1[k] + c2[j, k] over j's size-2 rows (a Gilmore-Lawler bound for
-this restricted quadratic assignment problem). Some first pairs take no
-row; the bound of most of them is +inf. First pairs of finite bound are
-scored in ascending bound order, one that takes no row scores +inf and
-is dropped, and the scan stops at the first block whose bound exceeds
-the best delta so far by more than tau = 2**-40 * 3 * (max|d1| +
-max|c2|), far more than the rounding of any row or bound; _best_size3
-holds the proof. So every candidate is either scored or shown to cost
-strictly more than the winner, and the winner and its tie-break are
-those of scoring every row.
+The size-3 search does not score every block. Each first pair i gets a
+lower bound on its block, bound[i] = min_j (a[i, j] + r[j]) + min_k
+c2[i, k], with a[i, j] = (d1[i] + d1[j]) + c2[i, j] and r[j] the least
+d1[k] + c2[j, k] over j's size-2 rows (a Gilmore-Lawler bound for this
+restricted quadratic assignment problem). Some first pairs take no row;
+the bound of most of them is +inf. First pairs of finite bound are
+scored in ascending bound order, one that takes no row adds no row, and
+the scan stops at the first block whose bound exceeds (best + band) +
+tau, best the least delta so far and tau = 2**-40 * (3 * (max|d1| +
+max|c2|) + band), far more than the rounding of any row, bound or cut;
+_best_size3 holds the proof. So every row of the band is either scored
+or shown to cost strictly more than best + band.
 
 Every kernel requires finite tables: optimize does all of its cost
 arithmetic with numpy overflow and invalid values raising, so costs that
@@ -59,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .effort import DISTANCE_MODEL, EffortModel, effort_tables, letter_slot_vector, per, stats_cost
+from .effort import DISTANCE_MODEL, EffortModel, EffortTables, effort_tables, letter_slot_vector, per, stats_cost
 from .geometry import (
     DEFAULT_SPEC,
     LETTERS,
@@ -78,7 +85,9 @@ MODES = ("canonical", "paper")
 _N_LETTERS = 26
 _N_PAIRS = 325  # C(26, 2)
 _N_TRIPLETS = 2600  # C(26, 3)
-_C2_CHUNK = 8192  # rows per pass of _build_c2, so that its buffers stay in L2
+
+# rows or c2 entries per pass of _rescore, so that a wide band's temporaries stay small
+_RESCORE_ROWS = 1024
 
 # verify_result's relative tolerance between stored and recomputed costs
 VERIFY_REL_TOL = 1e-9
@@ -208,6 +217,19 @@ _PAIR_IDX = np.full((_N_LETTERS, _N_LETTERS), -1, dtype=np.intp)
 _PAIR_IDX[_U, _V] = _PAIR_IDX[_V, _U] = np.arange(_N_PAIRS)
 # _COMPAT[p, q]: pairs p and q share no letter (so p != q)
 _COMPAT = (_U[:, None] != _U) & (_U[:, None] != _V) & (_V[:, None] != _U) & (_V[:, None] != _V)
+_SHARED = ~_COMPAT
+# the letters (a, a', b, b') of _exact_c2's eight combinations, as rows of
+# (u_p, v_p, u_q, v_q): the four led by p, then the four led by q
+_C2_COMBOS = (
+    (0, 0, 1, 1, 2, 2, 3, 3),
+    (1, 1, 0, 0, 3, 3, 2, 2),
+    (2, 3, 2, 3, 0, 1, 0, 1),
+    (3, 2, 3, 2, 1, 0, 1, 0),
+)
+# _FIRST[u]: the first pair whose smaller letter is u or above
+_FIRST = np.searchsorted(_U, np.arange(_N_LETTERS))
+# flat indices of (p, u_p) and (p, v_p) in a (325, 26) array of pair rows
+_OWN_U, _OWN_V = (np.arange(_N_PAIRS) * _N_LETTERS + w for w in (_U, _V))
 # every disjoint (i, j) with i < j, in canonical order; divmod of the flat
 # indices gives contiguous columns, where nonzero gives strided views
 _SIZE2 = np.divmod(np.flatnonzero(np.triu(_COMPAT, 1)), _N_PAIRS)
@@ -233,20 +255,19 @@ class _Size3Plan(NamedTuple):
     lo: np.ndarray
     runs: np.ndarray
     takes: np.ndarray
-    keep: slice | np.ndarray  # the _SIZE2 rows the plan keeps: first = _SIZE2[0][keep]
 
 
 def _size3_plan(mode: str) -> _Size3Plan:
     """Rebuilt on each call, in well under a millisecond, so that no copy
     of its arrays outlives a search."""
     first, second = _SIZE2
-    takes, keep = _COMPAT, slice(None)
+    takes = _COMPAT
     if mode == "paper":
         keep = _V.take(first) < _V.take(second)
         first, second = first[keep], second[keep]
         takes = takes & (_V[:, None] < _V)
     runs = np.bincount(first, minlength=_N_PAIRS)
-    return _Size3Plan(first, second, np.cumsum(runs), runs, takes, keep)
+    return _Size3Plan(first, second, np.cumsum(runs), runs, takes)
 
 
 def _candidate_blocks(n: int, mode: str = "canonical"):
@@ -297,120 +318,258 @@ def _triplet_pairings():
 # delta tables
 
 
-def _table_inputs(g: KeyboardGeometry, stats: BigramStats, base: Layout, model: EffortModel):
-    """The effort tables, the base letter slots, and f and s_in as floats."""
-    f = stats.within_word.astype(np.float64)
-    s_in = stats.across_space[:, :END].astype(np.float64)
-    return effort_tables(g, model), letter_slot_vector(base), f, s_in
+class _TableInputs(NamedTuple):
+    """What the delta tables of one search read, built once per search.
 
-
-def _build_d1(
-    g: KeyboardGeometry, stats: BigramStats, base: Layout, base_cost: float, model: EffortModel
-) -> np.ndarray:
-    """d1[p]: cost change of single swap p.
-
-    d1 repeats delta_cost's floating-point operations for all 325 pairs in
-    one batched pass: the seven terms of _affected_terms, each reduced per
-    pair in the same order, combined with the same + and -, and finished
-    as (base_cost + (new - old)) - base_cost. Every entry is therefore the
-    same bits as delta_cost(..., SwapSet((pair,)), ...) - base_cost.
+    f and s_in are the bigram counts as floats, row_s each letter's
+    across-space count, o the letters' base slots, and e, h and sp the
+    effort tables at those slots, indexed by letter: e[a, b] =
+    slot_to_slot[o[a], o[b]], h[a, b] = space_to_slot[o[a], o[b]] and
+    sp[a] = slot_to_space[o[a]].
     """
-    t, o, f, s_in = _table_inputs(g, stats, base, model)
-    row_s = stats.across_space.sum(axis=1)
-    dd, gg, sp = t.slot_to_slot, t.space_to_slot, t.slot_to_space
 
+    t: EffortTables
+    o: np.ndarray
+    f: np.ndarray
+    s_in: np.ndarray
+    row_s: np.ndarray
+    e: np.ndarray
+    h: np.ndarray
+    sp: np.ndarray
+
+
+def _table_inputs(g: KeyboardGeometry, stats: BigramStats, base: Layout, model: EffortModel) -> _TableInputs:
+    t, o = effort_tables(g, model), letter_slot_vector(g, base)
+    return _TableInputs(
+        t,
+        o,
+        stats.within_word.astype(np.float64),
+        stats.across_space[:, :END].astype(np.float64),
+        stats.across_space.sum(axis=1),
+        t.slot_to_slot.take(o, 0).take(o, 1),
+        t.space_to_slot.take(o, 0).take(o, 1),
+        t.slot_to_space.take(o),
+    )
+
+
+def _first_difference(m: np.ndarray) -> np.ndarray:
+    """(P m)[p] = m[u_p] - m[v_p], for a letter vector or the rows of a letter
+    table; P is the 325 x 26 matrix whose row p is e_u - e_v."""
+    return m.take(_U, 0) - m.take(_V, 0)
+
+
+def _build_d1(x: _TableInputs) -> np.ndarray:
+    """d1[p]: cost change of single swap p = (u, v), from first differences.
+
+    Swapping u and v changes a cost entry m[a, b] * e[a, b] only if a or
+    b is u or v. Had only rows u and v moved, their entries would change
+    by -sum_k (P m)[p, k] * (P e)[p, k], and had only columns u and v
+    moved, by the same with m^T and e^T; the 2 x 2 block where both moved
+    is then off by (P m P^T)[p, p] * (P e P^T)[p, p]. So d1 is, over (m,
+    e) = (f, e) and (s_in, h), the sum of those three parts, minus (P
+    row_s)[p] * (P sp)[p] for the space after each letter. The bits are
+    not delta_cost's: _band_width bounds the difference.
+    """
+    d1 = -(_first_difference(x.row_s) * _first_difference(x.sp))
+    for m, e in ((x.f, x.e), (x.s_in, x.h)):
+        pm, pe = _first_difference(m), _first_difference(e)
+        d1 -= np.einsum("pk,pk->p", pm, pe)
+        d1 -= np.einsum("pk,pk->p", _first_difference(m.T), _first_difference(e.T))
+        # (P m P^T)[p, p] = (P m)[p, u_p] - (P m)[p, v_p]
+        d1 += (pm.take(_OWN_U) - pm.take(_OWN_V)) * (pe.take(_OWN_U) - pe.take(_OWN_V))
+    return d1
+
+
+def _build_c2(x: _TableInputs) -> np.ndarray:
+    """c2[p, q]: cross term of disjoint pairs p and q, from second differences.
+
+    Swapping p and q together changes the cost by d1[p] + d1[q] + c2[p, q].
+    The entries m[a, b] with a in p and b in q contribute, in exact
+    arithmetic, sum over those four (a, b) of m[a, b] * (((e[a', b'] -
+    e[a', b]) - e[a, b']) + e[a, b]), x' being the partner of x in its
+    pair, which factors into (P m P^T)[p, q] * (P e P^T)[p, q]. With G =
+    (P e P^T) o (P f P^T) + (P h P^T) o (P s_in P^T), c2 = G + G^T on
+    disjoint pairs, the entries with b in p and a in q giving G^T, and
+    +0.0 where p and q share a letter.
+
+    The pairs q = (u, v), v > u, are contiguous, and for them (P m
+    P^T)[p, q] = (P m)[p, u] - (P m)[p, v]: one broadcast subtraction per
+    first letter u, over the rows of (P m)^T, gives that block of all four
+    second differences, transposed, which is multiplied and summed
+    straight into the rows q of G^T. So no 325 x 325 array is built but
+    G^T and c2. The bits are not those of _exact_c2: _band_width bounds
+    the difference.
+    """
+    a = np.stack([m.T.take(_U, 1) - m.T.take(_V, 1) for m in (x.e, x.f, x.h, x.s_in)])
+    gt = np.empty((_N_PAIRS, _N_PAIRS))
+    for u in range(_N_LETTERS - 1):
+        d = a[:, u, None] - a[:, u + 1 :]
+        d[0] *= d[1]
+        d[2] *= d[3]
+        np.add(d[0], d[2], out=gt[_FIRST[u] : _FIRST[u + 1]])
+    c2 = gt + gt.T
+    c2[_SHARED] = 0.0
+    return c2
+
+
+def _exact_d1(x: _TableInputs, base_cost: float, pairs: np.ndarray) -> np.ndarray:
+    """d1 of the given pairs in delta_cost's arithmetic.
+
+    One batched pass repeats delta_cost's floating-point operations: the
+    seven terms of _affected_terms, each reduced per pair in the same
+    order, combined with the same + and -, and finished as (base_cost +
+    (new - old)) - base_cost. Each pair's block sums as one C-contiguous
+    row, and numpy's row sum of a row does not depend on the other rows,
+    so entry p has the bits of delta_cost(..., SwapSet((pair p,)), ...) -
+    base_cost for any set of pairs.
+    """
+    o, dd, gg, sp = x.o, x.t.slot_to_slot, x.t.space_to_slot, x.t.slot_to_space
+    n = pairs.shape[0]
     letters = np.arange(_N_LETTERS)
-    moved = np.stack((_U, _V), axis=1)
+    moved = np.stack((_U.take(pairs), _V.take(pairs)), axis=1)
     mr, mc = moved[:, :, None], moved[:, None, :]
     swapped = o[moved[:, ::-1]]
-    new_slots = np.tile(o, (_N_PAIRS, 1))
-    new_slots[np.arange(_N_PAIRS)[:, None], moved] = swapped
+    new_slots = np.tile(o, (n, 1))
+    new_slots[np.arange(n)[:, None], moved] = swapped
     # each term's letter block per pair: (moved, any), (any, moved), (moved, moved)
     blocks = ((mr, letters), (letters[:, None], mc), (mr, mc))
-    m_at = [m.take(a * _N_LETTERS + b) for m in (f, s_in) for a, b in blocks]
+    m_at = [m.take(a * _N_LETTERS + b) for m in (x.f, x.s_in) for a, b in blocks]
 
     def affected(slots: np.ndarray, sm: np.ndarray) -> np.ndarray:
-        # _affected_terms per pair, for the base slots or one row per pair; each
-        # block sums as one C-contiguous row, in the scalar .sum()'s order
+        # _affected_terms per pair, for the base slots or one row per pair
         sr, sc = sm[:, :, None], sm[:, None, :]
         slot_blocks = ((sr, slots[..., None, :]), (slots[..., :, None], sc), (sr, sc))
         f_rows, f_cols, f_both, s_rows, s_cols, s_both = (
-            (ma * tab.take(sa * _N_LETTERS + sb)).reshape(_N_PAIRS, -1).sum(axis=1)
+            (ma * tab.take(sa * _N_LETTERS + sb)).reshape(n, -1).sum(axis=1)
             for ma, (tab, (sa, sb)) in zip(m_at, itertools.product((dd, gg), slot_blocks))
         )
-        space = (row_s[moved] * sp[sm]).sum(axis=1)
+        space = (x.row_s[moved] * sp[sm]).sum(axis=1)
         return (((((f_rows + f_cols) - f_both) + s_rows) + s_cols) - s_both) + space
 
     new = affected(new_slots, swapped)
     return (base_cost + (new - affected(o, o[moved]))) - base_cost
 
 
-def _build_c2(
-    g: KeyboardGeometry, stats: BigramStats, base: Layout, model: EffortModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """c2[p, q]: cross term of disjoint pairs p and q (0 for the others),
-    and c2_rows[r] = c2[p, q] at the size-2 rows (p, q) of _SIZE2.
+def _exact_c2(x: _TableInputs, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """c2[p, q] of disjoint pairs p < q in the reference arithmetic.
 
-    c2 sums the eight (letter of p, letter of q) combinations in a fixed
-    order, each as f[a, b] * (((e[a', b'] - e[a', b]) - e[a, b']) + e[a, b])
-    plus the same with s_in and h, where x' is the partner of x in its
-    pair and e, h are dd, gg indexed by the letters' old slots. For p < q,
-    key c = 2x + y flattens (letter x of p, letter y of q); combination c
-    reads oo, no, on, nn at keys c, c ^ 2, c ^ 1, 3 - c, so the four led by
-    p share one gather of e and of h per key, and those led by q read the
-    transposed tables at key 2y + x. Rows go in chunks through buffers
-    allocated once, gathered into (take with mode="clip" writes straight
-    into out; every key is in range) and updated in place. Each row still
-    adds the f term, then the s_in term, of each combination, p-led first,
-    with the same operations, so c2 keeps its bits.
+    Each entry sums the eight (letter of p, letter of q) combinations,
+    the four led by p and then the four led by q, each adding m[a, b] *
+    (((e[a', b'] - e[a', b]) - e[a, b']) + e[a, b]) with f and e, then
+    with s_in and h, from +0.0, where x' is the partner of x in its pair.
+    The terms of all eight are computed at once, each with its own
+    operations, and added in that order. Each entry is computed on its
+    own, so it has the same bits for any set of pairs; tests hold it to
+    reference_c2.
     """
-    t, o, f, s_in = _table_inputs(g, stats, base, model)
-    tabs = (f, s_in, t.slot_to_slot.take(o, 0).take(o, 1), t.space_to_slot.take(o, 0).take(o, 1))
-    # the tables and the order of the four keys, p-led then q-led
-    directions = ((tabs, (0, 1, 2, 3)), (tuple(m.T.copy() for m in tabs), (0, 2, 1, 3)))
-    idx_i, idx_j = _SIZE2
-    vals = np.zeros(idx_i.shape[0])
-    # rows: the four keys and 26 * a leading letter; e and h at each key, a term, m
-    ibuf, fbuf = np.empty((5, _C2_CHUNK), dtype=np.intp), np.empty((10, _C2_CHUNK))
-    for lo in range(0, idx_i.shape[0], _C2_CHUNK):
-        ii, jj, out = idx_i[lo : lo + _C2_CHUNK], idx_j[lo : lo + _C2_CHUNK], vals[lo : lo + _C2_CHUNK]
-        k, fb = ibuf[:, : out.shape[0]], fbuf[:, : out.shape[0]]
-        term, m_at = fb[8], fb[9]
-        for x, lead in enumerate((_U, _V)):
-            lead.take(ii, out=k[4], mode="clip")
-            k[4] *= _N_LETTERS
-            for y, other in enumerate((_U, _V)):
-                other.take(jj, out=k[2 * x + y], mode="clip")
-                k[2 * x + y] += k[4]
-        for (fw, sw, ee, hh), order in directions:
-            kk = [k[c] for c in order]
-            for c in range(4):
-                ee.take(kk[c], out=fb[c], mode="clip")
-                hh.take(kk[c], out=fb[4 + c], mode="clip")
-            for c in range(4):
-                for m, at in ((fw, fb[:4]), (sw, fb[4:8])):
-                    np.subtract(at[3 - c], at[c ^ 2], out=term)
-                    term -= at[c ^ 1]
-                    term += at[c]
-                    m.take(kk[c], out=m_at, mode="clip")
-                    term *= m_at
-                    out += term
-    c2 = np.zeros((_N_PAIRS, _N_PAIRS))
-    c2[idx_i, idx_j] = c2[idx_j, idx_i] = vals
-    return c2, vals
+    letters = np.stack((_U.take(p), _V.take(p), _U.take(q), _V.take(q)))
+    a, a2, b, b2 = (letters.take(c, 0) for c in _C2_COMBOS)
+    a, a2 = a * _N_LETTERS, a2 * _N_LETTERS
+    ab, a2b2, a2b, ab2 = a + b, a2 + b2, a2 + b, a + b2
+    terms = [
+        m.take(ab) * (((e.take(a2b2) - e.take(a2b)) - e.take(ab2)) + e.take(ab)) for m, e in ((x.f, x.e), (x.s_in, x.h))
+    ]
+    out = np.zeros(p.shape[0])
+    for c in range(len(_C2_COMBOS[0])):
+        for t in terms:
+            out += t[c]
+    return out
 
 
-def _best(d1: np.ndarray, c2: np.ndarray | None, block) -> tuple[float, tuple[int, ...]]:
-    """Cheapest candidate of one block as (cost delta, encoding).
+def _band_width(x: _TableInputs, base_cost: float) -> float:
+    """band = 2 * eps, with eps a bound on |fast row - exact row| for every row.
 
-    Precondition: the block's rows ascend in encoding. argmin returns the
-    first minimum, so ties go to the smallest encoding, and comparing the
-    returned tuples across blocks and sizes reproduces canonical SwapSet
-    order (shorter encodings win on a shared prefix). The sum is always
-    associated as ((d1[i] + d1[j]) + c2[i, j]), then + d1[k], + c2[i, k],
-    + c2[j, k]; a size-1 block reads no c2, which may then be None. The
-    search scores size 3 with _best_size3; this is the reference it is
-    tested against.
+    A row's delta sums at most three d1 and three c2 entries, in the same
+    five additions, from the fast tables (_build_d1, _build_c2) or from
+    the exact ones (_exact_d1, _exact_c2). Let u = 2**-53 and gamma_n =
+    n * u / (1 - n * u); any order of summing n terms errs by at most
+    gamma_{n-1} times the sum of their magnitudes (Higham, Accuracy and
+    Stability of Numerical Algorithms, sections 3.1 and 4.2; no
+    underflow). Let M_e, M_h and M_sp be the largest magnitudes of
+    slot_to_slot, space_to_slot and slot_to_space, every count being
+    >= 0, and Phi = M_e * sum(f) + M_h * sum(s_in) + M_sp * sum(row_s).
+    The bound is built from these magnitudes, not from c2: c2 entries can
+    cancel to a rounding residue of much larger terms.
+
+    True terms. A count f[a, b] enters the d1 of the pairs holding a or
+    b, at most two pairs of a row, each time times a difference of two e
+    entries, and row_s[a] enters one; so a row's true d1 sum to at most
+    4 Phi in magnitude. f[a, b] enters the c2 of at most one pair of the
+    row's pairs, times four e entries: the true c2 sum to at most 4 Phi.
+
+    Exact tables. An _exact_d1 entry sums blocks of at most 52 products,
+    combines seven blocks for the new and the old cost, each of at most
+    3 Phi_p in magnitude (Phi_p, the part of Phi that pair p touches),
+    and adds and subtracts base_cost: it errs by at most 6 gamma_62 Phi_p
+    + 2.01u |base_cost|, and the Phi_p of a row's pairs sum to at most
+    2 Phi. An _exact_c2 entry adds 16 products of a count and three
+    subtractions of e or h entries: over a row, 4 gamma_20 Phi. So a
+    row's exact terms err by at most about 824u Phi + 6.03u |base_cost|.
+
+    Fast tables. A _build_d1 entry adds the space product, four row sums
+    of 26 products of one-subtraction differences and two corner
+    products, in six additions: gamma_34 * 8 Phi_p, so 16 gamma_34 Phi
+    over a row. A _build_c2 entry is two products of two-subtraction
+    differences, their sum, and its transpose added: 4 gamma_7 Phi over
+    a row. About 572u Phi in all.
+
+    Summing the row, five additions of terms of at most about 8 Phi err
+    by about 40u Phi, once with each set of tables.
+
+    So |fast row - exact row| is below about 1476u Phi + 6.03u
+    |base_cost|, and eps = 2**-41 * (Phi + |base_cost|) = 4096u * (Phi +
+    |base_cost|) exceeds that, with the second-order terms and the
+    rounding of best + band (about u * (8 Phi + band)), by more than
+    twice. Let best be the least fast delta and W the exact winner: for
+    every row R, fast(W) <= exact(W) + eps <= exact(R) + eps <= fast(R)
+    + 2 eps, so fast(W) <= best + band, and the same holds for every row
+    that ties W exactly. The rows whose fast delta is at most best + band
+    therefore hold the exact winner and its tie-break. The magnitudes are
+    scaled by 2**-41 before they are multiplied and summed, so the width
+    is finite wherever the costs are.
+    """
+    scale = 2.0**-41
+    m_e, m_h, m_sp = (scale * float(np.abs(t).max()) for t in (x.t.slot_to_slot, x.t.space_to_slot, x.t.slot_to_space))
+    phi = m_e * float(x.f.sum()) + m_h * float(x.s_in.sum()) + m_sp * float(x.row_s.sum())
+    return 2.0 * (phi + scale * abs(base_cost))
+
+
+def _rescore(x: _TableInputs, base_cost: float, bands: list[tuple[np.ndarray, ...]]) -> list[tuple[float, tuple]]:
+    """_best of each band, whose rows ascend in encoding, under the exact tables.
+
+    Only the d1 and c2 entries that the bands read are computed, once for
+    all bands, each with the bits of the whole exact table; so each result
+    is _best over the exact tables restricted to that band's rows. Both go
+    in slices of _RESCORE_ROWS; the slices of a band ascend in encoding, so
+    the least of their _best is the _best of the band.
+    """
+    used = np.zeros(_N_PAIRS, dtype=bool)
+    used_keys = np.zeros(_N_PAIRS * _N_PAIRS, dtype=bool)
+    for rows in bands:
+        for col in rows:
+            used[col] = True
+        for a, b in itertools.combinations(rows, 2):
+            used_keys[a * _N_PAIRS + b] = True
+    pairs, keys = np.flatnonzero(used), np.flatnonzero(used_keys)
+    d1 = np.zeros(_N_PAIRS)
+    d1[pairs] = _exact_d1(x, base_cost, pairs)
+    c2 = np.zeros(_N_PAIRS * _N_PAIRS)
+    for lo in range(0, keys.shape[0], _RESCORE_ROWS):
+        at = keys[lo : lo + _RESCORE_ROWS]
+        c2[at] = _exact_c2(x, *np.divmod(at, _N_PAIRS))
+    found = []
+    for rows in bands:
+        at = range(0, len(rows[0]), _RESCORE_ROWS)
+        found.append(min(_best(d1, c2, tuple(col[lo : lo + _RESCORE_ROWS] for col in rows)) for lo in at))
+    return found
+
+
+def _row_deltas(d1: np.ndarray, c2: np.ndarray | None, block) -> np.ndarray:
+    """The cost delta of each row of a block.
+
+    The sum is always associated as ((d1[i] + d1[j]) + c2[i, j]), then
+    + d1[k], + c2[i, k], + c2[j, k]; a size-1 block reads no c2, which may
+    then be None.
     """
     i = block[0]
     deltas = d1.take(i)
@@ -421,38 +580,56 @@ def _best(d1: np.ndarray, c2: np.ndarray | None, block) -> tuple[float, tuple[in
     if len(block) > 2:
         k = block[2]
         deltas = ((deltas + d1.take(k)) + c2.take(i * _N_PAIRS + k)) + c2.take(j * _N_PAIRS + k)
+    return deltas
+
+
+def _best(d1: np.ndarray, c2: np.ndarray | None, block) -> tuple[float, tuple[int, ...]]:
+    """Cheapest candidate of one block as (cost delta, encoding).
+
+    Precondition: the block's rows ascend in encoding. argmin returns the
+    first minimum, so ties go to the smallest encoding, and comparing the
+    returned tuples across blocks and sizes reproduces canonical SwapSet
+    order (shorter encodings win on a shared prefix). The search scores
+    the band of each size with it under the exact tables; it is also the
+    reference that _best_size3 is tested against.
+    """
+    deltas = _row_deltas(d1, c2, block)
     r = int(np.argmin(deltas))
     return float(deltas[r]), tuple(int(col[r]) for col in block)
+
+
+def _band_rows(d1: np.ndarray, c2: np.ndarray | None, block, band: float) -> tuple[np.ndarray, ...]:
+    """The rows of a block whose delta is at most the least one + band, in block order."""
+    deltas = _row_deltas(d1, c2, block)
+    keep = np.flatnonzero(deltas <= deltas.min() + band)
+    return tuple(col.take(keep) for col in block)
 
 
 class _Size3Kernel:
     """Scores the blocks of the size-3 stream from the plan, and bounds them.
 
     Precondition: d1 and c2 are finite and no row's sum overflows, as
-    optimize ensures, and c2_rows is _build_c2's, so that c2jk, its
-    values at the plan's rows, is c2[plan.first, plan.second] with no
-    2-D gather.
+    optimize ensures. c2jk, the values of c2 at the plan's rows, is
+    gathered once here; a paper plan holds only the rows it keeps.
     """
 
-    def __init__(self, d1: np.ndarray, c2: np.ndarray, c2_rows: np.ndarray, plan: _Size3Plan):
+    def __init__(self, d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan):
         self.d1, self.c2, self.plan = d1, c2, plan
         self.d1k = d1.take(plan.second)
-        self.c2jk = c2_rows[plan.keep]
+        self.c2jk = c2.take(plan.first * _N_PAIRS + plan.second)
 
-    def block(self, i: int) -> tuple[float, tuple[int, int, int]]:
-        """_best of first pair i's block.
+    def block(self, i: int) -> np.ndarray:
+        """The deltas of first pair i's suffix lo[i]:, +inf at rows i does not take.
 
         a[j] = (d1[i] + d1[j]) + c2[i, j] holds the first two sums of every
         row (i, j, .), j > i. The suffix lo[i]: is runs[j] rows of each j in
         turn, so repeating a by runs lays a[j] under each of j's rows with
         no gather. Each row then adds d1[k], c2[i, k] and c2[j, k] in that
-        order, so a row that i takes gets the same bits as in _best. The
-        pairs that i does not take are +inf in a and in the c2[i, k]
+        order, so a row that i takes gets the same bits as in _row_deltas.
+        The pairs that i does not take are +inf in a and in the c2[i, k]
         vector, so every row that i takes is finite and every other row is
-        exactly +inf. If i takes a row, argmin's first minimum over the
-        suffix, which ascends in encoding, is the block's smallest tied
-        encoding; if i takes none, the returned delta is exactly +inf. The
-        suffix must not be empty.
+        exactly +inf; if i takes no row, every delta is +inf. The suffix
+        ascends in encoding and must not be empty.
         """
         d1, c2i, plan = self.d1, self.c2[i], self.plan
         lo, takes = int(plan.lo[i]), plan.takes[i]
@@ -461,8 +638,7 @@ class _Size3Kernel:
         deltas += self.d1k[lo:]
         deltas += np.where(takes, c2i, np.inf)[plan.second[lo:]]
         deltas += self.c2jk[lo:]
-        r = int(np.argmin(deltas))
-        return float(deltas[r]), (i, int(plan.first[lo + r]), int(plan.second[lo + r]))
+        return deltas
 
     def bounds(self) -> np.ndarray:
         """bound[i] = min_j (a[i, j] + r[j]) + min_k c2[i, k], over the
@@ -485,16 +661,32 @@ class _Size3Kernel:
         return np.min(s, axis=1, where=later, initial=np.inf) + least_c2ik
 
 
-def _best_size3(
-    d1: np.ndarray, c2: np.ndarray, c2_rows: np.ndarray, plan: _Size3Plan
-) -> list[tuple[float, tuple[int, int, int]]]:
-    """_best of every block of the size-3 stream that can hold the winner.
+def _bands(x: _TableInputs, base_cost: float, sizes, mode: str) -> list[tuple[np.ndarray, ...]]:
+    """The band of each search size under the fast tables, which are
+    dropped on return; a size-1 search builds no c2."""
+    band = _band_width(x, base_cost)
+    d1 = _build_d1(x)
+    c2 = _build_c2(x) if max(sizes) > 1 else None
+    bands = []
+    for size in sizes:
+        if size == 3:
+            bands.append(_best_size3(d1, c2, _size3_plan(mode), band))
+        else:
+            bands.extend(_band_rows(d1, c2, block, band) for block in _candidate_blocks(size, mode))
+    return bands
+
+
+def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -> tuple[np.ndarray, ...]:
+    """The band of the size-3 stream: every row whose delta is at most
+    best + band, best the least delta of the stream, ascending in encoding.
 
     The first pairs with a finite bound are scored in ascending order of
     their bound (ties by first pair), keeping best, the least delta scored
-    so far, and the scan stops at the first block whose bound exceeds
-    best + tau, with tau = 2**-40 * S and S = 3 * (max|d1| + max|c2|). A
-    block whose delta is +inf is dropped.
+    so far, and the rows of each block at most best + band. The scan
+    stops at the first block whose bound exceeds (best + band) + tau, with
+    tau = 2**-40 * (S + band) and S = 3 * (max|d1| + max|c2|). Rows kept
+    from a block scored before best fell are cut to the final best + band
+    at the end.
 
     Which first pairs are visited. A first pair that takes a row has a
     finite bound, since that row's own terms bound each min; so one whose
@@ -502,42 +694,50 @@ def _best_size3(
     first pair whose suffix is empty: each of its later pairs j has no
     row, so r[j] is +inf. So block() never sees an empty suffix, even
     when tau is inf. A visited pair that takes no row (canonical 316-318,
-    paper 316) scores exactly +inf and is dropped, and a pair that takes
-    a row scores a finite delta, so the kept blocks are those of
-    _candidate_blocks(3, mode) that were scanned.
+    paper 316) scores only +inf and adds no row.
 
-    Proof that no skipped row computes at or below best. Take any row
-    (i, j, k) and its exact sum X of six terms, with |terms| summing to at
-    most S. The row's j and k are pairs above i that i takes, and (j, k)
-    is a row of j's run, so each min in bound[i] is at most that row's
-    term, and rounding is monotone: the computed bound[i] is at most the
-    computed ((a[i, j] + (d1[k] + c2[j, k])) + c2[i, k]), a five-addition
-    sum of the row's own terms. That sum and the kernel's row are each
-    within gamma_5 * S of X (Higham, Accuracy and Stability of Numerical
-    Algorithms, section 4.2), so the computed row is at least bound[i] -
-    2 * gamma_5 * S, about bound[i] - 10u * S. tau is 8192u * S, far
-    above that plus the rounding of best + tau (|best| is about S at
-    most), so the block that stops the scan, and every later block,
-    whose bound is no smaller, holds only rows that compute strictly
-    above best; an equal-cost twin of the winner is always scored.
-    optimize takes min over (delta, encoding), so the visiting order
-    does not change the winner or its tie-break. All-zero tables give
-    tau = 0 and skip nothing. A max that overflows gives tau = inf,
-    which skips nothing either.
+    Proof that no skipped row computes at or below best + band. Take any
+    row (i, j, k) and its exact sum X of six terms, with |terms| summing
+    to at most S. The row's j and k are pairs above i that i takes, and
+    (j, k) is a row of j's run, so each min in bound[i] is at most that
+    row's term, and rounding is monotone: the computed bound[i] is at
+    most the computed ((a[i, j] + (d1[k] + c2[j, k])) + c2[i, k]), a
+    five-addition sum of the row's own terms. That sum and the kernel's
+    row are each within gamma_5 * S of X (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 4.2), so the computed row is at
+    least bound[i] - 2 * gamma_5 * S, about bound[i] - 10u * S. The two
+    roundings of (best + band) + tau are at most u * (|best| + band +
+    tau) each, with |best| about S at most, and tau is 8192u * (S +
+    band), far above their sum plus 10u * S. So the block that stops the
+    scan, and every later block, whose bound is no smaller, holds only
+    rows that compute strictly above best + band. The band is then
+    complete, and with _band_width's eps the exact winner and its
+    tie-break are among its rows. All-zero tables with a zero band give
+    tau = 0 and skip nothing; a max that overflows gives tau = inf, which
+    skips nothing either.
     """
-    kernel = _Size3Kernel(d1, c2, c2_rows, plan)
+    kernel = _Size3Kernel(d1, c2, plan)
     bound = kernel.bounds()
-    tau = 2.0**-40 * 3 * (max(float(d1.max()), -float(d1.min())) + max(float(c2.max()), -float(c2.min())))
+    s = 3 * (max(float(d1.max()), -float(d1.min())) + max(float(c2.max()), -float(c2.min())))
+    tau = 2.0**-40 * (s + band)
     live = np.flatnonzero(bound < math.inf)
-    best, out = math.inf, []
+    best, kept = math.inf, []
     for i in live[np.argsort(bound[live], kind="stable")].tolist():
-        if bound[i] > best + tau:
+        if bound[i] > (best + band) + tau:
             break
-        delta, idx = kernel.block(i)
-        if delta < math.inf:
-            out.append((delta, idx))
-            best = min(best, delta)
-    return out
+        deltas = kernel.block(i)
+        least = float(deltas.min())
+        best = min(best, least)
+        if least <= best + band:
+            r = np.flatnonzero(deltas <= best + band)
+            kept.append((i, plan.lo[i] + r, deltas[r]))
+    del kernel
+    cut = best + band
+    kept = [(i, at[deltas <= cut]) for i, at, deltas in sorted(kept, key=lambda block: block[0])]
+    at = np.concatenate([at for _, at in kept])
+    first = np.repeat([i for i, _ in kept], [at.shape[0] for _, at in kept])
+    del kept
+    return first, plan.first.take(at), plan.second.take(at)
 
 
 # ---------------------------------------------------------------------------
@@ -609,17 +809,12 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
             else:
                 n = cfg.n_swap_pairs
                 sizes, raw_pairs = (range(1, n + 1) if cfg.cumulative else (n,)), None
-            d1 = _build_d1(g, stats, base, base_cost, cfg.model)
-            c2, c2_rows = _build_c2(g, stats, base, cfg.model) if max(sizes) > 1 else (None, None)
+            x = _table_inputs(g, stats, base, cfg.model)
+            bands = _bands(x, base_cost, sizes, cfg.mode)
             # a cumulative search also considers size 0, the stock layout
             found = [(0.0, ())] if cfg.cumulative else []
             candidates = len(found) + sum(swap_count(size, cfg.mode) for size in sizes)
-            for size in sizes:
-                if size == 3:
-                    found.extend(_best_size3(d1, c2, c2_rows, _size3_plan(cfg.mode)))
-                else:
-                    found.extend(_best(d1, c2, block) for block in _candidate_blocks(size, cfg.mode))
-
+            found.extend(_rescore(x, base_cost, bands))
             _, idx = min(found)
             swaps = SwapSet(tuple(_LETTER_PAIRS[p] for p in idx))
             best_cost = stats_cost(g, apply_swaps(base, swaps), stats, cfg.model)

@@ -105,7 +105,7 @@ def reference_c2(g, stats, base, model):
         (u[:, None] == u) | (u[:, None] == v) | (v[:, None] == u) | (v[:, None] == v)
     ), 1))
     t = effort_tables(g, model)
-    o = letter_slot_vector(base)
+    o = letter_slot_vector(g, base)
     f = stats.within_word.astype(np.float64)
     s_in = stats.across_space[:, :END].astype(np.float64)
     au, av, bu, bv = u[idx_i], v[idx_i], u[idx_j], v[idx_j]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from keyswap.corpus import KeySequence, normalize
@@ -19,6 +20,8 @@ from keyswap.effort import (
     stats_cost,
 )
 from keyswap.geometry import (
+    DEFAULT_SPEC,
+    LETTER_SLOT_IDS,
     SwapSet,
     apply_swaps,
     build_geometry,
@@ -115,12 +118,30 @@ def test_distance_table_shapes_and_symmetry(geometry):
 
 
 def test_slot_to_space_uses_nearest_subkey(geometry):
-    from keyswap.geometry import LETTER_SLOT_IDS
-
     t = effort_tables(geometry, DISTANCE_MODEL)
     for si, sid in enumerate(LETTER_SLOT_IDS):
         sub = nearest_space_slot(geometry, sid)
         assert t.slot_to_space[si] == pytest.approx(distance(geometry, sid, sub), rel=1e-15)
+
+
+@pytest.mark.parametrize("factor", [1.0, 0.37, 2.0, 3.3])
+def test_effort_tables_are_the_per_segment_efforts_bit_for_bit(factor):
+    # the tables index the slot table; this is the per-pair reference
+    g = build_geometry(DEFAULT_SPEC.scaled(factor))
+    ids = LETTER_SLOT_IDS
+    subs = [nearest_space_slot(g, sid) for sid in ids]
+    models = (DISTANCE_MODEL, EffortModel(kind="fitts", alpha=0.2), EffortModel(kind="fitts", alpha=-2.5, beta=3.0))
+    for model in models:
+        area = g.spec.key_width * g.spec.key_height
+
+        def effort(a: str, b: str) -> float:
+            d = distance(g, a, b)
+            return 0.0 if d == 0.0 else d if model.kind == "distance" else fitts_effort(d, model, area)
+
+        t = effort_tables(g, model)
+        assert t.slot_to_slot.tobytes() == np.array([[effort(a, b) for b in ids] for a in ids]).tobytes()
+        assert t.slot_to_space.tobytes() == np.array([effort(a, sub) for a, sub in zip(ids, subs)]).tobytes()
+        assert t.space_to_slot.tobytes() == np.array([[effort(sub, b) for b in ids] for sub in subs]).tobytes()
 
 
 def test_stats_cost_equals_sequence_cost(geometry, qwerty):

@@ -20,25 +20,40 @@ from keyswap.optimizer import (
     MODES,
     OptimizationResult,
     SearchConfig,
+    _band_width,
+    _bands,
     _best,
     _SIZE2,
     _Size3Kernel,
     _best_size3,
-    _build_c2,
-    _build_d1,
     _candidate_blocks,
+    _exact_c2,
+    _exact_d1,
+    _row_deltas,
     _size3_plan,
+    _table_inputs,
     _triplet_pairings,
     enumerate_swapsets,
     optimize,
     swap_count,
     verify_result,
 )
+from keyswap import optimizer
 from keyswap.stats import BigramStats, count_bigrams
 
-from conftest import brute_force, canonical_pair_tuples, random_corpus_text, reference_c2, tie_heavy_text
+from conftest import (
+    TIE_RECIPE_WORDS,
+    TWO_LETTER_TEXT,
+    UNIFORM_TEXT,
+    brute_force,
+    canonical_pair_tuples,
+    random_corpus_text,
+    reference_c2,
+    tie_heavy_text,
+)
 
 DATA = Path(__file__).parent / "data"
+LETTER_PAIRS = list(itertools.combinations(LETTERS, 2))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -106,24 +121,93 @@ def bundled_texts() -> list[str]:
     return [ingest_tweets(read_tweet_file(str(p))).text for p in sorted(DATA.glob("*.jsonl"))]
 
 
-def test_delta_tables_are_bit_identical_to_their_references(geometry):
+def _build_d1(g, stats, base, base_cost, model):
+    """The search's d1 for one corpus, built from scratch. The difference
+    form reads no base_cost; the exact d1 does."""
+    return optimizer._build_d1(_table_inputs(g, stats, base, model))
+
+
+def _build_c2(g, stats, base, model):
+    """The search's c2 for one corpus, built from scratch."""
+    return optimizer._build_c2(_table_inputs(g, stats, base, model))
+
+
+def exact_tables(g, stats, base, base_cost, model):
+    """d1 and c2 in full, in the arithmetic that scores the band."""
+    x = _table_inputs(g, stats, base, model)
+    c2 = np.zeros((325, 325))
+    c2[_SIZE2] = c2[_SIZE2[::-1]] = _exact_c2(x, *_SIZE2)
+    return _exact_d1(x, base_cost, np.arange(325)), c2
+
+
+# alpha=-2.5 makes table entries negative; bytes tell -0.0 from +0.0
+MODELS = (EffortModel(), EffortModel(kind="fitts", alpha=0.2), EffortModel(kind="fitts", alpha=-2.5, beta=3.0))
+
+
+def table_texts() -> list[str]:
     texts = bundled_texts()
     texts += [random_corpus_text(random.Random(1000 + s), 200, 1500) for s in range(5)]
-    texts += [tie_heavy_text(random.Random(2000 + s)) for s in range(3)]
+    return texts + [tie_heavy_text(random.Random(2000 + s)) for s in range(3)]
+
+
+def test_delta_tables_are_bit_identical_to_their_references(geometry):
+    # The band is scored with _exact_d1 and _exact_c2, cut to the pairs
+    # the band reads; every entry must have its reference's bits either
+    # way. The search's own tables (_build_d1, _build_c2) differ in the
+    # last bits; test_fast_tables_stay_within_eps_of_the_exact_ones.
     base = qwerty_layout()
     pairs = list(itertools.combinations(LETTERS, 2))
-    for text in texts:
+    subsets = [np.array([0]), np.array([324]), np.array([3, 77, 200, 201]), np.arange(0, 325, 7)]
+    for text in table_texts():
         stats = count_bigrams(KeySequence(text))
-        # alpha=-2.5 makes table entries negative; bytes tell -0.0 from +0.0
-        models = (EffortModel(), EffortModel(kind="fitts", alpha=0.2), EffortModel(kind="fitts", alpha=-2.5, beta=3.0))
-        for model in models:
+        for model in MODELS:
+            case = (text[:20], model)
             base_cost = stats_cost(geometry, base, stats, model)
-            d1 = _build_d1(geometry, stats, base, base_cost, model)
-            c2, c2_rows = _build_c2(geometry, stats, base, model)
+            x = _table_inputs(geometry, stats, base, model)
+            d1, c2 = exact_tables(geometry, stats, base, base_cost, model)
             want = [delta_cost(geometry, base, base_cost, stats, SwapSet((p,)), model) - base_cost for p in pairs]
-            assert d1.tobytes() == np.array(want).tobytes(), (text[:20], model)
-            assert c2.tobytes() == reference_c2(geometry, stats, base, model).tobytes(), (text[:20], model)
-            assert c2_rows.tobytes() == c2[_SIZE2].tobytes(), (text[:20], model)
+            assert d1.tobytes() == np.array(want).tobytes(), case
+            assert c2.tobytes() == reference_c2(geometry, stats, base, model).tobytes(), case
+            for sub in subsets:
+                assert _exact_d1(x, base_cost, sub).tobytes() == d1[sub].tobytes(), case
+                # pairs p < q that share no letter with sub[0], one row at a time
+                other = np.flatnonzero(optimizer._COMPAT[sub[0]])[::5]
+                p, q = np.minimum(sub[0], other), np.maximum(sub[0], other)
+                assert _exact_c2(x, p, q).tobytes() == c2[p, q].tobytes(), case
+
+
+def _margin(d1, c2, d1x, c2x, eps) -> float:
+    """eps over the largest |fast row - exact row| at sizes 1 and 2, and
+    over a bound on it at size 3: three d1 and three c2 differences plus
+    the rounding of two five-addition sums."""
+    i, j = _SIZE2
+    size1 = np.abs(d1 - d1x).max()
+    size2 = np.abs(_row_deltas(d1, c2, _SIZE2) - _row_deltas(d1x, c2x, _SIZE2)).max()
+    s = 3 * (np.abs(d1x).max() + np.abs(c2x).max())
+    size3 = 3 * size1 + 3 * np.abs(c2[i, j] - c2x[i, j]).max() + 2 * 5 * 2.0**-53 * 1.01 * s
+    return eps / max(size1, size2, size3)
+
+
+def test_fast_tables_stay_within_eps_of_the_exact_ones(geometry):
+    # UNIFORM_TEXT makes the 16 products of c2[ab, cd] cancel: the exact
+    # entry is a rounding residue and the fast one 0.0, so eps must come
+    # from the magnitudes of the terms, not from c2. The smallest margin
+    # over these cases was 47 when eps was chosen.
+    base = qwerty_layout()
+    margins = []
+    for text in table_texts() + [UNIFORM_TEXT]:
+        stats = count_bigrams(KeySequence(text))
+        for model in MODELS:
+            base_cost = stats_cost(geometry, base, stats, model)
+            x = _table_inputs(geometry, stats, base, model)
+            d1x, c2x = exact_tables(geometry, stats, base, base_cost, model)
+            eps = _band_width(x, base_cost) / 2
+            c2 = optimizer._build_c2(x)
+            margins.append(_margin(optimizer._build_d1(x), c2, d1x, c2x, eps))
+            if text == UNIFORM_TEXT and model == MODELS[0]:
+                ab, cd = (LETTER_PAIRS.index(p) for p in (("a", "b"), ("c", "d")))
+                assert c2[ab, cd] == 0.0 != c2x[ab, cd], model
+    assert min(margins) > 1, min(margins)
 
 
 def test_delta_table_build_peak_memory(geometry):
@@ -205,12 +289,11 @@ def test_candidate_streams_ascend_so_argmin_breaks_ties(n, mode):
     first = tuple(int(col[0]) for col in blocks[0])
     assert min(_best(d1, c2, block) for block in blocks) == (0.0, first)
     if n == 3:
-        # tau is 0, so nothing is pruned: every block is scored once, and
-        # the first pairs that take no row are dropped, not returned as +inf
-        found = _best_size3(d1, c2, c2[_SIZE2], _size3_plan(mode))
-        assert sorted(i for _, (i, _, _) in found) == [int(b[0][0]) for b in blocks]
-        assert all(math.isfinite(delta) for delta, _ in found)
-        assert min(found) == (0.0, first)
+        # tau and the band are 0, so nothing is pruned: every block is
+        # scored and every row ties, so the band is the whole stream, in
+        # its order; the first pairs that take no row add no row
+        rows = _best_size3(d1, c2, _size3_plan(mode), 0.0)
+        assert np.array_equal(_encodings([rows]), _encodings(blocks))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -229,9 +312,9 @@ def _bits(found) -> list[tuple[bytes, tuple[int, ...]]]:
 
 
 def test_size3_kernel_matches_best_on_every_block(geometry):
-    # The kernel's per-block scorer equals _best on every block. The scan
-    # finds the same least (delta, encoding), and every block it skips
-    # costs strictly more than that.
+    # The kernel's per-block scorer gives every row of a block the bits of
+    # _row_deltas, and the scan returns exactly the stream's rows within
+    # the band of its least delta, though it skips blocks.
     texts = bundled_texts() + [tie_heavy_text(random.Random(2000 + s)) for s in range(3)]
     blocks = {mode: list(_candidate_blocks(3, mode)) for mode in MODES}
     assert all(len(b[0]) for mode in MODES for b in blocks[mode])
@@ -241,23 +324,25 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
         for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
             base_cost = stats_cost(geometry, base, stats, model)
             d1 = _build_d1(geometry, stats, base, base_cost, model)
-            c2, c2_rows = _build_c2(geometry, stats, base, model)
+            c2 = _build_c2(geometry, stats, base, model)
+            band = _band_width(_table_inputs(geometry, stats, base, model), base_cost)
             for mode in MODES:
                 case = (text[:20], model.kind, mode)
                 plan = _size3_plan(mode)
-                kernel = _Size3Kernel(d1, c2, c2_rows, plan)
-                # the kernel takes c2 at its rows from the table build, not by a gather
+                kernel = _Size3Kernel(d1, c2, plan)
+                # a paper plan gathers c2 only at the rows it keeps
                 assert kernel.c2jk.tobytes() == c2[plan.first, plan.second].tobytes(), case
-                firsts = [int(b[0][0]) for b in blocks[mode]]
-                want = [_best(d1, c2, block) for block in blocks[mode]]
-                assert _bits([kernel.block(i) for i in firsts]) == _bits(want), case
-                found = _best_size3(d1, c2, c2_rows, plan)
-                assert all(math.isfinite(delta) for delta, _ in found)
-                assert set(_bits(found)) <= set(_bits(want)), case
-                assert _bits([min(found)]) == _bits([min(want)]), case
-                scanned = {idx[0] for _, idx in found}
-                skipped = [delta for i, (delta, _) in zip(firsts, want) if i not in scanned]
-                assert all(delta > min(want)[0] for delta in skipped), case
+                want = [_row_deltas(d1, c2, block) for block in blocks[mode]]
+                for block, deltas in zip(blocks[mode], want):
+                    i = int(block[0][0])
+                    got = kernel.block(i)
+                    taken = np.isfinite(got)
+                    assert np.array_equal(plan.first[plan.lo[i] :][taken], block[1]), case
+                    assert got[taken].tobytes() == deltas.tobytes(), case
+                deltas = np.concatenate(want)
+                in_band = np.flatnonzero(deltas <= deltas.min() + band)
+                rows = _best_size3(d1, c2, plan, band)
+                assert np.array_equal(_encodings([rows]), _encodings(blocks[mode])[in_band]), case
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -265,7 +350,8 @@ def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode):
     # Small integers add exactly, so rows (ad, be, cf) and (gm, hn, io)
     # both cost -3 and every other row costs more. c2[gm, jz] = -10 gives
     # the later block the lower bound, so it is scanned first; the earlier
-    # block must still be scanned, and its smaller encoding must win.
+    # block must still be scanned, so that a band of width 0 holds both
+    # rows, and the smaller encoding must win.
     idx = {"".join(p): n for n, p in enumerate(itertools.combinations(LETTERS, 2))}
     rows = [tuple(idx[p] for p in row) for row in (("ad", "be", "cf"), ("gm", "hn", "io"))]
     d1, c2 = np.full(325, 2.0), np.full((325, 325), 5.0)
@@ -273,13 +359,12 @@ def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode):
         for p, q in itertools.combinations(row, 2):
             c2[p, q] = c2[q, p] = -3.0
     c2[idx["gm"], idx["jz"]] = c2[idx["jz"], idx["gm"]] = -10.0
-    blocks = list(_candidate_blocks(3, mode))
-    found = _best_size3(d1, c2, c2[_SIZE2], _size3_plan(mode))
-    assert found[0][1][0] == rows[1][0]
-    assert {rows[0][0], rows[1][0]} <= {i for _, (i, _, _) in found}
-    assert len(found) < len(blocks)
-    assert min(found) == (-3.0, rows[0])
-    assert min(found) == min(_best(d1, c2, block) for block in blocks)
+    plan = _size3_plan(mode)
+    bound = _Size3Kernel(d1, c2, plan).bounds()
+    assert bound[rows[1][0]] < bound[rows[0][0]]
+    got = _best_size3(d1, c2, plan, 0.0)
+    assert [tuple(int(c[r]) for c in got) for r in range(len(got[0]))] == rows
+    assert _best(d1, c2, got) == (-3.0, rows[0])
 
 
 def test_size3_search_peak_memory(geometry):
@@ -296,6 +381,49 @@ def test_size3_search_peak_memory(geometry):
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20, (cfg.mode, peak)
+
+
+def test_size3_search_peak_memory_with_a_wide_band(geometry):
+    # Two used letters put tens of thousands of rows in the size-3 band;
+    # scoring them again stays inside the same allowance.
+    stats = count_bigrams(KeySequence(TWO_LETTER_TEXT))
+    cfg = SearchConfig(cumulative=True)
+    optimize(geometry, stats, cfg)
+    tracemalloc.start()
+    try:
+        optimize(geometry, stats, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
+
+
+def test_optimize_picks_the_exact_winner_of_every_row(geometry):
+    # The oracle scores every row of each size with the exact tables and
+    # takes the least (delta, encoding); optimize scores only the band of
+    # the fast tables, which must hold that winner. These corpora tie
+    # heavily; under Fitts alpha 0.2 the fast tables alone move the size-3
+    # winner of tie_heavy_text(random.Random(2004)).
+    base = qwerty_layout()
+    texts = [tie_heavy_text(random.Random(s), *TIE_RECIPE_WORDS) for s in (2009, 2032, 2038)]
+    texts += [tie_heavy_text(random.Random(2004)), TWO_LETTER_TEXT]
+    for text in texts:
+        stats = count_bigrams(KeySequence(text))
+        for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
+            base_cost = stats_cost(geometry, base, stats, model)
+            x = _table_inputs(geometry, stats, base, model)
+            d1, c2 = exact_tables(geometry, stats, base, base_cost, model)
+            winners = {}
+            for size, mode in ((1, "canonical"), (2, "canonical"), (3, "canonical"), (3, "paper")):
+                case = (text[:20], model.kind, size, mode)
+                winners[size, mode] = want = min(_best(d1, c2, block) for block in _candidate_blocks(size, mode))
+                [rows] = _bands(x, base_cost, (size,), mode)
+                assert want[1] in set(zip(*(col.tolist() for col in rows))), case
+                got = optimize(geometry, stats, SearchConfig(n_swap_pairs=size, mode=mode, model=model))
+                assert got.swaps.pairs == tuple(LETTER_PAIRS[p] for p in want[1]), case
+            _, idx = min([(0.0, ())] + [winners[size, "canonical"] for size in (1, 2, 3)])
+            got = optimize(geometry, stats, SearchConfig(cumulative=True, model=model))
+            assert got.swaps.pairs == tuple(LETTER_PAIRS[p] for p in idx), (text[:20], model.kind)
 
 
 # Key sizes and gaps (all four set to x) whose costs overflow on river,
@@ -354,7 +482,7 @@ def test_paper_search_matches_the_triplet_stream_reference(geometry):
         for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
             got = optimize(geometry, stats, SearchConfig(mode="paper", model=model))
             base_cost = stats_cost(geometry, base, stats, model)
-            d1, (c2, _) = _build_d1(geometry, stats, base, base_cost, model), _build_c2(geometry, stats, base, model)
+            d1, c2 = exact_tables(geometry, stats, base, base_cost, model)
             _, idx = min(_best(d1, c2, block) for block in _triplet_pairings())
             want = SwapSet(tuple(pairs[p] for p in idx))
             assert got.swaps == want, (text[:20], model.kind)
