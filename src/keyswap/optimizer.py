@@ -217,7 +217,7 @@ _PAIR_IDX = np.full((_N_LETTERS, _N_LETTERS), -1, dtype=np.intp)
 _PAIR_IDX[_U, _V] = _PAIR_IDX[_V, _U] = np.arange(_N_PAIRS)
 # _COMPAT[p, q]: pairs p and q share no letter (so p != q)
 _COMPAT = (_U[:, None] != _U) & (_U[:, None] != _V) & (_V[:, None] != _U) & (_V[:, None] != _V)
-_SHARED = ~_COMPAT
+_SHARED = ~_COMPAT  # p and q share a letter, or p == q
 # the letters (a, a', b, b') of _exact_c2's eight combinations, as rows of
 # (u_p, v_p, u_q, v_q): the four led by p, then the four led by q
 _C2_COMBOS = (
@@ -494,8 +494,9 @@ def _band_width(x: _TableInputs, base_cost: float) -> float:
     True terms. A count f[a, b] enters the d1 of the pairs holding a or
     b, at most two pairs of a row, each time times a difference of two e
     entries, and row_s[a] enters one; so a row's true d1 sum to at most
-    4 Phi in magnitude. f[a, b] enters the c2 of at most one pair of the
-    row's pairs, times four e entries: the true c2 sum to at most 4 Phi.
+    4 Phi in magnitude. f[a, b] enters at most one of the row's c2, that
+    of a's pair and b's pair, times four e entries: the true c2 sum to at
+    most 4 Phi.
 
     Exact tables. An _exact_d1 entry sums blocks of at most 52 products,
     combines seven blocks for the new and the old cost, each of at most
@@ -608,9 +609,13 @@ def _band_rows(d1: np.ndarray, c2: np.ndarray | None, block, band: float) -> tup
 class _Size3Kernel:
     """Scores the blocks of the size-3 stream from the plan, and bounds them.
 
-    Precondition: d1 and c2 are finite and no row's sum overflows, as
-    optimize ensures. c2jk, the values of c2 at the plan's rows, is
-    gathered once here; a paper plan holds only the rows it keeps.
+    It reads the fast tables of _build_d1 and _build_c2: _best_size3 keeps
+    from each block it scores the rows within the band, which _rescore
+    scores again with the exact tables, and skips the blocks whose bound
+    proves every row above the band. Precondition: d1 and c2 are finite
+    and no row's sum overflows, as optimize ensures. c2jk, the values of
+    c2 at the plan's rows, is gathered once here, only for a size-3
+    search; a paper plan holds only the rows it keeps.
     """
 
     def __init__(self, d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan):
@@ -727,6 +732,8 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
             break
         deltas = kernel.block(i)
         least = float(deltas.min())
+        if least == math.inf:
+            continue  # i takes no row
         best = min(best, least)
         if least <= best + band:
             r = np.flatnonzero(deltas <= best + band)

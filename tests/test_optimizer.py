@@ -192,7 +192,7 @@ def test_fast_tables_stay_within_eps_of_the_exact_ones(geometry):
     # UNIFORM_TEXT makes the 16 products of c2[ab, cd] cancel: the exact
     # entry is a rounding residue and the fast one 0.0, so eps must come
     # from the magnitudes of the terms, not from c2. The smallest margin
-    # over these cases was 47 when eps was chosen.
+    # over these cases is about 62, under Fitts alpha -2.5.
     base = qwerty_layout()
     margins = []
     for text in table_texts() + [UNIFORM_TEXT]:
@@ -346,7 +346,7 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode):
+def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode, monkeypatch):
     # Small integers add exactly, so rows (ad, be, cf) and (gm, hn, io)
     # both cost -3 and every other row costs more. c2[gm, jz] = -10 gives
     # the later block the lower bound, so it is scanned first; the earlier
@@ -359,10 +359,13 @@ def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode):
         for p, q in itertools.combinations(row, 2):
             c2[p, q] = c2[q, p] = -3.0
     c2[idx["gm"], idx["jz"]] = c2[idx["jz"], idx["gm"]] = -10.0
-    plan = _size3_plan(mode)
-    bound = _Size3Kernel(d1, c2, plan).bounds()
-    assert bound[rows[1][0]] < bound[rows[0][0]]
-    got = _best_size3(d1, c2, plan, 0.0)
+    scanned = []
+    block = _Size3Kernel.block
+    monkeypatch.setattr(_Size3Kernel, "block", lambda kernel, i: scanned.append(i) or block(kernel, i))
+    got = _best_size3(d1, c2, _size3_plan(mode), 0.0)
+    assert scanned[0] == rows[1][0]
+    assert {rows[0][0], rows[1][0]} <= set(scanned)
+    assert len(scanned) < len(list(_candidate_blocks(3, mode)))
     assert [tuple(int(c[r]) for c in got) for r in range(len(got[0]))] == rows
     assert _best(d1, c2, got) == (-3.0, rows[0])
 
