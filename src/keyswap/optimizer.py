@@ -400,7 +400,7 @@ def _build_c2(x: _TableInputs) -> np.ndarray:
     G^T and c2. The bits are not those of _exact_c2: _band_width bounds
     the difference.
     """
-    a = np.stack([m.T.take(_U, 1) - m.T.take(_V, 1) for m in (x.e, x.f, x.h, x.s_in)])
+    a = np.stack([_first_difference(m).T for m in (x.e, x.f, x.h, x.s_in)])
     gt = np.empty((_N_PAIRS, _N_PAIRS))
     for u in range(_N_LETTERS - 1):
         d = a[:, u, None] - a[:, u + 1 :]
