@@ -306,11 +306,6 @@ def test_size3_plan_suffixes_are_runs_of_first_pairs(mode):
         assert np.array_equal(runs, plan.first[plan.lo[i] :]), i
 
 
-def _bits(found) -> list[tuple[bytes, tuple[int, ...]]]:
-    # compare deltas as bytes: == would let -0.0 stand for 0.0
-    return [(np.float64(delta).tobytes(), idx) for delta, idx in found]
-
-
 def test_size3_kernel_matches_best_on_every_block(geometry):
     # The kernel's per-block scorer gives every row of a block the bits of
     # _row_deltas, and the scan returns exactly the stream's rows within
@@ -367,7 +362,7 @@ def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode, monkeypatch):
     assert {rows[0][0], rows[1][0]} <= set(scanned)
     assert len(scanned) < len(list(_candidate_blocks(3, mode)))
     assert [tuple(int(c[r]) for c in got) for r in range(len(got[0]))] == rows
-    assert _best(d1, c2, got) == (-3.0, rows[0])
+    assert _best(d1, c2, got) == (-3.0, rows[0]) == min(_best(d1, c2, block) for block in _candidate_blocks(3, mode))
 
 
 def test_size3_search_peak_memory(geometry):
