@@ -540,10 +540,18 @@ def _rescore(x: _TableInputs, base_cost: float, bands: list[tuple[np.ndarray, ..
 
     Only the d1 and c2 entries that the bands read are computed, once for
     all bands, each with the bits of the whole exact table; so each result
-    is _best over the exact tables restricted to that band's rows. Both go
-    in slices of _RESCORE_ROWS; the slices of a band ascend in encoding, so
-    the least of their _best is the _best of the band.
+    is _best over the exact tables restricted to that band's rows. An
+    entry of a pair that touches no letter the corpus uses is not
+    computed but left +0.0, which are its exact bits: each of its products
+    is a zero count times a finite table entry (stats_cost has already
+    raised on any other), so its sums are +0.0 or -0.0, (base_cost +
+    (new - old)) - base_cost is +0.0 for a finite base_cost > 0, and c2's
+    sum starts from +0.0. Both go in slices of _RESCORE_ROWS; the slices
+    of a band ascend in encoding, so the least of their _best is the
+    _best of the band.
     """
+    letters = x.f.any(0) | x.f.any(1) | x.s_in.any(0) | x.s_in.any(1) | (x.row_s > 0)
+    live = letters.take(_U) | letters.take(_V)
     used = np.zeros(_N_PAIRS, dtype=bool)
     used_keys = np.zeros(_N_PAIRS * _N_PAIRS, dtype=bool)
     for rows in bands:
@@ -551,9 +559,12 @@ def _rescore(x: _TableInputs, base_cost: float, bands: list[tuple[np.ndarray, ..
             used[col] = True
         for a, b in itertools.combinations(rows, 2):
             used_keys[a * _N_PAIRS + b] = True
+    used &= live
+    used_keys &= (live[:, None] & live).ravel()
     pairs, keys = np.flatnonzero(used), np.flatnonzero(used_keys)
     d1 = np.zeros(_N_PAIRS)
-    d1[pairs] = _exact_d1(x, base_cost, pairs)
+    if pairs.size:
+        d1[pairs] = _exact_d1(x, base_cost, pairs)
     c2 = np.zeros(_N_PAIRS * _N_PAIRS)
     for lo in range(0, keys.shape[0], _RESCORE_ROWS):
         at = keys[lo : lo + _RESCORE_ROWS]

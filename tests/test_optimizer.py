@@ -29,6 +29,7 @@ from keyswap.optimizer import (
     _candidate_blocks,
     _exact_c2,
     _exact_d1,
+    _rescore,
     _row_deltas,
     _size3_plan,
     _table_inputs,
@@ -168,6 +169,10 @@ def test_delta_tables_are_bit_identical_to_their_references(geometry):
             want = [delta_cost(geometry, base, base_cost, stats, SwapSet((p,)), model) - base_cost for p in pairs]
             assert d1.tobytes() == np.array(want).tobytes(), case
             assert c2.tobytes() == reference_c2(geometry, stats, base, model).tobytes(), case
+            # _rescore leaves the entries of pairs of letters the text does not use +0.0
+            unused = [n for n, (a, b) in enumerate(pairs) if a not in text and b not in text]
+            assert d1[unused].tobytes() == np.zeros(len(unused)).tobytes(), case
+            assert c2[unused].tobytes() == np.zeros((len(unused), 325)).tobytes(), case
             for sub in subsets:
                 assert _exact_d1(x, base_cost, sub).tobytes() == d1[sub].tobytes(), case
                 # pairs p < q that share no letter with sub[0], one row at a time
@@ -399,12 +404,14 @@ def test_size3_search_peak_memory_with_a_wide_band(geometry):
 def test_optimize_picks_the_exact_winner_of_every_row(geometry):
     # The oracle scores every row of each size with the exact tables and
     # takes the least (delta, encoding); optimize scores only the band of
-    # the fast tables, which must hold that winner. These corpora tie
+    # the fast tables, which must hold that winner, and its re-score must
+    # give the band's rows the bits of the full exact tables. These corpora tie
     # heavily; under Fitts alpha 0.2 the fast tables alone move the size-3
     # winner of tie_heavy_text(random.Random(2004)).
     base = qwerty_layout()
     texts = [tie_heavy_text(random.Random(s), *TIE_RECIPE_WORDS) for s in (2009, 2032, 2038)]
-    texts += [tie_heavy_text(random.Random(2004)), TWO_LETTER_TEXT]
+    # one-letter words: every count is across a space
+    texts += [tie_heavy_text(random.Random(2004)), TWO_LETTER_TEXT, "a b c a b"]
     for text in texts:
         stats = count_bigrams(KeySequence(text))
         for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
@@ -417,11 +424,33 @@ def test_optimize_picks_the_exact_winner_of_every_row(geometry):
                 winners[size, mode] = want = min(_best(d1, c2, block) for block in _candidate_blocks(size, mode))
                 [rows] = _bands(x, base_cost, (size,), mode)
                 assert want[1] in set(zip(*(col.tolist() for col in rows))), case
+                # the re-score leaves the entries of unused letters' pairs +0.0
+                [(delta, idx)] = _rescore(x, base_cost, [rows])
+                ref = _best(d1, c2, rows)
+                assert (np.float64(delta).tobytes(), idx) == (np.float64(ref[0]).tobytes(), ref[1]), case
                 got = optimize(geometry, stats, SearchConfig(n_swap_pairs=size, mode=mode, model=model))
                 assert got.swaps.pairs == tuple(LETTER_PAIRS[p] for p in want[1]), case
             _, idx = min([(0.0, ())] + [winners[size, "canonical"] for size in (1, 2, 3)])
             got = optimize(geometry, stats, SearchConfig(cumulative=True, model=model))
             assert got.swaps.pairs == tuple(LETTER_PAIRS[p] for p in idx), (text[:20], model.kind)
+
+
+def test_bands_of_unused_letters_only_keep_the_first_rows():
+    # With one sub-key, under b, "b b b" costs least with b where it is:
+    # every swap that moves b costs more, and every other costs exactly 0.
+    # So each band holds only pairs of letters the corpus does not use,
+    # which the re-score does not compute, and the first rows win.
+    g = build_geometry(GeometrySpec(space_subkey_columns=(4, 10, 11, 12)))
+    stats = count_bigrams(KeySequence("b b b"))
+    want = {
+        SearchConfig(n_swap_pairs=1): (("a", "c"),),
+        SearchConfig(n_swap_pairs=2): (("a", "c"), ("d", "e")),
+        SearchConfig(): (("a", "c"), ("d", "e"), ("f", "g")),
+        SearchConfig(mode="paper"): (("a", "c"), ("d", "e"), ("f", "g")),
+        SearchConfig(cumulative=True): (),
+    }
+    for cfg, pairs in want.items():
+        assert optimize(g, stats, cfg).swaps.pairs == pairs, cfg
 
 
 # Key sizes and gaps (all four set to x) whose costs overflow on river,
