@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from keyswap import KeySequence, build_geometry, qwerty_layout
-from keyswap.corpus import ingest_tweets, read_tweet_file
 from keyswap.effort import effort_tables, letter_slot_vector, stats_cost
 from keyswap.geometry import LETTERS, SwapSet, apply_swaps
 from keyswap.stats import END
@@ -53,17 +52,6 @@ TWO_LETTER_TEXT = "ab ba abab b a ba"
 # every ordered within-word bigram of a-d once, so for pairs drawn from
 # a-d the cross term's 16 products cancel to nothing
 UNIFORM_TEXT = " ".join(a + b for a, b in itertools.permutations("abcd", 2))
-
-
-def reference_corpora(data_dir) -> dict[str, str]:
-    """The 22 corpora of the result digests: the bundled users, random
-    streams, tie-heavy streams and two constructed tie corpora."""
-    texts = {p.stem: ingest_tweets(read_tweet_file(str(p))).text for p in sorted(data_dir.glob("*.jsonl"))}
-    texts.update((f"random-{s}", random_corpus_text(random.Random(s), 200, 1500)) for s in range(1000, 1005))
-    texts.update((f"tie-{s}", tie_heavy_text(random.Random(s))) for s in (2000, 2001, 2002, 2003, 2004, 2009, 2038))
-    texts.update((f"recipe-{s}", tie_heavy_text(random.Random(s), *TIE_RECIPE_WORDS)) for s in (2009, 2032, 2038))
-    texts.update({"two-letters": TWO_LETTER_TEXT, "uniform-abcd": UNIFORM_TEXT})
-    return texts
 
 
 def random_sequence(rng: random.Random, lo: int = 10, hi: int = 2000) -> KeySequence:

@@ -13,19 +13,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
 
 from keyswap import build_geometry
 from keyswap.cli import _write_json, main
-from keyswap.corpus import KeySequence
+from keyswap.corpus import KeySequence, ingest_tweets, read_tweet_file
 from keyswap.effort import EffortModel
 from keyswap.optimizer import SearchConfig, optimize
 from keyswap.stats import count_bigrams
 
 sys.path.insert(0, str(Path(__file__).parent))
-from conftest import reference_corpora  # noqa: E402
+from conftest import (  # noqa: E402
+    TIE_RECIPE_WORDS,
+    TWO_LETTER_TEXT,
+    UNIFORM_TEXT,
+    random_corpus_text,
+    tie_heavy_text,
+)
 
 DATA = Path(__file__).parent / "data"
 TABLE = DATA / "result_digests.json"
@@ -41,6 +48,17 @@ SEARCHES = {
 }
 
 
+def reference_corpora() -> dict[str, str]:
+    """The 22 corpora of the result digests: the bundled users, random
+    streams, tie-heavy streams and two constructed tie corpora."""
+    texts = {p.stem: ingest_tweets(read_tweet_file(str(p))).text for p in sorted(DATA.glob("*.jsonl"))}
+    texts.update((f"random-{s}", random_corpus_text(random.Random(s), 200, 1500)) for s in range(1000, 1005))
+    texts.update((f"tie-{s}", tie_heavy_text(random.Random(s))) for s in (2000, 2001, 2002, 2003, 2004, 2009, 2038))
+    texts.update((f"recipe-{s}", tie_heavy_text(random.Random(s), *TIE_RECIPE_WORDS)) for s in (2009, 2032, 2038))
+    texts.update({"two-letters": TWO_LETTER_TEXT, "uniform-abcd": UNIFORM_TEXT})
+    return texts
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -50,7 +68,7 @@ def result_digests(work: Path) -> dict:
     each file of `batch tests/data/manifest.json` at 1 and 2 threads."""
     g = build_geometry()
     results = {}
-    for name, text in reference_corpora(DATA).items():
+    for name, text in reference_corpora().items():
         stats = count_bigrams(KeySequence(text))
         for search, cfg in SEARCHES.items():
             path = work / f"{name}.{search}.json"
