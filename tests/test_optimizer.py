@@ -181,6 +181,40 @@ def test_delta_tables_are_bit_identical_to_their_references(geometry):
                 assert _exact_c2(x, p, q).tobytes() == c2[p, q].tobytes(), case
 
 
+# SHA-256 of the float64 bytes of every delta_cost and stats_cost value of
+# test_public_costs_are_pinned, in its order
+COST_SHA256 = {
+    "delta_cost": "9d83e18f615912fe68fb63c241aaad02db4976a2dcdf7e14589c3067acfba493",
+    "stats_cost": "9f67f0c69b68c85a01267f3ec937e5c0bc2fead9aa88f4452cd220a19885a2aa",
+}
+
+
+def _random_swaps(rng: random.Random, n: int) -> SwapSet:
+    letters = rng.sample(LETTERS, 2 * n)
+    return SwapSet.from_pairs(zip(letters[::2], letters[1::2]))
+
+
+def test_public_costs_are_pinned(geometry):
+    # Swap sets of 1, 2 and 3 pairs from qwerty and from a layout that a
+    # 3-pair set has moved, under each model; test_delta_cost_matches_full_recompute
+    # compares with a tolerance, these digests compare bits.
+    rng = random.Random(1717)
+    values = {name: [] for name in COST_SHA256}
+    for text in table_texts() + [TWO_LETTER_TEXT]:
+        stats = count_bigrams(KeySequence(text))
+        for model in MODELS:
+            moved = _random_swaps(rng, 3)
+            for base in (qwerty_layout(), apply_swaps(qwerty_layout(), moved)):
+                base_cost = stats_cost(geometry, base, stats, model)
+                values["stats_cost"].append(base_cost)
+                for n in (1, 2, 3, 1, 2, 3):
+                    swaps = _random_swaps(rng, n)
+                    values["delta_cost"].append(delta_cost(geometry, base, base_cost, stats, swaps, model))
+                    values["stats_cost"].append(stats_cost(geometry, apply_swaps(base, swaps), stats, model))
+    got = {name: hashlib.sha256(np.array(v).tobytes()).hexdigest() for name, v in values.items()}
+    assert got == COST_SHA256
+
+
 def _margin(d1, c2, d1x, c2x, eps) -> float:
     """eps over the largest |fast row - exact row| at sizes 1 and 2, and
     over a bound on it at size 3: three d1 and three c2 differences plus
