@@ -53,6 +53,7 @@ from .geometry import (
     DEFAULT_SPEC,
     GeometrySpec,
     KeyboardGeometry,
+    MissingSpecField,
     apply_swaps,
     build_geometry,
     qwerty_layout,
@@ -185,8 +186,8 @@ def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settin
     spec = _load_json(geometry_path, "geometry spec") if geometry_path else top("geometry")
     try:
         geometry = build_geometry(DEFAULT_SPEC if spec is None else GeometrySpec.from_json_dict(spec))
-    except KeyError as exc:
-        raise DataError(f"geometry spec lacks the field {exc}")
+    except MissingSpecField as exc:
+        raise DataError(str(exc))
     except (TypeError, ValueError) as exc:
         raise DataError(f"invalid geometry spec: {exc}")
 

@@ -6,17 +6,21 @@ alpha + beta * log2(d / A + 1) with A the key area. A zero-length
 segment (a doubled letter) costs nothing under either model: the finger
 never moves.
 
-``sequence_cost`` walks tokens one by one and is the ground truth.
-``stats_cost`` reproduces it from bigram tables in vectorized form, and
-``delta_cost`` updates a known cost after a letter swap by touching only
-the affected rows, including re-deciding nearest space sub-keys.
+``sequence_cost`` walks tokens one by one and is the ground truth. The
+others read one set of inputs, _cost_inputs: ``stats_cost`` sums them,
+and ``delta_cost`` updates a known cost after a letter swap by touching
+only the affected rows, including re-deciding nearest space sub-keys. It
+is one row of _swapped_costs, which the search calls with one row per
+letter pair to score its best candidates exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .geometry import (
     SwapSet,
     distance,
     is_finite_number,
+    letter_slot_vector,
     nearest_space_slot,
     slot_table,
 )
@@ -92,7 +97,7 @@ def _resolved_area(g: KeyboardGeometry, model: EffortModel) -> float:
 
 @dataclass(frozen=True)
 class EffortTables:
-    """Per-slot effort lookups shared by stats_cost and delta_cost.
+    """Per-slot effort lookups that _cost_inputs reads for every cost.
 
     Indexing is by letter-slot position (the order of LETTER_SLOT_IDS),
     not by letter, so one set of tables serves every layout.
@@ -120,12 +125,6 @@ def effort_tables(g: KeyboardGeometry, model: EffortModel) -> EffortTables:
     return EffortTables(
         efforts(t.dist[:n, :n]), efforts(t.dist[np.arange(n), t.sub]), efforts(t.dist[t.sub, :n])
     )
-
-
-def letter_slot_vector(g: KeyboardGeometry, layout: Layout) -> np.ndarray:
-    """Letter index -> letter-slot position index, as an int array."""
-    index = slot_table(g).index
-    return np.array([index[sid] for sid in layout.slots_by_letter], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -171,6 +170,48 @@ def sequence_cost(
     return CostBreakdown(total, avg, tuple(segments) if keep_segments else None)
 
 
+class _CostInputs(NamedTuple):
+    """What every cost of one stats and layout reads, built once.
+
+    f and s_in are the bigram counts as floats, row_s each letter's
+    across-space count, o the letters' slots, and e, h and sp the effort
+    tables at those slots, indexed by letter: e[a, b] = slot_to_slot[o[a],
+    o[b]], h[a, b] = space_to_slot[o[a], o[b]] and sp[a] =
+    slot_to_space[o[a]].
+    """
+
+    t: EffortTables
+    o: np.ndarray
+    f: np.ndarray
+    s_in: np.ndarray
+    row_s: np.ndarray
+    e: np.ndarray
+    h: np.ndarray
+    sp: np.ndarray
+
+
+def _cost_inputs(g: KeyboardGeometry, stats: BigramStats, layout: Layout, model: EffortModel) -> _CostInputs:
+    t, o = effort_tables(g, model), letter_slot_vector(g, layout)
+    return _CostInputs(
+        t,
+        o,
+        stats.within_word.astype(np.float64),
+        stats.across_space[:, :END].astype(np.float64),
+        stats.across_space.sum(axis=1),
+        t.slot_to_slot.take(o, 0).take(o, 1),
+        t.space_to_slot.take(o, 0).take(o, 1),
+        t.slot_to_space.take(o),
+    )
+
+
+def _layout_cost(x: _CostInputs) -> float:
+    """Total effort of the inputs' layout, summed in Python floats."""
+    total = float((x.f * x.e).sum())
+    total += float((x.s_in * x.h).sum())
+    total += float((x.row_s * x.sp).sum())
+    return total
+
+
 def stats_cost(
     g: KeyboardGeometry,
     layout: Layout,
@@ -178,16 +219,7 @@ def stats_cost(
     model: EffortModel = DISTANCE_MODEL,
 ) -> float:
     """Total effort recomputed from bigram tables; equals sequence_cost."""
-    t = effort_tables(g, model)
-    slots = letter_slot_vector(g, layout)
-    f = stats.within_word
-    s_in = stats.across_space[:, :END]
-    row_s = stats.across_space.sum(axis=1)
-    ix = np.ix_(slots, slots)
-    total = float((f * t.slot_to_slot[ix]).sum())
-    total += float((s_in * t.space_to_slot[ix]).sum())
-    total += float((row_s * t.slot_to_space[slots]).sum())
-    return total
+    return _layout_cost(_cost_inputs(g, stats, layout, model))
 
 
 def per(d_qwerty: float, d_optimized: float) -> float:
@@ -197,28 +229,38 @@ def per(d_qwerty: float, d_optimized: float) -> float:
     return 100.0 * (d_qwerty - d_optimized) / d_qwerty
 
 
-def _affected_terms(
-    t: EffortTables,
-    stats: BigramStats,
-    slots: np.ndarray,
-    moved: np.ndarray,
-) -> float:
-    """Cost mass of every term whose row or column letter is in ``moved``."""
-    sm = slots[moved]
-    f = stats.within_word
-    s_in = stats.across_space[:, :END]
-    row_s = stats.across_space.sum(axis=1)
-    rows = np.ix_(sm, slots)
-    cols = np.ix_(slots, sm)
-    both = np.ix_(sm, sm)
-    total = float((f[moved, :] * t.slot_to_slot[rows]).sum())
-    total += float((f[:, moved] * t.slot_to_slot[cols]).sum())
-    total -= float((f[np.ix_(moved, moved)] * t.slot_to_slot[both]).sum())
-    total += float((s_in[moved, :] * t.space_to_slot[rows]).sum())
-    total += float((s_in[:, moved] * t.space_to_slot[cols]).sum())
-    total -= float((s_in[np.ix_(moved, moved)] * t.space_to_slot[both]).sum())
-    total += float((row_s[moved] * t.slot_to_space[sm]).sum())
-    return total
+def _swapped_costs(x: _CostInputs, base_cost: float, moved: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Cost of each row's layout, updated from base_cost, the cost of x's.
+
+    Row r moves the letters moved[r], ascending, to the slots new[r]. Only
+    the terms whose row or column letter moved are summed, at the old and
+    at the new slots, nearest sub-keys included: the rows, the columns and
+    the (moved, moved) block of f and e, then of s_in and h, the block
+    subtracted as it is counted twice, and the space after each moved
+    letter, in that order. Each sum reduces one C-contiguous row per swap
+    set, and numpy's sum of a row does not depend on the other rows, so
+    every row has the bits of a one-row call.
+    """
+    n, n_letters = moved.shape[0], x.o.shape[0]
+    letters = np.arange(n_letters)
+    mr, mc = moved[:, :, None], moved[:, None, :]
+    new_slots = np.tile(x.o, (n, 1))
+    new_slots[np.arange(n)[:, None], moved] = new
+    # each term's letter block per row: (moved, any), (any, moved), (moved, moved)
+    blocks = ((mr, letters), (letters[:, None], mc), (mr, mc))
+    counts = [m.take(a * n_letters + b) for m in (x.f, x.s_in) for a, b in blocks]
+
+    def affected(slots: np.ndarray, sm: np.ndarray) -> np.ndarray:
+        sr, sc = sm[:, :, None], sm[:, None, :]
+        slot_blocks = ((sr, slots[..., None, :]), (slots[..., :, None], sc), (sr, sc))
+        f_rows, f_cols, f_both, s_rows, s_cols, s_both = (
+            (c * tab.take(sa * n_letters + sb)).reshape(n, -1).sum(axis=1)
+            for c, (tab, (sa, sb)) in zip(counts, itertools.product((x.t.slot_to_slot, x.t.space_to_slot), slot_blocks))
+        )
+        space = (x.row_s[moved] * x.t.slot_to_space[sm]).sum(axis=1)
+        return (((((f_rows + f_cols) - f_both) + s_rows) + s_cols) - s_both) + space
+
+    return base_cost + (affected(new_slots, new) - affected(x.o, x.o[moved]))
 
 
 def delta_cost(
@@ -232,18 +274,13 @@ def delta_cost(
     """Cost of the swapped layout, updated incrementally from base_cost.
 
     Only terms touching the at most six moved letters are recomputed,
-    nearest-sub-key decisions included. The empty SwapSet returns
-    base_cost unchanged.
+    nearest-sub-key decisions included: a one-row _swapped_costs. The
+    empty SwapSet returns base_cost unchanged.
     """
     if not swaps.pairs:
         return base_cost
-    t = effort_tables(g, model)
-    old_slots = letter_slot_vector(g, base)
-    new_slots = old_slots.copy()
-    for a, b in swaps.pairs:
-        ia, ib = LETTER_INDEX[a], LETTER_INDEX[b]
-        new_slots[ia], new_slots[ib] = new_slots[ib], new_slots[ia]
-    moved = np.array(sorted(LETTER_INDEX[ch] for ch in swaps.letters()), dtype=np.intp)
-    old_part = _affected_terms(t, stats, old_slots, moved)
-    new_part = _affected_terms(t, stats, new_slots, moved)
-    return base_cost + (new_part - old_part)
+    x = _cost_inputs(g, stats, base, model)
+    pairs = np.array([[LETTER_INDEX[a], LETTER_INDEX[b]] for a, b in swaps.pairs])
+    moved, partner = pairs.ravel(), pairs[:, ::-1].ravel()
+    order = np.argsort(moved)
+    return float(_swapped_costs(x, base_cost, moved[order][None], x.o[partner[order]][None])[0])

@@ -42,6 +42,13 @@ def is_finite_number(value) -> bool:
 _SPEC_KEYS = ("key_width_mm", "key_height_mm", "h_gap_mm", "v_gap_mm", "row_x_offsets_mm", "space_subkey_columns")
 
 
+class MissingSpecField(KeyError):
+    """A geometry spec without one of its JSON keys; the message names it."""
+
+    def __str__(self) -> str:
+        return f"geometry spec lacks the field {self.args[0]!r}"
+
+
 @dataclass(frozen=True)
 class GeometrySpec:
     """Physical dimensions of the keyboard, all lengths in millimetres.
@@ -104,7 +111,12 @@ class GeometrySpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> GeometrySpec:
-        return cls(**{f.name: data[key] for key, f in zip(_SPEC_KEYS, fields(cls))})
+        """Raises MissingSpecField for a missing key."""
+        try:
+            values = {f.name: data[key] for key, f in zip(_SPEC_KEYS, fields(cls))}
+        except KeyError as exc:
+            raise MissingSpecField(*exc.args) from None
+        return cls(**values)
 
 
 DEFAULT_SPEC = GeometrySpec()
@@ -223,6 +235,13 @@ def slot_table(g: KeyboardGeometry) -> SlotTable:
     dist = np.array([[math.hypot(a.x - b.x, a.y - b.y) for b in g.slots] for a in g.slots])
     sub = np.array([index[nearest_space_slot(g, sid)] for sid in LETTER_SLOT_IDS], dtype=np.intp)
     return SlotTable(ids, index, dist, sub)
+
+
+def letter_slot_vector(g: KeyboardGeometry, layout: Layout) -> np.ndarray:
+    """Letter index -> slot index in slot_table(g), as an int array; the
+    26 letter slots come first, so it also indexes letter-slot tables."""
+    index = slot_table(g).index
+    return np.array([index[sid] for sid in layout.slots_by_letter], dtype=np.intp)
 
 
 @dataclass(frozen=True)

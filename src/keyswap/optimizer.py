@@ -20,21 +20,21 @@ candidates = 2,302,300, the count of triplet pairings.
 The search never recomputes full layout costs. Cost is a sum over letter
 pairs, so the change from applying disjoint transpositions p1..pn is
 exactly the per-transposition deltas d1[p] plus the pairwise cross terms
-c2[p, q]. The search builds them once per search, from _table_inputs, in
-a fast form: _build_d1 from first differences of the bigram and effort
-tables and, for sizes above 1, _build_c2 from second differences, dense
-325 x 325 arrays. Their association order is not the reference's, so
+c2[p, q]. The search builds them once per search, from effort's
+_cost_inputs, which also give its base cost, in a fast form: _build_d1
+from first differences of the bigram and effort tables and, for sizes
+above 1, _build_c2 from second differences, dense 325 x 325 arrays. Their association order is not the reference's, so
 their bits differ from it in the last places. Each size has one
 candidate stream, _candidate_blocks(n, mode); sizes 1 and 2 keep with
 _band_rows, and size 3 with _best_size3 over the rows of
 _size3_plan(mode), every row whose fast delta is within band of the
 least, where band = 2 * eps and eps bounds |fast row - exact row| for
 every row (_band_width holds the proof). _rescore then scores each
-band with the exact tables, _exact_d1 and _exact_c2 at only the entries
-the band reads, in the reference arithmetic of delta_cost and
-reference_c2; ties go to the smallest canonical encoding. The winner
-and its tie-break are therefore those of scoring every row with the
-exact tables, bit for bit. _triplet_pairings is kept only as the
+band with the exact tables at only the entries the band reads: _exact_d1
+is a pair-indexed call of effort's _swapped_costs, as delta_cost is a
+one-row call, and _exact_c2 has reference_c2's arithmetic. Ties go to
+the smallest canonical encoding. The winner and its tie-break are
+therefore those of scoring every row with the exact tables, bit for bit. _triplet_pairings is kept only as the
 reference stream of enumerate_swapsets(3, "paper") and of the tests.
 
 The size-3 search does not score every block. Each first pair i gets a
@@ -66,19 +66,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .effort import DISTANCE_MODEL, EffortModel, EffortTables, effort_tables, letter_slot_vector, per, stats_cost
+from .effort import (
+    DISTANCE_MODEL, EffortModel, _CostInputs, _cost_inputs, _layout_cost, _swapped_costs, per, stats_cost
+)
 from .geometry import (
     DEFAULT_SPEC,
     LETTERS,
     GeometrySpec,
     KeyboardGeometry,
-    Layout,
     SwapSet,
     apply_swaps,
     is_finite_number,
     qwerty_layout,
 )
-from .stats import END, BigramStats
+from .stats import BigramStats
 
 MODES = ("canonical", "paper")
 
@@ -318,47 +319,13 @@ def _triplet_pairings():
 # delta tables
 
 
-class _TableInputs(NamedTuple):
-    """What the delta tables of one search read, built once per search.
-
-    f and s_in are the bigram counts as floats, row_s each letter's
-    across-space count, o the letters' base slots, and e, h and sp the
-    effort tables at those slots, indexed by letter: e[a, b] =
-    slot_to_slot[o[a], o[b]], h[a, b] = space_to_slot[o[a], o[b]] and
-    sp[a] = slot_to_space[o[a]].
-    """
-
-    t: EffortTables
-    o: np.ndarray
-    f: np.ndarray
-    s_in: np.ndarray
-    row_s: np.ndarray
-    e: np.ndarray
-    h: np.ndarray
-    sp: np.ndarray
-
-
-def _table_inputs(g: KeyboardGeometry, stats: BigramStats, base: Layout, model: EffortModel) -> _TableInputs:
-    t, o = effort_tables(g, model), letter_slot_vector(g, base)
-    return _TableInputs(
-        t,
-        o,
-        stats.within_word.astype(np.float64),
-        stats.across_space[:, :END].astype(np.float64),
-        stats.across_space.sum(axis=1),
-        t.slot_to_slot.take(o, 0).take(o, 1),
-        t.space_to_slot.take(o, 0).take(o, 1),
-        t.slot_to_space.take(o),
-    )
-
-
 def _first_difference(m: np.ndarray) -> np.ndarray:
     """(P m)[p] = m[u_p] - m[v_p], for a letter vector or the rows of a letter
     table; P is the 325 x 26 matrix whose row p is e_u - e_v."""
     return m.take(_U, 0) - m.take(_V, 0)
 
 
-def _build_d1(x: _TableInputs) -> np.ndarray:
+def _build_d1(x: _CostInputs) -> np.ndarray:
     """d1[p]: cost change of single swap p = (u, v), from first differences.
 
     Swapping u and v changes a cost entry m[a, b] * e[a, b] only if a or
@@ -380,7 +347,7 @@ def _build_d1(x: _TableInputs) -> np.ndarray:
     return d1
 
 
-def _build_c2(x: _TableInputs) -> np.ndarray:
+def _build_c2(x: _CostInputs) -> np.ndarray:
     """c2[p, q]: cross term of disjoint pairs p and q, from second differences.
 
     Swapping p and q together changes the cost by d1[p] + d1[q] + c2[p, q].
@@ -412,45 +379,15 @@ def _build_c2(x: _TableInputs) -> np.ndarray:
     return c2
 
 
-def _exact_d1(x: _TableInputs, base_cost: float, pairs: np.ndarray) -> np.ndarray:
-    """d1 of the given pairs in delta_cost's arithmetic.
-
-    One batched pass repeats delta_cost's floating-point operations: the
-    seven terms of _affected_terms, each reduced per pair in the same
-    order, combined with the same + and -, and finished as (base_cost +
-    (new - old)) - base_cost. Each pair's block sums as one C-contiguous
-    row, and numpy's row sum of a row does not depend on the other rows,
-    so entry p has the bits of delta_cost(..., SwapSet((pair p,)), ...) -
-    base_cost for any set of pairs.
-    """
-    o, dd, gg, sp = x.o, x.t.slot_to_slot, x.t.space_to_slot, x.t.slot_to_space
-    n = pairs.shape[0]
-    letters = np.arange(_N_LETTERS)
+def _exact_d1(x: _CostInputs, base_cost: float, pairs: np.ndarray) -> np.ndarray:
+    """d1 of the given pairs in delta_cost's arithmetic: one _swapped_costs
+    row per pair, so entry p has the bits of delta_cost(..., SwapSet((pair
+    p,)), ...) - base_cost for any set of pairs."""
     moved = np.stack((_U.take(pairs), _V.take(pairs)), axis=1)
-    mr, mc = moved[:, :, None], moved[:, None, :]
-    swapped = o[moved[:, ::-1]]
-    new_slots = np.tile(o, (n, 1))
-    new_slots[np.arange(n)[:, None], moved] = swapped
-    # each term's letter block per pair: (moved, any), (any, moved), (moved, moved)
-    blocks = ((mr, letters), (letters[:, None], mc), (mr, mc))
-    m_at = [m.take(a * _N_LETTERS + b) for m in (x.f, x.s_in) for a, b in blocks]
-
-    def affected(slots: np.ndarray, sm: np.ndarray) -> np.ndarray:
-        # _affected_terms per pair, for the base slots or one row per pair
-        sr, sc = sm[:, :, None], sm[:, None, :]
-        slot_blocks = ((sr, slots[..., None, :]), (slots[..., :, None], sc), (sr, sc))
-        f_rows, f_cols, f_both, s_rows, s_cols, s_both = (
-            (ma * tab.take(sa * _N_LETTERS + sb)).reshape(n, -1).sum(axis=1)
-            for ma, (tab, (sa, sb)) in zip(m_at, itertools.product((dd, gg), slot_blocks))
-        )
-        space = (x.row_s[moved] * sp[sm]).sum(axis=1)
-        return (((((f_rows + f_cols) - f_both) + s_rows) + s_cols) - s_both) + space
-
-    new = affected(new_slots, swapped)
-    return (base_cost + (new - affected(o, o[moved]))) - base_cost
+    return _swapped_costs(x, base_cost, moved, x.o[moved[:, ::-1]]) - base_cost
 
 
-def _exact_c2(x: _TableInputs, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _exact_c2(x: _CostInputs, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """c2[p, q] of disjoint pairs p < q in the reference arithmetic.
 
     Each entry sums the eight (letter of p, letter of q) combinations,
@@ -476,7 +413,7 @@ def _exact_c2(x: _TableInputs, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_width(x: _TableInputs, base_cost: float) -> float:
+def _band_width(x: _CostInputs, base_cost: float) -> float:
     """band = 2 * eps, with eps a bound on |fast row - exact row| for every row.
 
     A row's delta sums at most three d1 and three c2 entries, in the same
@@ -498,10 +435,11 @@ def _band_width(x: _TableInputs, base_cost: float) -> float:
     of a's pair and b's pair, times four e entries: the true c2 sum to at
     most 4 Phi.
 
-    Exact tables. An _exact_d1 entry sums blocks of at most 52 products,
-    combines seven blocks for the new and the old cost, each of at most
-    3 Phi_p in magnitude (Phi_p, the part of Phi that pair p touches),
-    and adds and subtracts base_cost: it errs by at most 6 gamma_62 Phi_p
+    Exact tables. An _exact_d1 entry, a row of effort._swapped_costs as
+    in delta_cost, sums blocks of at most 52 products, combines seven
+    blocks for the new and the old cost, each of at most 3 Phi_p in
+    magnitude (Phi_p, the part of Phi that pair p touches), and adds
+    and subtracts base_cost: it errs by at most 6 gamma_62 Phi_p
     + 2.01u |base_cost|, and the Phi_p of a row's pairs sum to at most
     2 Phi. An _exact_c2 entry adds 16 products of a count and three
     subtractions of e or h entries: over a row, 4 gamma_20 Phi. So a
@@ -535,15 +473,16 @@ def _band_width(x: _TableInputs, base_cost: float) -> float:
     return 2.0 * (phi + scale * abs(base_cost))
 
 
-def _rescore(x: _TableInputs, base_cost: float, bands: list[tuple[np.ndarray, ...]]) -> list[tuple[float, tuple]]:
+def _rescore(x: _CostInputs, base_cost: float, bands: list[tuple[np.ndarray, ...]]) -> list[tuple[float, tuple]]:
     """_best of each band, whose rows ascend in encoding, under the exact tables.
 
     Only the d1 and c2 entries that the bands read are computed, once for
-    all bands, each with the bits of the whole exact table; so each result
+    all bands, each with the bits of the whole exact table: d1 as one
+    _swapped_costs row per pair, as delta_cost computes it; so each result
     is _best over the exact tables restricted to that band's rows. An
     entry of a pair that touches no letter the corpus uses is not
     computed but left +0.0, which are its exact bits: each of its products
-    is a zero count times a finite table entry (stats_cost has already
+    is a zero count times a finite table entry (the base cost has already
     raised on any other), so its sums are +0.0 or -0.0, (base_cost +
     (new - old)) - base_cost is +0.0 for a finite base_cost > 0, and c2's
     sum starts from +0.0. Both go in slices of _RESCORE_ROWS; the slices
@@ -677,7 +616,7 @@ class _Size3Kernel:
         return np.min(s, axis=1, where=later, initial=np.inf) + least_c2ik
 
 
-def _bands(x: _TableInputs, base_cost: float, sizes, mode: str) -> list[tuple[np.ndarray, ...]]:
+def _bands(x: _CostInputs, base_cost: float, sizes, mode: str) -> list[tuple[np.ndarray, ...]]:
     """The band of each search size under the fast tables, which are
     dropped on return; a size-1 search builds no c2."""
     band = _band_width(x, base_cost)
@@ -815,7 +754,8 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
     base = qwerty_layout()
     try:
         with _raising():
-            base_cost = stats_cost(g, base, stats, cfg.model)
+            x = _cost_inputs(g, stats, base, cfg.model)
+            base_cost = _layout_cost(x)
             if not base_cost > 0.0:
                 raise ValueError("base layout cost is zero; improvement rate is undefined")
             # stats_cost and per add in Python floats, which overflow without raising
@@ -827,7 +767,6 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
             else:
                 n = cfg.n_swap_pairs
                 sizes, raw_pairs = (range(1, n + 1) if cfg.cumulative else (n,)), None
-            x = _table_inputs(g, stats, base, cfg.model)
             bands = _bands(x, base_cost, sizes, cfg.mode)
             # a cumulative search also considers size 0, the stock layout
             found = [(0.0, ())] if cfg.cumulative else []

@@ -30,7 +30,6 @@ from .geometry import (
     SwapSet,
     apply_swaps,
     qwerty_layout,
-    slot_table,
 )
 from .optimizer import OptimizationResult
 from .stats import BigramStats, _move_table, _pair_columns
@@ -272,7 +271,7 @@ def heatmap_svg(
     """
     if stats.is_empty:
         raise ValueError("heat map needs a non-empty corpus")
-    m = _move_table(stats, slot_table(g), layout)
+    m = _move_table(stats, g, layout)
     moved = m.src != m.dst
     ra, rb = _ID_RANK[m.src[moved]], _ID_RANK[m.dst[moved]]
     n_slots = _ID_RANK.size

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import SPACE, KeySequence
-from .geometry import LETTERS, KeyboardGeometry, Layout, SlotTable, slot_table
+from .geometry import LETTERS, KeyboardGeometry, Layout, SlotTable, letter_slot_vector, slot_table
 
 END = 26  # column index for a stream-final space
 
@@ -134,9 +134,9 @@ class _MoveTable(NamedTuple):
     into: int
 
 
-def _move_table(stats: BigramStats, t: SlotTable, layout: Layout) -> _MoveTable:
-    slot = np.array([t.index[sid] for sid in layout.slots_by_letter], dtype=np.intp)
-    sub = t.sub.take(slot)
+def _move_table(stats: BigramStats, g: KeyboardGeometry, layout: Layout) -> _MoveTable:
+    slot = letter_slot_vector(g, layout)
+    sub = slot_table(g).sub.take(slot)
     f, s = stats.within_word, stats.across_space
     wa, wb = np.nonzero(f)
     into_count = s.sum(axis=1)
@@ -163,7 +163,7 @@ def traversals(stats: BigramStats, g: KeyboardGeometry, layout: Layout) -> list[
     letter typed first, then by the letter typed next.
     """
     t = slot_table(g)
-    m = _move_table(stats, t, layout)
+    m = _move_table(stats, g, layout)
     src = [LETTERS[a] for a in m.a[: m.within + m.into].tolist()] + [SP] * (m.a.size - m.within - m.into)
     dst = [LETTERS[b] if b < END else SP for b in m.b.tolist()]
     ids = t.ids
@@ -224,7 +224,7 @@ def _pair_columns(
     if stats.is_empty:
         raise ValueError("pair usage undefined for empty stats")
     t = slot_table(g)
-    rows = [_usage_rows(_move_table(stats, t, layout), t) for layout in layouts]
+    rows = [_usage_rows(_move_table(stats, g, layout), t) for layout in layouts]
     ids, counts, _ = rows[0]
     order = np.lexsort((_LABEL_RANK[ids], -counts))[:k]
     counts = counts[order]

@@ -244,9 +244,15 @@ def test_report_rejects_tampered_result(workdir, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("swaps", [[["a"], "b"]]), ("qwerty_cost_mm", "x")], ids=["swap-letter-list", "cost-string"]
+    "key, value, names",
+    [
+        ("swaps", [[["a"], "b"]], None),
+        ("qwerty_cost_mm", "x", None),
+        ("geometry", {"key_width_mm": "a"}, "geometry spec lacks the field 'key_height_mm'"),
+    ],
+    ids=["swap-letter-list", "cost-string", "geometry-lacks-field"],
 )
-def test_report_rejects_result_fields_of_the_wrong_type(workdir, capsys, key, value):
+def test_report_rejects_result_fields_of_the_wrong_type(workdir, capsys, key, value, names):
     result_path = optimize(workdir)
     data = json.loads(result_path.read_text())
     data[key] = value
@@ -255,6 +261,8 @@ def test_report_rejects_result_fields_of_the_wrong_type(workdir, capsys, key, va
     assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("keyswap: error: malformed result file r.json: ") and len(err.splitlines()) == 1, err
+    # the same words as a geometry file or config section that lacks the field
+    assert names is None or err.endswith(f": {names}\n"), err
 
 
 def test_report_rejects_wrong_corpus(workdir):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from keyswap.corpus import KeySequence, ingest_tweets, read_tweet_file
-from keyswap.effort import EffortModel, delta_cost, stats_cost
+from keyswap.effort import EffortModel, _cost_inputs, delta_cost, stats_cost
 from keyswap.geometry import LETTERS, GeometrySpec, SwapSet, apply_swaps, build_geometry, qwerty_layout
 from keyswap.optimizer import (
     MODES,
@@ -32,7 +32,6 @@ from keyswap.optimizer import (
     _rescore,
     _row_deltas,
     _size3_plan,
-    _table_inputs,
     _triplet_pairings,
     enumerate_swapsets,
     optimize,
@@ -125,17 +124,17 @@ def bundled_texts() -> list[str]:
 def _build_d1(g, stats, base, base_cost, model):
     """The search's d1 for one corpus, built from scratch. The difference
     form reads no base_cost; the exact d1 does."""
-    return optimizer._build_d1(_table_inputs(g, stats, base, model))
+    return optimizer._build_d1(_cost_inputs(g, stats, base, model))
 
 
 def _build_c2(g, stats, base, model):
     """The search's c2 for one corpus, built from scratch."""
-    return optimizer._build_c2(_table_inputs(g, stats, base, model))
+    return optimizer._build_c2(_cost_inputs(g, stats, base, model))
 
 
 def exact_tables(g, stats, base, base_cost, model):
     """d1 and c2 in full, in the arithmetic that scores the band."""
-    x = _table_inputs(g, stats, base, model)
+    x = _cost_inputs(g, stats, base, model)
     c2 = np.zeros((325, 325))
     c2[_SIZE2] = c2[_SIZE2[::-1]] = _exact_c2(x, *_SIZE2)
     return _exact_d1(x, base_cost, np.arange(325)), c2
@@ -164,7 +163,7 @@ def test_delta_tables_are_bit_identical_to_their_references(geometry):
         for model in MODELS:
             case = (text[:20], model)
             base_cost = stats_cost(geometry, base, stats, model)
-            x = _table_inputs(geometry, stats, base, model)
+            x = _cost_inputs(geometry, stats, base, model)
             d1, c2 = exact_tables(geometry, stats, base, base_cost, model)
             want = [delta_cost(geometry, base, base_cost, stats, SwapSet((p,)), model) - base_cost for p in pairs]
             assert d1.tobytes() == np.array(want).tobytes(), case
@@ -238,7 +237,7 @@ def test_fast_tables_stay_within_eps_of_the_exact_ones(geometry):
         stats = count_bigrams(KeySequence(text))
         for model in MODELS:
             base_cost = stats_cost(geometry, base, stats, model)
-            x = _table_inputs(geometry, stats, base, model)
+            x = _cost_inputs(geometry, stats, base, model)
             d1x, c2x = exact_tables(geometry, stats, base, base_cost, model)
             eps = _band_width(x, base_cost) / 2
             c2 = optimizer._build_c2(x)
@@ -250,8 +249,9 @@ def test_fast_tables_stay_within_eps_of_the_exact_ones(geometry):
 
 
 def test_delta_table_build_peak_memory(geometry):
-    # The c2 build holds c2, its 44,850 values and about 1 MB of chunk
-    # buffers allocated once; perfbench's peak_rss_mb follows this transient.
+    # The build holds d1, and _build_c2's G^T and c2, two 325 x 325 float
+    # arrays of 0.8 MiB each (about 2.0 MiB in all on river); perfbench's
+    # peak_rss_mb follows this transient.
     stats = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text))
     base, model = qwerty_layout(), EffortModel()
     base_cost = stats_cost(geometry, base, stats, model)
@@ -359,7 +359,7 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
             base_cost = stats_cost(geometry, base, stats, model)
             d1 = _build_d1(geometry, stats, base, base_cost, model)
             c2 = _build_c2(geometry, stats, base, model)
-            band = _band_width(_table_inputs(geometry, stats, base, model), base_cost)
+            band = _band_width(_cost_inputs(geometry, stats, base, model), base_cost)
             for mode in MODES:
                 case = (text[:20], model.kind, mode)
                 plan = _size3_plan(mode)
@@ -450,7 +450,7 @@ def test_optimize_picks_the_exact_winner_of_every_row(geometry):
         stats = count_bigrams(KeySequence(text))
         for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
             base_cost = stats_cost(geometry, base, stats, model)
-            x = _table_inputs(geometry, stats, base, model)
+            x = _cost_inputs(geometry, stats, base, model)
             d1, c2 = exact_tables(geometry, stats, base, base_cost, model)
             winners = {}
             for size, mode in ((1, "canonical"), (2, "canonical"), (3, "canonical"), (3, "paper")):
