@@ -170,9 +170,7 @@ def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settin
     if "model" in search:
         raise UsageError('the model goes in the top-level "model" section, not in "search"')
     env = os.environ.get(ENV_THREADS)
-    if getattr(args, "threads", None) is not None:
-        search["workers"] = args.threads
-    elif env:
+    if getattr(args, "workers", None) is None and env:
         try:
             search["workers"] = int(env)
         except ValueError:
@@ -444,7 +442,7 @@ def build_parser() -> _Parser:
     p.add_argument("--swaps", dest="n_swap_pairs", type=int, choices=(1, 2, 3))
     p.add_argument("--mode", choices=("canonical", "paper"))
     p.add_argument("--cumulative", action="store_true", default=None)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", dest="workers", metavar="THREADS", type=int)
     p.add_argument("--model", dest="kind", choices=("distance", "fitts"))
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
@@ -463,7 +461,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("batch", help="run the full pipeline for every user in a manifest")
     p.add_argument("manifest", help="batch manifest JSON")
     p.add_argument("--out-dir")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", dest="workers", metavar="THREADS", type=int)
     p.add_argument("--top-pairs", type=int)
     p.add_argument("--geometry", help="GeometrySpec JSON file")
 

@@ -36,7 +36,6 @@ from .geometry import (
     is_finite_number,
     letter_slot_vector,
     nearest_space_slot,
-    slot_table,
 )
 from .stats import END, BigramStats
 
@@ -72,7 +71,11 @@ DISTANCE_MODEL = EffortModel()
 
 
 def fitts_effort(d_mm: float, model: EffortModel, key_area_mm2: float | None = None) -> float:
-    """Raw Fitts-law effort for one traversal of length d_mm (>= 0)."""
+    """Raw Fitts-law effort for one traversal of length d_mm (>= 0).
+
+    Without key_area_mm2 or model.key_area_mm2 it falls back to DEFAULT_SPEC's
+    key area; every cost passes its geometry's area instead (_resolved_area).
+    """
     if d_mm < 0:
         raise ValueError("distance must be non-negative")
     area = key_area_mm2 if key_area_mm2 is not None else model.key_area_mm2
@@ -110,20 +113,19 @@ class EffortTables:
 
 @lru_cache(maxsize=16)
 def effort_tables(g: KeyboardGeometry, model: EffortModel) -> EffortTables:
-    """The tables, indexed from the geometry's slot table.
+    """The tables, indexed from the geometry's dist and sub.
 
-    Every entry is _segment_effort of a slot_table distance, which has
+    Every entry is _segment_effort of a g.dist entry, which has
     distance()'s bits; the Fitts model's log2 stays math.log2 per entry.
     """
     area = _resolved_area(g, model)
-    t = slot_table(g)
     n = len(LETTER_SLOT_IDS)
 
     def efforts(d: np.ndarray) -> np.ndarray:
         return np.array([_segment_effort(x, model, area) for x in d.ravel().tolist()]).reshape(d.shape)
 
     return EffortTables(
-        efforts(t.dist[:n, :n]), efforts(t.dist[np.arange(n), t.sub]), efforts(t.dist[t.sub, :n])
+        efforts(g.dist[:n, :n]), efforts(g.dist[np.arange(n), g.sub]), efforts(g.dist[g.sub, :n])
     )
 
 

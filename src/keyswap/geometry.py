@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -142,14 +140,20 @@ LETTER_SLOT_IDS = _letter_slot_ids()
 
 
 class KeyboardGeometry:
-    """Concrete slot positions derived from a GeometrySpec.
+    """Concrete slot positions derived from a GeometrySpec, and the
+    per-geometry lookups every cost and tally reads.
 
     Letter slots are identified as ``r<row>c<col>`` and the four space
-    sub-keys as ``sp1``..``sp4``. Identity, equality and hashing follow
-    the spec the geometry was built from.
+    sub-keys as ``sp1``..``sp4``. A slot index is a position in ``slots``:
+    the 26 letter slots in LETTER_SLOT_IDS order, then sp1..sp4. ``ids``
+    and ``index`` map between slot indices and ids; ``dist`` (30x30, mm)
+    holds distance() of every slot pair, with its expression and so its
+    bits; ``sub`` (26) holds the slot index of each letter slot's
+    nearest_space_slot(). Identity, equality and hashing follow the spec
+    the geometry was built from.
     """
 
-    __slots__ = ("spec", "slots", "_index", "_centers", "_space_centers")
+    __slots__ = ("spec", "slots", "ids", "index", "dist", "sub")
 
     def __init__(self, spec: GeometrySpec):
         px = spec.col_pitch
@@ -165,18 +169,20 @@ class KeyboardGeometry:
             raise ValueError("geometry produces overlapping slot centers")
         self.spec = spec
         self.slots = tuple(slots)
-        self._index = {s.id: s for s in slots}
-        self._centers = {s.id: (s.x, s.y) for s in slots}
-        self._space_centers = tuple((s.x, s.y) for s in slots if s.id in SPACE_SLOT_IDS)
+        self.ids = tuple(s.id for s in slots)
+        self.index = {sid: i for i, sid in enumerate(self.ids)}
+        self.dist = np.array([[math.hypot(a.x - b.x, a.y - b.y) for b in slots] for a in slots])
+        self.sub = np.array([self.index[nearest_space_slot(self, sid)] for sid in LETTER_SLOT_IDS], dtype=np.intp)
 
     def slot(self, slot_id: str) -> Slot:
         try:
-            return self._index[slot_id]
+            return self.slots[self.index[slot_id]]
         except KeyError:
             raise ValueError(f"unknown slot id: {slot_id!r}") from None
 
     def center(self, slot_id: str) -> tuple[float, float]:
-        return self._centers[self.slot(slot_id).id]
+        s = self.slot(slot_id)
+        return s.x, s.y
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, KeyboardGeometry) and other.spec == self.spec
@@ -205,43 +211,17 @@ def nearest_space_slot(g: KeyboardGeometry, from_slot: str) -> str:
     xa, ya = g.center(from_slot)
     best = 0
     best_d = math.inf
-    for i, (xs, ys) in enumerate(g._space_centers):
-        d = math.hypot(xa - xs, ya - ys)
+    for i, s in enumerate(g.slots[len(LETTER_SLOT_IDS) :]):
+        d = math.hypot(xa - s.x, ya - s.y)
         if d < best_d * (1.0 - SUBKEY_TIE_REL):
             best, best_d = i, d
     return SPACE_SLOT_IDS[best]
 
 
-class SlotTable(NamedTuple):
-    """Per-geometry lookups by slot index, the position in ``g.slots``.
-
-    The 26 letter slots come first, in LETTER_SLOT_IDS order, then
-    sp1..sp4. dist holds distance() of every slot pair, computed with the
-    same expression, so each entry has distance()'s bits; sub holds the
-    nearest_space_slot() of each letter slot.
-    """
-
-    ids: tuple[str, ...]
-    index: dict[str, int]
-    dist: np.ndarray  # (30, 30) mm
-    sub: np.ndarray  # (26,) slot index of each letter slot's nearest sub-key
-
-
-@lru_cache(maxsize=16)
-def slot_table(g: KeyboardGeometry) -> SlotTable:
-    """The SlotTable of a geometry, built on first use and cached."""
-    ids = tuple(s.id for s in g.slots)
-    index = {sid: i for i, sid in enumerate(ids)}
-    dist = np.array([[math.hypot(a.x - b.x, a.y - b.y) for b in g.slots] for a in g.slots])
-    sub = np.array([index[nearest_space_slot(g, sid)] for sid in LETTER_SLOT_IDS], dtype=np.intp)
-    return SlotTable(ids, index, dist, sub)
-
-
 def letter_slot_vector(g: KeyboardGeometry, layout: Layout) -> np.ndarray:
-    """Letter index -> slot index in slot_table(g), as an int array; the
-    26 letter slots come first, so it also indexes letter-slot tables."""
-    index = slot_table(g).index
-    return np.array([index[sid] for sid in layout.slots_by_letter], dtype=np.intp)
+    """Letter index -> slot index in g, as an int array; the 26 letter
+    slots come first, so it also indexes letter-slot tables."""
+    return np.array([g.index[sid] for sid in layout.slots_by_letter], dtype=np.intp)
 
 
 @dataclass(frozen=True)

@@ -23,19 +23,20 @@ exactly the per-transposition deltas d1[p] plus the pairwise cross terms
 c2[p, q]. The search builds them once per search, from effort's
 _cost_inputs, which also give its base cost, in a fast form: _build_d1
 from first differences of the bigram and effort tables and, for sizes
-above 1, _build_c2 from second differences, dense 325 x 325 arrays. Their association order is not the reference's, so
-their bits differ from it in the last places. Each size has one
-candidate stream, _candidate_blocks(n, mode); sizes 1 and 2 keep with
-_band_rows, and size 3 with _best_size3 over the rows of
-_size3_plan(mode), every row whose fast delta is within band of the
-least, where band = 2 * eps and eps bounds |fast row - exact row| for
-every row (_band_width holds the proof). _rescore then scores each
-band with the exact tables at only the entries the band reads: _exact_d1
-is a pair-indexed call of effort's _swapped_costs, as delta_cost is a
-one-row call, and _exact_c2 has reference_c2's arithmetic. Ties go to
-the smallest canonical encoding. The winner and its tie-break are
-therefore those of scoring every row with the exact tables, bit for bit. _triplet_pairings is kept only as the
-reference stream of enumerate_swapsets(3, "paper") and of the tests.
+above 1, _build_c2 from second differences, dense 325 x 325 arrays.
+Their association order is not the reference's, so their bits differ
+from it in the last places. Each size has one candidate stream,
+_candidate_blocks(n, mode); sizes 1 and 2 keep with _band_rows, and size
+3 with _best_size3 over the rows of _size3_plan(mode), every row whose
+fast delta is within band of the least, where band = 2 * eps and eps
+bounds |fast row - exact row| for every row (_band_width holds the
+proof). _rescore then scores each band with the exact tables at only the
+entries the band reads: _exact_d1 is a pair-indexed call of effort's
+_swapped_costs, as delta_cost is a one-row call, and _exact_c2 has
+reference_c2's arithmetic. Ties go to the smallest canonical encoding.
+The winner and its tie-break are therefore those of scoring every row
+with the exact tables, bit for bit. _triplet_pairings is kept only as
+the reference stream of enumerate_swapsets(3, "paper") and of the tests.
 
 The size-3 search does not score every block. Each first pair i gets a
 lower bound on its block, bound[i] = min_j (a[i, j] + r[j]) + min_k

@@ -13,8 +13,8 @@ sub-key nearest the preceding letter), a trailing space just one.
 
 Every tally of the moves a layout implies comes from one move table per
 stats and layout, _move_table, whose slots and distances are looked up
-in the geometry's cached slot_table: traversals() and pair_usage() here,
-and the pair tables and heat maps of report.
+in the geometry's own tables (ids, sub, dist): traversals() and
+pair_usage() here, and the pair tables and heat maps of report.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import SPACE, KeySequence
-from .geometry import LETTERS, KeyboardGeometry, Layout, SlotTable, letter_slot_vector, slot_table
+from .geometry import LETTERS, KeyboardGeometry, Layout, letter_slot_vector
 
 END = 26  # column index for a stream-final space
 
@@ -121,7 +121,7 @@ class _MoveTable(NamedTuple):
 
     a and b are letter indices: b is END for a move into a space, and a
     move out of a space keeps in a the word-final letter before it, which
-    chose its sub-key. src and dst are slot indices of slot_table(g).
+    chose its sub-key. src and dst are slot indices, positions in g.slots.
     within and into count the moves of the first two kinds.
     """
 
@@ -136,7 +136,7 @@ class _MoveTable(NamedTuple):
 
 def _move_table(stats: BigramStats, g: KeyboardGeometry, layout: Layout) -> _MoveTable:
     slot = letter_slot_vector(g, layout)
-    sub = slot_table(g).sub.take(slot)
+    sub = g.sub.take(slot)
     f, s = stats.within_word, stats.across_space
     wa, wb = np.nonzero(f)
     into_count = s.sum(axis=1)
@@ -162,11 +162,10 @@ def traversals(stats: BigramStats, g: KeyboardGeometry, layout: Layout) -> list[
     first letter of the next word. Within a kind, moves ascend by the
     letter typed first, then by the letter typed next.
     """
-    t = slot_table(g)
     m = _move_table(stats, g, layout)
     src = [LETTERS[a] for a in m.a[: m.within + m.into].tolist()] + [SP] * (m.a.size - m.within - m.into)
     dst = [LETTERS[b] if b < END else SP for b in m.b.tolist()]
-    ids = t.ids
+    ids = g.ids
     return [
         Move(x, y, ids[p], ids[q], n)
         for x, y, p, q, n in zip(src, dst, m.src.tolist(), m.dst.tolist(), m.count.tolist())
@@ -190,7 +189,7 @@ _LABELS = (
 _LABEL_RANK = np.argsort(np.argsort(_LABELS))
 
 
-def _usage_rows(m: _MoveTable, t: SlotTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _usage_rows(m: _MoveTable, g: KeyboardGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The label id, count and distance in mm of each pair row.
 
     A move into or within a word is one row. The moves out of a space
@@ -200,7 +199,7 @@ def _usage_rows(m: _MoveTable, t: SlotTable) -> tuple[np.ndarray, np.ndarray, np
     not the pairwise np.sum).
     """
     k = m.within + m.into
-    d = t.dist[m.src, m.dst]
+    d = g.dist[m.src, m.dst]
     travel = np.zeros((26, 26))
     travel[m.a[k:], m.b[k:]] = m.count[k:] * d[k:]
     travel = np.cumsum(travel, axis=0)[-1]
@@ -223,8 +222,7 @@ def _pair_columns(
     """
     if stats.is_empty:
         raise ValueError("pair usage undefined for empty stats")
-    t = slot_table(g)
-    rows = [_usage_rows(_move_table(stats, g, layout), t) for layout in layouts]
+    rows = [_usage_rows(_move_table(stats, g, layout), g) for layout in layouts]
     ids, counts, _ = rows[0]
     order = np.lexsort((_LABEL_RANK[ids], -counts))[:k]
     counts = counts[order]

@@ -126,7 +126,7 @@ def test_slot_to_space_uses_nearest_subkey(geometry):
 
 @pytest.mark.parametrize("factor", [1.0, 0.37, 2.0, 3.3])
 def test_effort_tables_are_the_per_segment_efforts_bit_for_bit(factor):
-    # the tables index the slot table; this is the per-pair reference
+    # the tables index the geometry's dist and sub; this is the per-pair reference
     g = build_geometry(DEFAULT_SPEC.scaled(factor))
     ids = LETTER_SLOT_IDS
     subs = [nearest_space_slot(g, sid) for sid in ids]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from keyswap.geometry import (
     distance,
     nearest_space_slot,
     qwerty_layout,
-    slot_table,
 )
 
 # Column/row pitch from the default measurements: 4.76+1.01 and 6.26+1.70.
@@ -109,13 +109,15 @@ def test_slot_table_is_distance_and_nearest_space_slot_bit_for_bit(factor):
     # np.hypot rounds differently from math.hypot on a few slot pairs of
     # these geometries, so the table must be built with distance()'s expression.
     g = build_geometry(DEFAULT_SPEC.scaled(factor))
-    t = slot_table(g)
-    assert t.ids == tuple(s.id for s in g.slots)
-    assert all(t.index[sid] == i for i, sid in enumerate(t.ids))
-    want = np.array([[distance(g, a, b) for b in t.ids] for a in t.ids])
-    assert t.dist.tobytes() == want.tobytes()
-    assert [t.ids[i] for i in t.sub] == [nearest_space_slot(g, sid) for sid in LETTER_SLOT_IDS]
-    assert slot_table(build_geometry(DEFAULT_SPEC.scaled(factor))) is t
+    assert g.ids == tuple(s.id for s in g.slots)
+    assert all(g.index[sid] == i for i, sid in enumerate(g.ids))
+    want = np.array([[distance(g, a, b) for b in g.ids] for a in g.ids])
+    assert g.dist.tobytes() == want.tobytes()
+    assert [g.ids[i] for i in g.sub] == [nearest_space_slot(g, sid) for sid in LETTER_SLOT_IDS]
+    # the batch pool pickles Settings, and the tables travel inside the geometry
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g and h.index == g.index
+    assert h.dist.tobytes() == g.dist.tobytes() and h.sub.tobytes() == g.sub.tobytes()
 
 
 def test_nearest_space_slot_known_columns(geometry):
