@@ -103,6 +103,15 @@ def _write_json(path: str, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
+def _encodes(text: str, encode=str.encode) -> bool:
+    """Whether encode takes text: a lone surrogate fails in a file name or in UTF-8."""
+    try:
+        encode(text)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _load_json(path: str, what: str) -> dict:
     """The JSON object in a file; anything else is a data error."""
     try:
@@ -195,8 +204,8 @@ def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settin
     if type(top_pairs) is not int or top_pairs < 1:
         raise UsageError(f"top_pairs must be an integer of at least 1, got {top_pairs!r}")
     out_dir = getattr(args, "out_dir", None) or os.environ.get(ENV_OUT_DIR) or top("out_dir", "out")
-    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
-        raise UsageError(f"out_dir must be a non-empty string without NUL, got {out_dir!r}")
+    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir or not _encodes(out_dir, os.fsencode):
+        raise UsageError(f"out_dir must be a non-empty string without NUL that file names can hold, got {out_dir!r}")
     return Settings(
         policy=policy,
         search=search,
@@ -369,7 +378,7 @@ def cmd_batch(args, config: dict) -> int:
         uid = row["id"]
         if not isinstance(uid, str):
             raise DataError(f"manifest user id must be a string, got {json.dumps(uid)}")
-        if not uid or any(c in uid for c in "/\\\0") or uid in (".", ".."):
+        if not uid or any(c in uid for c in "/\\\0") or uid in (".", "..") or not _encodes(uid):
             raise DataError(f"manifest user id unusable as a directory name: {uid!r}")
         if uid in ids:
             raise DataError(f"duplicate user id in manifest: {uid!r}")

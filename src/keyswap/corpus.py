@@ -18,6 +18,8 @@ _ALPHABET = set("abcdefghijklmnopqrstuvwxyz" + SPACE)
 
 _URL_RE = re.compile(r"(?:https?://\S+|\bt\.co/\S+)", re.IGNORECASE)
 _RT_RE = re.compile(r"^\s*RT @")
+# \s and str.split() agree with str.isspace() on what whitespace is
+_UNTYPED_RE = re.compile(r"[^a-z\s]+")
 
 
 class EmptyCorpusError(ValueError):
@@ -96,12 +98,6 @@ def usable_letter_count(seq: KeySequence) -> int:
     return seq.letter_count
 
 
-def _fold_char(ch: str) -> str:
-    # NFKD splits accented letters into base letter + combining marks;
-    # the marks are then discarded by the a-z filter downstream.
-    return unicodedata.normalize("NFKD", ch)
-
-
 def normalize(raw: str, policy: IngestPolicy = IngestPolicy()) -> KeySequence:
     """Reduce raw text to the key stream a single finger would type.
 
@@ -110,22 +106,16 @@ def normalize(raw: str, policy: IngestPolicy = IngestPolicy()) -> KeySequence:
     else. Leading spaces are stripped; a trailing space survives when
     the raw text ends in whitespace. Idempotent on its own output.
     """
-    out: list[str] = []
-    pending_space = False
-    for ch in raw.lower():
-        folded = _fold_char(ch) if policy.fold_diacritics else ch
-        for sub in folded:
-            if "a" <= sub <= "z":
-                if pending_space and out:
-                    out.append(SPACE)
-                pending_space = False
-                out.append(sub)
-            elif sub.isspace():
-                pending_space = True
-            # anything else is unreachable by thumb: drop it
-    if pending_space and out:
-        out.append(SPACE)
-    return KeySequence("".join(out))
+    text = raw.lower()
+    if policy.fold_diacritics:
+        # NFKD splits accented letters into base letter + combining marks;
+        # the marks are then discarded by the a-z filter below.
+        text = unicodedata.normalize("NFKD", text)
+    # what is neither a-z nor whitespace is unreachable by thumb: drop it, leaving no word boundary
+    text = _UNTYPED_RE.sub("", text)
+    words = text.split()
+    trailing = SPACE if words and text[-1].isspace() else ""
+    return KeySequence(SPACE.join(words) + trailing)
 
 
 def clean_tweet_text(text: str, policy: IngestPolicy) -> str:
@@ -151,12 +141,9 @@ def ingest_tweets(records: list[dict], policy: IngestPolicy = IngestPolicy()) ->
     spaces, the joined string is cut to max_raw_chars, and the result is
     normalized. Raises EmptyCorpusError when nothing survives.
     """
-    kept: list[str] = []
-    for rec in records:
-        if policy.drop_retweets and is_retweet(rec):
-            continue
-        kept.append(clean_tweet_text(rec.get("text", ""), policy))
-    joined = SPACE.join(kept)
+    kept = [rec.get("text", "") for rec in records if not (policy.drop_retweets and is_retweet(rec))]
+    # neither URL pattern matches whitespace, so no URL spans a joining space
+    joined = clean_tweet_text(SPACE.join(kept), policy)
     if not joined:
         raise EmptyCorpusError("empty corpus: no usable tweet text after filtering")
     truncated = joined[: policy.max_raw_chars]

@@ -384,7 +384,8 @@ def pair_scatter_svg(rows: list[PairRow], user_id: str = "") -> str:
     xs = [r.usage_pct for r in rows]
     w, h = 240.0, 170.0
     body: list[str] = []
-    suffix = f" ({user_id})" if user_id else ""
+    # the id is XML text; html.escape would import html.entities for this one line
+    suffix = f" ({user_id.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')})" if user_id else ""
     body += _panel(0, 0, w, h, f"stock layout{suffix}", xs, [r.d_qwerty_cm for r in rows])
     body += _panel(0, h, w, h, f"optimized layout{suffix}", xs, [r.d_opt_cm for r in rows], point_color="#2ca02c")
     head = f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w:.0f} {h * 2:.0f}" width="{w * 3:.0f}" height="{h * 6:.0f}">'

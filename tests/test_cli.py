@@ -6,10 +6,11 @@ import dataclasses
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from keyswap.cli import DataError, UsageError, build_parser, main, resolve_settings
 from keyswap.corpus import IngestPolicy
@@ -347,6 +348,14 @@ def test_batch_out_dir_precedence(workdir, monkeypatch):
     assert (workdir / "from_manifest" / "batch.json").exists()
 
 
+def test_batch_out_dir_keeps_undecodable_bytes(workdir, monkeypatch):
+    # a byte that is not UTF-8 comes out of the environment as U+DC80-U+DCFF, and goes back to the file system whole
+    write_batch_inputs(workdir)
+    monkeypatch.setenv("KEYSWAP_OUT_DIR", os.fsdecode(b"out\xff"))
+    assert main(["batch", "manifest.json"]) == 0
+    assert os.path.isfile(os.path.join(os.fsencode(workdir), b"out\xff", b"batch.json"))
+
+
 def test_batch_partial_failure(workdir, capsys):
     manifest_path = write_batch_inputs(workdir)
     manifest = json.loads(manifest_path.read_text())
@@ -392,6 +401,8 @@ def test_batch_manifest_validation(workdir):
     "uid, message",
     [
         ("a\0b", "unusable as a directory name: 'a\\x00b'"),
+        # the id names files whose text is UTF-8, which no lone surrogate encodes to
+        ("a\udcff", "unusable as a directory name: 'a\\udcff'"),
         (None, "must be a string, got null"),
         (True, "must be a string, got true"),
         (7, "must be a string, got 7"),
@@ -572,6 +583,52 @@ def test_any_json_settings_raise_only_usage_or_data_errors(config):
         pass
 
 
+# any code point, lone surrogates included, with words, URLs and retweet marks mixed in
+ANY_UNICODE = st.lists(
+    st.text(st.characters(exclude_categories=[]) | st.characters(categories=["Cs"]), max_size=4)
+    | st.sampled_from(["word", " ", "\n", "RT @u ", "https://x.y/z ", "t.co/k"]),
+    max_size=8,
+).map("".join)
+TWEET_RECORDS = st.fixed_dictionaries({"text": ANY_UNICODE}, optional={"retweeted": st.none() | st.booleans()})
+ANY_RECORDS = st.fixed_dictionaries(
+    {"text": JSON_VALUES | ANY_UNICODE}, optional={"retweeted": JSON_VALUES | ANY_UNICODE}
+)
+ANY_LINES = st.one_of(
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    # a lone surrogate is escaped in the first form and raw, so not UTF-8, in the second
+    ANY_RECORDS.map(lambda r: json.dumps(r).encode()),
+    ANY_RECORDS.map(lambda r: json.dumps(r, ensure_ascii=False).encode("utf-8", "surrogatepass")),
+    st.binary(max_size=30),
+)
+TWEET_LINES = TWEET_RECORDS.map(lambda r: json.dumps(r).encode())
+# half the files hold only well-formed records, so that many get through to a search
+TWEET_FILES = (st.lists(TWEET_LINES, max_size=5) | st.lists(TWEET_LINES | ANY_LINES, max_size=5)).map(b"\n".join)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(TWEET_FILES)
+def test_any_tweet_file_ingests_or_fails_with_one_line(workdir, capsys, data):
+    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+        tweets = os.path.join(tmp, "u.jsonl")
+        Path(tweets).write_bytes(data)
+        manifest = os.path.join(tmp, "m.json")
+        Path(manifest).write_text(json.dumps({"users": [{"id": "u", "corpus": "u.jsonl"}], "search": {"n_swap_pairs": 1}}))
+        capsys.readouterr()
+        code = main(["ingest", tweets, "-o", os.path.join(tmp, "u.txt")])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and len(err.splitlines()) == code // 2, err
+        assert err.startswith("keyswap: error:") if code else not err, err
+        batch_code = main(["batch", manifest, "--out-dir", os.path.join(tmp, "out"), "--threads", "1"])
+        batch_err = capsys.readouterr().err
+        assert batch_code in (0, 2), batch_err
+        if code == 2:
+            # the user's one line says what ingest said; then the batch fails with one more
+            reason = err.removeprefix("keyswap: error: ").rstrip("\n")
+            assert batch_err == f"u: FAILED ({reason})\nkeyswap: error: every user in the batch failed\n"
+        elif batch_code == 2:
+            assert batch_err.startswith("u: FAILED (") and len(batch_err.splitlines()) == 2, batch_err
+
+
 BAD_WIDTH_SPEC = {**DEFAULT_SPEC.to_json_dict(), "key_width_mm": 0}
 INFINITE_WIDTH_SPEC = {**DEFAULT_SPEC.to_json_dict(), "key_width_mm": math.inf}
 BOOL_GAP_SPEC = {**DEFAULT_SPEC.to_json_dict(), "h_gap_mm": True}
@@ -625,6 +682,9 @@ BAD_SETTINGS = [
     ("manifest-out-dir-list", None, {"out_dir": []}, [], 1, ("batch",)),
     ("manifest-out-dir-null", None, {"out_dir": None}, [], 1, ("batch",)),
     ("manifest-out-dir-nul", None, {"out_dir": "a\0b"}, [], 1, ("batch",)),
+    # valid JSON, but no file name can hold a lone surrogate outside U+DC80-U+DCFF
+    ("config-out-dir-lone-surrogate", {"out_dir": "\ud800x"}, None, [], 1, ("ingest", "optimize", "batch")),
+    ("manifest-out-dir-lone-surrogate", None, {"out_dir": "\ud800x"}, [], 1, ("batch",)),
 ]
 
 COMMAND_ARGV = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +41,16 @@ from keyswap.corpus import (
         ("ß sharp", "sharp"),
         # Trailing whitespace means a typed space after the last word.
         ("e e e ", "e e e "),
+        ("ab! ", "ab "),
+        ("ab !", "ab "),
+        # every character str.isspace() takes is a word boundary
+        ("no\xa0break", "no break"),
+        ("line\u2028sep", "line sep"),
+        ("unit\x1fsep", "unit sep"),
+        # NFKD splits the ligature into its two letters
+        ("\ufb01ne", "fine"),
+        # two combining marks on one letter both drop
+        ("a\u0323\u0302x", "ax"),
         ("", ""),
     ],
 )
@@ -52,10 +63,39 @@ def test_normalize_without_diacritic_folding():
     assert normalize("café", policy).text == "caf"
 
 
+# any code point, lone surrogates included, with the characters that
+# decide words mixed in often enough to meet
 TEXT_ST = st.text(
-    alphabet=st.characters(max_codepoint=0x2FFF),
+    alphabet=st.characters(exclude_categories=[])
+    | st.characters(categories=["Cs"])
+    | st.sampled_from("aZ \t\n\xa0\u2028\x1f\u0301\ufb01\xe9!"),
     max_size=300,
 )
+
+
+def ref_normalize(raw: str, policy: IngestPolicy) -> str:
+    """normalize as a per-character state machine: the reference for the whole-string passes."""
+    out: list[str] = []
+    pending_space = False
+    for ch in raw.lower():
+        folded = unicodedata.normalize("NFKD", ch) if policy.fold_diacritics else ch
+        for sub in folded:
+            if "a" <= sub <= "z":
+                if pending_space and out:
+                    out.append(" ")
+                pending_space = False
+                out.append(sub)
+            elif sub.isspace():
+                pending_space = True
+    if pending_space and out:
+        out.append(" ")
+    return "".join(out)
+
+
+@given(TEXT_ST, st.booleans())
+def test_normalize_matches_the_per_character_reference(raw, fold):
+    policy = IngestPolicy(fold_diacritics=fold)
+    assert normalize(raw, policy).text == ref_normalize(raw, policy)
 
 
 @given(TEXT_ST)
@@ -119,6 +159,13 @@ def test_ingest_filters_joins_and_normalizes():
     ]
     seq = ingest_tweets(records)
     assert seq.text == "first tweet link here last one"
+
+
+def test_ingest_excises_urls_at_record_boundaries():
+    # URLs are cut from the joined text: one ends a record, the next
+    # record opens with another, and neither takes the joining space.
+    records = [{"text": "see https://a.b/c"}, {"text": "t.co/xyz then"}, {"text": "http://q"}, {"text": "at.co/k"}]
+    assert ingest_tweets(records).text == "see then atcok"
 
 
 def test_ingest_truncates_raw_before_normalizing():

@@ -158,10 +158,12 @@ def test_layout_svg_highlights_swapped_keys(geometry, qwerty):
 
 
 def test_pair_scatter_svg(geometry):
-    report, _, _ = _sample_report(geometry)
-    svg = pair_scatter_svg(list(report.top_pairs), report.user_id)
-    _assert_valid_svg(svg)
-    assert svg == pair_scatter_svg(list(report.top_pairs), report.user_id)
+    for user_id in ("u", "R&D <team>"):
+        report, _, _ = _sample_report(geometry, user_id=user_id)
+        svg = pair_scatter_svg(list(report.top_pairs), report.user_id)
+        root = _assert_valid_svg(svg)
+        assert svg == pair_scatter_svg(list(report.top_pairs), report.user_id)
+        assert f"stock layout ({user_id})" in [t.text for t in root.iter() if t.tag.endswith("text")]
 
 
 def test_quartiles_convention():
