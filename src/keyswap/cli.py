@@ -103,6 +103,10 @@ def _write_json(path: str, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
+# what XML 1.0, so a user id's scatter.svg, cannot hold besides NUL and lone surrogates
+_NOT_IN_XML = frozenset(map(chr, [*range(1, 9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF]))
+
+
 def _encodes(text: str, encode=str.encode) -> bool:
     """Whether encode takes text: a lone surrogate fails in a file name or in UTF-8."""
     try:
@@ -380,6 +384,8 @@ def cmd_batch(args, config: dict) -> int:
             raise DataError(f"manifest user id must be a string, got {json.dumps(uid)}")
         if not uid or any(c in uid for c in "/\\\0") or uid in (".", "..") or not _encodes(uid):
             raise DataError(f"manifest user id unusable as a directory name: {uid!r}")
+        if not _NOT_IN_XML.isdisjoint(uid):
+            raise DataError(f"manifest user id holds a character that XML cannot hold: {uid!r}")
         if uid in ids:
             raise DataError(f"duplicate user id in manifest: {uid!r}")
         if "\0" in row["corpus"]:

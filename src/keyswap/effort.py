@@ -173,17 +173,15 @@ def sequence_cost(
 
 
 class _CostInputs(NamedTuple):
-    """What every cost of one stats and layout reads, built once.
+    """What every cost of one stats and layout reads, built once, all
+    indexed by letter only.
 
     f and s_in are the bigram counts as floats, row_s each letter's
-    across-space count, o the letters' slots, and e, h and sp the effort
-    tables at those slots, indexed by letter: e[a, b] = slot_to_slot[o[a],
-    o[b]], h[a, b] = space_to_slot[o[a], o[b]] and sp[a] =
-    slot_to_space[o[a]].
+    across-space count, and e, h and sp the effort tables at the letters'
+    slots o: e[a, b] = slot_to_slot[o[a], o[b]], h[a, b] =
+    space_to_slot[o[a], o[b]] and sp[a] = slot_to_space[o[a]].
     """
 
-    t: EffortTables
-    o: np.ndarray
     f: np.ndarray
     s_in: np.ndarray
     row_s: np.ndarray
@@ -195,8 +193,6 @@ class _CostInputs(NamedTuple):
 def _cost_inputs(g: KeyboardGeometry, stats: BigramStats, layout: Layout, model: EffortModel) -> _CostInputs:
     t, o = effort_tables(g, model), letter_slot_vector(g, layout)
     return _CostInputs(
-        t,
-        o,
         stats.within_word.astype(np.float64),
         stats.across_space[:, :END].astype(np.float64),
         stats.across_space.sum(axis=1),
@@ -234,35 +230,38 @@ def per(d_qwerty: float, d_optimized: float) -> float:
 def _swapped_costs(x: _CostInputs, base_cost: float, moved: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Cost of each row's layout, updated from base_cost, the cost of x's.
 
-    Row r moves the letters moved[r], ascending, to the slots new[r]. Only
-    the terms whose row or column letter moved are summed, at the old and
-    at the new slots, nearest sub-keys included: the rows, the columns and
-    the (moved, moved) block of f and e, then of s_in and h, the block
-    subtracted as it is counted twice, and the space after each moved
-    letter, in that order. Each sum reduces one C-contiguous row per swap
-    set, and numpy's sum of a row does not depend on the other rows, so
-    every row has the bits of a one-row call.
+    Row r moves the letters moved[r], ascending, to the slots of the
+    letters new[r] in x's layout, so each reads the e, h and sp entries
+    of the letter it displaced. Only the terms whose row or column letter
+    moved are summed, at the old and at the new slots, nearest sub-keys
+    included: the rows, the columns and the (moved, moved) block of f and
+    e, then of s_in and h, the block subtracted as it is counted twice,
+    and the space after each moved letter, in that order. Each sum
+    reduces one C-contiguous row per swap set, and numpy's sum of a row
+    does not depend on the other rows, so every row has the bits of a
+    one-row call.
     """
-    n, n_letters = moved.shape[0], x.o.shape[0]
+    n, n_letters = moved.shape[0], x.sp.shape[0]
     letters = np.arange(n_letters)
     mr, mc = moved[:, :, None], moved[:, None, :]
-    new_slots = np.tile(x.o, (n, 1))
-    new_slots[np.arange(n)[:, None], moved] = new
+    # took[r, a]: the letter whose slot letter a holds in row r's layout
+    took = np.tile(letters, (n, 1))
+    took[np.arange(n)[:, None], moved] = new
     # each term's letter block per row: (moved, any), (any, moved), (moved, moved)
     blocks = ((mr, letters), (letters[:, None], mc), (mr, mc))
     counts = [m.take(a * n_letters + b) for m in (x.f, x.s_in) for a, b in blocks]
 
-    def affected(slots: np.ndarray, sm: np.ndarray) -> np.ndarray:
-        sr, sc = sm[:, :, None], sm[:, None, :]
-        slot_blocks = ((sr, slots[..., None, :]), (slots[..., :, None], sc), (sr, sc))
+    def affected(at: np.ndarray, at_moved: np.ndarray) -> np.ndarray:
+        ar, ac = at_moved[:, :, None], at_moved[:, None, :]
+        at_blocks = ((ar, at[..., None, :]), (at[..., :, None], ac), (ar, ac))
         f_rows, f_cols, f_both, s_rows, s_cols, s_both = (
-            (c * tab.take(sa * n_letters + sb)).reshape(n, -1).sum(axis=1)
-            for c, (tab, (sa, sb)) in zip(counts, itertools.product((x.t.slot_to_slot, x.t.space_to_slot), slot_blocks))
+            (c * tab.take(a * n_letters + b)).reshape(n, -1).sum(axis=1)
+            for c, (tab, (a, b)) in zip(counts, itertools.product((x.e, x.h), at_blocks))
         )
-        space = (x.row_s[moved] * x.t.slot_to_space[sm]).sum(axis=1)
+        space = (x.row_s[moved] * x.sp[at_moved]).sum(axis=1)
         return (((((f_rows + f_cols) - f_both) + s_rows) + s_cols) - s_both) + space
 
-    return base_cost + (affected(new_slots, new) - affected(x.o, x.o[moved]))
+    return base_cost + (affected(took, new) - affected(letters, moved))
 
 
 def delta_cost(
@@ -285,4 +284,4 @@ def delta_cost(
     pairs = np.array([[LETTER_INDEX[a], LETTER_INDEX[b]] for a, b in swaps.pairs])
     moved, partner = pairs.ravel(), pairs[:, ::-1].ravel()
     order = np.argsort(moved)
-    return float(_swapped_costs(x, base_cost, moved[order][None], x.o[partner[order]][None])[0])
+    return float(_swapped_costs(x, base_cost, moved[order][None], partner[order][None])[0])

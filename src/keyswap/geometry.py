@@ -129,14 +129,10 @@ class Slot:
     y: float
 
 
-def _letter_slot_ids() -> tuple[str, ...]:
-    ids = []
-    for r, row in enumerate(ROW_LETTERS):
-        ids.extend(f"r{r}c{c}" for c in range(len(row)))
-    return tuple(ids)
-
-
-LETTER_SLOT_IDS = _letter_slot_ids()
+# the 30 slots of every geometry, in slot index order
+LETTER_SLOT_IDS = tuple(f"r{r}c{c}" for r, row in enumerate(ROW_LETTERS) for c in range(len(row)))
+SLOT_IDS = LETTER_SLOT_IDS + SPACE_SLOT_IDS
+SLOT_INDEX = {sid: i for i, sid in enumerate(SLOT_IDS)}
 
 
 class KeyboardGeometry:
@@ -146,33 +142,28 @@ class KeyboardGeometry:
     Letter slots are identified as ``r<row>c<col>`` and the four space
     sub-keys as ``sp1``..``sp4``. A slot index is a position in ``slots``:
     the 26 letter slots in LETTER_SLOT_IDS order, then sp1..sp4. ``ids``
-    and ``index`` map between slot indices and ids; ``dist`` (30x30, mm)
-    holds distance() of every slot pair, with its expression and so its
-    bits; ``sub`` (26) holds the slot index of each letter slot's
-    nearest_space_slot(). Identity, equality and hashing follow the spec
-    the geometry was built from.
+    and ``index`` map between slot indices and ids; only the centres
+    depend on the spec, so every geometry shares them as SLOT_IDS and
+    SLOT_INDEX. ``dist`` (30x30, mm) holds distance() of every slot pair,
+    with its expression and so its bits; ``sub`` (26) holds the slot index
+    of each letter slot's nearest_space_slot(). Identity, equality and
+    hashing follow the spec the geometry was built from.
     """
 
-    __slots__ = ("spec", "slots", "ids", "index", "dist", "sub")
+    __slots__ = ("spec", "slots", "dist", "sub")
+    ids = SLOT_IDS
+    index = SLOT_INDEX
 
     def __init__(self, spec: GeometrySpec):
-        px = spec.col_pitch
-        py = spec.row_pitch
-        slots: list[Slot] = []
-        for r, row in enumerate(ROW_LETTERS):
-            for c in range(len(row)):
-                slots.append(Slot(f"r{r}c{c}", spec.row_x_offsets[r] + c * px, r * py))
-        for i, col in enumerate(spec.space_subkey_columns):
-            slots.append(Slot(SPACE_SLOT_IDS[i], spec.row_x_offsets[2] + col * px, 3 * py))
-        centers = {(s.x, s.y) for s in slots}
-        if len(centers) != len(slots):
+        px, py, x0 = spec.col_pitch, spec.row_pitch, spec.row_x_offsets
+        centers = [(x0[r] + c * px, r * py) for r, row in enumerate(ROW_LETTERS) for c in range(len(row))]
+        centers += [(x0[2] + col * px, 3 * py) for col in spec.space_subkey_columns]
+        if len(set(centers)) != len(centers):
             raise ValueError("geometry produces overlapping slot centers")
         self.spec = spec
-        self.slots = tuple(slots)
-        self.ids = tuple(s.id for s in slots)
-        self.index = {sid: i for i, sid in enumerate(self.ids)}
-        self.dist = np.array([[math.hypot(a.x - b.x, a.y - b.y) for b in slots] for a in slots])
-        self.sub = np.array([self.index[nearest_space_slot(self, sid)] for sid in LETTER_SLOT_IDS], dtype=np.intp)
+        self.slots = tuple(Slot(sid, x, y) for sid, (x, y) in zip(SLOT_IDS, centers))
+        self.dist = np.array([[math.hypot(a.x - b.x, a.y - b.y) for b in self.slots] for a in self.slots])
+        self.sub = np.array([SLOT_INDEX[nearest_space_slot(self, sid)] for sid in LETTER_SLOT_IDS], dtype=np.intp)
 
     def slot(self, slot_id: str) -> Slot:
         try:
@@ -322,11 +313,8 @@ class Layout:
 
 def qwerty_layout() -> Layout:
     """The stock layout: letters in their usual QWERTY slots."""
-    slots = [""] * 26
-    for r, row in enumerate(ROW_LETTERS):
-        for c, ch in enumerate(row):
-            slots[LETTER_INDEX[ch]] = f"r{r}c{c}"
-    return Layout(tuple(slots))
+    slot_of = dict(zip("".join(ROW_LETTERS), LETTER_SLOT_IDS))
+    return Layout(tuple(slot_of[ch] for ch in LETTERS))
 
 
 def apply_swaps(layout: Layout, swaps: SwapSet) -> Layout:

@@ -385,7 +385,7 @@ def _exact_d1(x: _CostInputs, base_cost: float, pairs: np.ndarray) -> np.ndarray
     row per pair, so entry p has the bits of delta_cost(..., SwapSet((pair
     p,)), ...) - base_cost for any set of pairs."""
     moved = np.stack((_U.take(pairs), _V.take(pairs)), axis=1)
-    return _swapped_costs(x, base_cost, moved, x.o[moved[:, ::-1]]) - base_cost
+    return _swapped_costs(x, base_cost, moved, moved[:, ::-1]) - base_cost
 
 
 def _exact_c2(x: _CostInputs, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -423,9 +423,11 @@ def _band_width(x: _CostInputs, base_cost: float) -> float:
     n * u / (1 - n * u); any order of summing n terms errs by at most
     gamma_{n-1} times the sum of their magnitudes (Higham, Accuracy and
     Stability of Numerical Algorithms, sections 3.1 and 4.2; no
-    underflow). Let M_e, M_h and M_sp be the largest magnitudes of
-    slot_to_slot, space_to_slot and slot_to_space, every count being
-    >= 0, and Phi = M_e * sum(f) + M_h * sum(s_in) + M_sp * sum(row_s).
+    underflow). Let M_e, M_h and M_sp be the largest magnitudes of e, h
+    and sp, every count being >= 0, and Phi = M_e * sum(f) + M_h *
+    sum(s_in) + M_sp * sum(row_s); as a layout is a bijection onto the
+    letter slots, e, h and sp permute slot_to_slot, space_to_slot and
+    slot_to_space, and have their maxima.
     The bound is built from these magnitudes, not from c2: c2 entries can
     cancel to a rounding residue of much larger terms.
 
@@ -469,7 +471,7 @@ def _band_width(x: _CostInputs, base_cost: float) -> float:
     is finite wherever the costs are.
     """
     scale = 2.0**-41
-    m_e, m_h, m_sp = (scale * float(np.abs(t).max()) for t in (x.t.slot_to_slot, x.t.space_to_slot, x.t.slot_to_space))
+    m_e, m_h, m_sp = (scale * float(np.abs(t).max()) for t in (x.e, x.h, x.sp))
     phi = m_e * float(x.f.sum()) + m_h * float(x.s_in.sum()) + m_sp * float(x.row_s.sum())
     return 2.0 * (phi + scale * abs(base_cost))
 

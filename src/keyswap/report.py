@@ -22,9 +22,8 @@ import numpy as np
 
 from .effort import per  # noqa: F401 - keyswap.report.per stays importable
 from .geometry import (
-    LETTER_SLOT_IDS,
     LETTERS,
-    SPACE_SLOT_IDS,
+    SLOT_IDS,
     KeyboardGeometry,
     Layout,
     SwapSet,
@@ -196,15 +195,16 @@ class _SvgHeads(NamedTuple):
     lines: list[str]
 
 
-# each slot index's rank in slot id order; every geometry has the same ids
-_ID_RANK = np.argsort(np.argsort(LETTER_SLOT_IDS + SPACE_SLOT_IDS))
+# the slot indices in slot id order, and each slot index's rank in it
+_BY_RANK = np.argsort(SLOT_IDS)
+_ID_RANK = np.argsort(_BY_RANK)
 
 
 @lru_cache(maxsize=16)
 def _svg_heads(g: KeyboardGeometry) -> _SvgHeads:
     """The _SvgHeads of a geometry, built on first use and cached."""
     kw, kh = g.spec.key_width, g.spec.key_height
-    by_rank = sorted(g.slots, key=lambda s: s.id)
+    by_rank = [g.slots[i] for i in _BY_RANK]
     return _SvgHeads(
         rects=[
             f'<rect x="{s.x - kw / 2:.3f}" y="{s.y - kh / 2:.3f}" width="{kw:.3f}" height="{kh:.3f}" rx="0.6" fill="'

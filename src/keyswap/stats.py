@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import SPACE, KeySequence
-from .geometry import LETTERS, KeyboardGeometry, Layout, letter_slot_vector
+from .geometry import LETTERS, SLOT_IDS, KeyboardGeometry, Layout, letter_slot_vector
 
 END = 26  # column index for a stream-final space
 
@@ -165,9 +165,8 @@ def traversals(stats: BigramStats, g: KeyboardGeometry, layout: Layout) -> list[
     m = _move_table(stats, g, layout)
     src = [LETTERS[a] for a in m.a[: m.within + m.into].tolist()] + [SP] * (m.a.size - m.within - m.into)
     dst = [LETTERS[b] if b < END else SP for b in m.b.tolist()]
-    ids = g.ids
     return [
-        Move(x, y, ids[p], ids[q], n)
+        Move(x, y, SLOT_IDS[p], SLOT_IDS[q], n)
         for x, y, p, q, n in zip(src, dst, m.src.tolist(), m.dst.tolist(), m.count.tolist())
     ]
 

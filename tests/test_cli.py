@@ -403,6 +403,12 @@ def test_batch_manifest_validation(workdir):
         ("a\0b", "unusable as a directory name: 'a\\x00b'"),
         # the id names files whose text is UTF-8, which no lone surrogate encodes to
         ("a\udcff", "unusable as a directory name: 'a\\udcff'"),
+        # the id is written into scatter.svg, and XML 1.0 holds no C0 control but
+        # tab, LF and CR, and neither U+FFFE nor U+FFFF
+        ("a\u0001b", "holds a character that XML cannot hold: 'a\\x01b'"),
+        ("a\u001fb", "holds a character that XML cannot hold: 'a\\x1fb'"),
+        ("a\ufffeb", "holds a character that XML cannot hold: 'a\\ufffeb'"),
+        ("a\uffffb", "holds a character that XML cannot hold: 'a\\uffffb'"),
         (None, "must be a string, got null"),
         (True, "must be a string, got true"),
         (7, "must be a string, got 7"),

@@ -14,6 +14,9 @@ from keyswap.geometry import (
     DEFAULT_SPEC,
     LETTER_SLOT_IDS,
     LETTERS,
+    ROW_LETTERS,
+    SLOT_IDS,
+    SLOT_INDEX,
     GeometrySpec,
     Layout,
     SwapSet,
@@ -109,14 +112,17 @@ def test_slot_table_is_distance_and_nearest_space_slot_bit_for_bit(factor):
     # np.hypot rounds differently from math.hypot on a few slot pairs of
     # these geometries, so the table must be built with distance()'s expression.
     g = build_geometry(DEFAULT_SPEC.scaled(factor))
-    assert g.ids == tuple(s.id for s in g.slots)
-    assert all(g.index[sid] == i for i, sid in enumerate(g.ids))
+    # every geometry shares one slot numbering: the letter rows, then the sub-keys
+    want_ids = tuple(f"r{r}c{c}" for r, row in enumerate(ROW_LETTERS) for c in range(len(row)))
+    assert SLOT_IDS == want_ids + ("sp1", "sp2", "sp3", "sp4")
+    assert tuple(s.id for s in g.slots) == g.ids == SLOT_IDS
+    assert g.index == SLOT_INDEX and all(g.index[sid] == i for i, sid in enumerate(g.ids))
     want = np.array([[distance(g, a, b) for b in g.ids] for a in g.ids])
     assert g.dist.tobytes() == want.tobytes()
     assert [g.ids[i] for i in g.sub] == [nearest_space_slot(g, sid) for sid in LETTER_SLOT_IDS]
     # the batch pool pickles Settings, and the tables travel inside the geometry
     h = pickle.loads(pickle.dumps(g))
-    assert h == g and h.index == g.index
+    assert h == g and h.index == SLOT_INDEX and tuple(s.id for s in h.slots) == SLOT_IDS
     assert h.dist.tobytes() == g.dist.tobytes() and h.sub.tobytes() == g.sub.tobytes()
 
 
@@ -211,6 +217,8 @@ def test_qwerty_layout_slots(qwerty):
     assert qwerty.slot_of("p") == "r0c9"
     assert qwerty.slot_of("a") == "r1c0"
     assert qwerty.slot_of("m") == "r2c6"
+    want = {ch: f"r{r}c{c}" for r, row in enumerate(ROW_LETTERS) for c, ch in enumerate(row)}
+    assert qwerty.to_json_dict() == want
 
 
 def test_layout_requires_bijection(qwerty):

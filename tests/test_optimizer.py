@@ -180,11 +180,12 @@ def test_delta_tables_are_bit_identical_to_their_references(geometry):
                 assert _exact_c2(x, p, q).tobytes() == c2[p, q].tobytes(), case
 
 
-# SHA-256 of the float64 bytes of every delta_cost and stats_cost value of
-# test_public_costs_are_pinned, in its order
+# SHA-256 of the float64 bytes of every delta_cost, stats_cost and
+# _band_width value of test_public_costs_are_pinned, in its order
 COST_SHA256 = {
     "delta_cost": "9d83e18f615912fe68fb63c241aaad02db4976a2dcdf7e14589c3067acfba493",
     "stats_cost": "9f67f0c69b68c85a01267f3ec937e5c0bc2fead9aa88f4452cd220a19885a2aa",
+    "band_width": "2666bcd64980b8eae8ac509bebec6754e32c515ea815858625e66ad8a5c40d4d",
 }
 
 
@@ -196,7 +197,8 @@ def _random_swaps(rng: random.Random, n: int) -> SwapSet:
 def test_public_costs_are_pinned(geometry):
     # Swap sets of 1, 2 and 3 pairs from qwerty and from a layout that a
     # 3-pair set has moved, under each model; test_delta_cost_matches_full_recompute
-    # compares with a tolerance, these digests compare bits.
+    # compares with a tolerance, these digests compare bits. The band
+    # width of each base decides which rows the exact re-score sees.
     rng = random.Random(1717)
     values = {name: [] for name in COST_SHA256}
     for text in table_texts() + [TWO_LETTER_TEXT]:
@@ -206,6 +208,7 @@ def test_public_costs_are_pinned(geometry):
             for base in (qwerty_layout(), apply_swaps(qwerty_layout(), moved)):
                 base_cost = stats_cost(geometry, base, stats, model)
                 values["stats_cost"].append(base_cost)
+                values["band_width"].append(_band_width(_cost_inputs(geometry, stats, base, model), base_cost))
                 for n in (1, 2, 3, 1, 2, 3):
                     swaps = _random_swaps(rng, n)
                     values["delta_cost"].append(delta_cost(geometry, base, base_cost, stats, swaps, model))

@@ -158,7 +158,8 @@ def test_layout_svg_highlights_swapped_keys(geometry, qwerty):
 
 
 def test_pair_scatter_svg(geometry):
-    for user_id in ("u", "R&D <team>"):
+    # a tab and DEL are XML characters; batch rejects the ids that are not
+    for user_id in ("u", "R&D <team>", "a\tb", "a\x7fb"):
         report, _, _ = _sample_report(geometry, user_id=user_id)
         svg = pair_scatter_svg(list(report.top_pairs), report.user_id)
         root = _assert_valid_svg(svg)
