@@ -7,11 +7,11 @@ segment (a doubled letter) costs nothing under either model: the finger
 never moves.
 
 ``sequence_cost`` walks tokens one by one and is the ground truth. The
-others read one set of inputs, _cost_inputs: ``stats_cost`` sums them,
-and ``delta_cost`` updates a known cost after a letter swap by touching
-only the affected rows, including re-deciding nearest space sub-keys. It
-is one row of _swapped_costs, which the search calls with one row per
-letter pair to score its best candidates exactly.
+others read one set of inputs, _cost_inputs: ``stats_cost`` sums them
+(_layout_cost, whose arithmetic the search also scores its best
+candidates with), and ``delta_cost`` updates a known cost after a letter
+swap by touching only the affected rows, including re-deciding nearest
+space sub-keys, as one row of _swapped_costs.
 """
 
 from __future__ import annotations
@@ -210,6 +210,32 @@ def _layout_cost(x: _CostInputs) -> float:
     return total
 
 
+def _took(x: _CostInputs, moved: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """took[r, a]: the letter whose slot in x's layout letter a holds in row
+    r's layout, which moves the letters moved[r] to the slots of new[r]."""
+    took = np.tile(np.arange(x.sp.shape[0]), (moved.shape[0], 1))
+    took[np.arange(moved.shape[0])[:, None], moved] = new
+    return took
+
+
+def _layout_costs(x: _CostInputs, moved: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """_layout_cost of each row's layout, as _took gives it, with its bits.
+
+    Row r's e, h and sp are e[took, took], h[took, took] and sp[took], the
+    tables of _cost_inputs at its layout. Their products with f, s_in and
+    row_s are summed per row over the same 676, 676 and 26 contiguous
+    entries that _layout_cost sums, and numpy's sum of a row does not
+    depend on the other rows; the three sums are added as (a + b) + c, as
+    _layout_cost adds them.
+    """
+    took = _took(x, moved, new)
+    n, n_letters = took.shape
+    flat = (took * n_letters)[:, :, None] + took[:, None, :]
+    a = (x.f * x.e.take(flat)).reshape(n, -1).sum(axis=1)
+    b = (x.s_in * x.h.take(flat)).reshape(n, -1).sum(axis=1)
+    return (a + b) + (x.row_s * x.sp.take(took)).sum(axis=1)
+
+
 def stats_cost(
     g: KeyboardGeometry,
     layout: Layout,
@@ -244,9 +270,7 @@ def _swapped_costs(x: _CostInputs, base_cost: float, moved: np.ndarray, new: np.
     n, n_letters = moved.shape[0], x.sp.shape[0]
     letters = np.arange(n_letters)
     mr, mc = moved[:, :, None], moved[:, None, :]
-    # took[r, a]: the letter whose slot letter a holds in row r's layout
-    took = np.tile(letters, (n, 1))
-    took[np.arange(n)[:, None], moved] = new
+    took = _took(x, moved, new)
     # each term's letter block per row: (moved, any), (any, moved), (moved, moved)
     blocks = ((mr, letters), (letters[:, None], mc), (mr, mc))
     counts = [m.take(a * n_letters + b) for m in (x.f, x.s_in) for a, b in blocks]

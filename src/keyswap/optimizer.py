@@ -17,26 +17,24 @@ triplet of their smaller letters with the triplet of their larger ones.
 Canonical rows already have ascending smaller letters. The result keeps
 candidates = 2,302,300, the count of triplet pairings.
 
-The search never recomputes full layout costs. Cost is a sum over letter
-pairs, so the change from applying disjoint transpositions p1..pn is
-exactly the per-transposition deltas d1[p] plus the pairwise cross terms
-c2[p, q]. The search builds them once per search, from effort's
-_cost_inputs, which also give its base cost, in a fast form: _build_d1
-from first differences of the bigram and effort tables and, for sizes
-above 1, _build_c2 from second differences, dense 325 x 325 arrays.
-Their association order is not the reference's, so their bits differ
-from it in the last places. Each size has one candidate stream,
-_candidate_blocks(n, mode); sizes 1 and 2 keep with _band_rows, and size
-3 with _best_size3 over the rows of _size3_plan(mode), every row whose
-fast delta is within band of the least, where band = 2 * eps and eps
-bounds |fast row - exact row| for every row (_band_width holds the
-proof). _rescore then scores each band with the exact tables at only the
-entries the band reads: _exact_d1 is a pair-indexed call of effort's
-_swapped_costs, as delta_cost is a one-row call, and _exact_c2 has
-reference_c2's arithmetic. Ties go to the smallest canonical encoding.
-The winner and its tie-break are therefore those of scoring every row
-with the exact tables, bit for bit. _triplet_pairings is kept only as
-the reference stream of enumerate_swapsets(3, "paper") and of the tests.
+Cost is a sum over letter pairs, so the change from applying disjoint
+transpositions p1..pn is exactly the per-transposition deltas d1[p] plus
+the pairwise cross terms c2[p, q]. The search builds them once per
+search, from effort's _cost_inputs, which also give its base cost:
+_build_d1 from first differences of the bigram and effort tables and,
+for sizes above 1, _build_c2 from second differences, dense 325 x 325
+arrays. Each size has one candidate stream, _candidate_blocks(n, mode);
+sizes 1 and 2 keep with _band_rows, and size 3 with _best_size3 over the
+rows of _size3_plan(mode), every row whose table delta is within band of
+the least, where band = 2 * eps and eps bounds |table row - (layout
+cost(row) - base cost)| for every row (_band_width holds the proof).
+_rescore then scores each band with the layout cost itself, in
+stats_cost's arithmetic, once per class of rows that move the corpus's
+letters alike, and takes the least (cost, encoding). The winner, its
+tie-break toward the smallest canonical encoding and the reported best
+cost are therefore those of scoring every row with stats_cost, bit for
+bit. _triplet_pairings is kept only as the reference stream of
+enumerate_swapsets(3, "paper") and of the tests.
 
 The size-3 search does not score every block. Each first pair i gets a
 lower bound on its block, bound[i] = min_j (a[i, j] + r[j]) + min_k
@@ -68,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .effort import (
-    DISTANCE_MODEL, EffortModel, _CostInputs, _cost_inputs, _layout_cost, _swapped_costs, per, stats_cost
+    DISTANCE_MODEL, EffortModel, _CostInputs, _cost_inputs, _layout_cost, _layout_costs, per, stats_cost
 )
 from .geometry import (
     DEFAULT_SPEC,
@@ -88,8 +86,8 @@ _N_LETTERS = 26
 _N_PAIRS = 325  # C(26, 2)
 _N_TRIPLETS = 2600  # C(26, 3)
 
-# rows or c2 entries per pass of _rescore, so that a wide band's temporaries stay small
-_RESCORE_ROWS = 1024
+# layouts per pass of _rescore, so that a wide band's temporaries stay small
+_LAYOUTS = 64
 
 # verify_result's relative tolerance between stored and recomputed costs
 VERIFY_REL_TOL = 1e-9
@@ -220,14 +218,6 @@ _PAIR_IDX[_U, _V] = _PAIR_IDX[_V, _U] = np.arange(_N_PAIRS)
 # _COMPAT[p, q]: pairs p and q share no letter (so p != q)
 _COMPAT = (_U[:, None] != _U) & (_U[:, None] != _V) & (_V[:, None] != _U) & (_V[:, None] != _V)
 _SHARED = ~_COMPAT  # p and q share a letter, or p == q
-# the letters (a, a', b, b') of _exact_c2's eight combinations, as rows of
-# (u_p, v_p, u_q, v_q): the four led by p, then the four led by q
-_C2_COMBOS = (
-    (0, 0, 1, 1, 2, 2, 3, 3),
-    (1, 1, 0, 0, 3, 3, 2, 2),
-    (2, 3, 2, 3, 0, 1, 0, 1),
-    (3, 2, 3, 2, 1, 0, 1, 0),
-)
 # _FIRST[u]: the first pair whose smaller letter is u or above
 _FIRST = np.searchsorted(_U, np.arange(_N_LETTERS))
 # flat indices of (p, u_p) and (p, v_p) in a (325, 26) array of pair rows
@@ -278,12 +268,12 @@ def _candidate_blocks(n: int, mode: str = "canonical"):
     A block is a tuple of n pair-index arrays; row r is the candidate
     (block[0][r], ..., block[n-1][r]), sorted ascending, which is its
     canonical encoding. The rows of the whole stream ascend in encoding,
-    the precondition of _best. Size 3 is one block per first pair i that
-    takes a row: the rows of _size3_plan(mode) that i takes, the rows that
-    _Size3Kernel.block leaves finite when the tables are finite. Paper
-    mode is the size-3 stream filtered to v[i] < v[j] < v[k]: the plan's
-    size-2 rows keep v[j] < v[k], and first pair i keeps the rows with
-    v[i] < v[j].
+    and so do the rows of each band, the precondition of _rescore. Size 3
+    is one block per first pair i that takes a row: the rows of
+    _size3_plan(mode) that i takes, the rows that _Size3Kernel.block
+    leaves finite when the tables are finite. Paper mode is the size-3
+    stream filtered to v[i] < v[j] < v[k]: the plan's size-2 rows keep
+    v[j] < v[k], and first pair i keeps the rows with v[i] < v[j].
     """
     if n == 1:
         yield (np.arange(_N_PAIRS),)
@@ -336,7 +326,8 @@ def _build_d1(x: _CostInputs) -> np.ndarray:
     is then off by (P m P^T)[p, p] * (P e P^T)[p, p]. So d1 is, over (m,
     e) = (f, e) and (s_in, h), the sum of those three parts, minus (P
     row_s)[p] * (P sp)[p] for the space after each letter. The bits are
-    not delta_cost's: _band_width bounds the difference.
+    not delta_cost's: _band_width bounds how far a row of the tables is
+    from the change in layout cost.
     """
     d1 = -(_first_difference(x.row_s) * _first_difference(x.sp))
     for m, e in ((x.f, x.e), (x.s_in, x.h)):
@@ -365,8 +356,9 @@ def _build_c2(x: _CostInputs) -> np.ndarray:
     first letter u, over the rows of (P m)^T, gives that block of all four
     second differences, transposed, which is multiplied and summed
     straight into the rows q of G^T. So no 325 x 325 array is built but
-    G^T and c2. The bits are not those of _exact_c2: _band_width bounds
-    the difference.
+    G^T and c2. The bits are not those of summing the eight (letter of
+    p, letter of q) combinations in turn: _band_width bounds how far a
+    row of the tables is from the change in layout cost.
     """
     a = np.stack([_first_difference(m).T for m in (x.e, x.f, x.h, x.s_in)])
     gt = np.empty((_N_PAIRS, _N_PAIRS))
@@ -380,95 +372,61 @@ def _build_c2(x: _CostInputs) -> np.ndarray:
     return c2
 
 
-def _exact_d1(x: _CostInputs, base_cost: float, pairs: np.ndarray) -> np.ndarray:
-    """d1 of the given pairs in delta_cost's arithmetic: one _swapped_costs
-    row per pair, so entry p has the bits of delta_cost(..., SwapSet((pair
-    p,)), ...) - base_cost for any set of pairs."""
-    moved = np.stack((_U.take(pairs), _V.take(pairs)), axis=1)
-    return _swapped_costs(x, base_cost, moved, moved[:, ::-1]) - base_cost
-
-
-def _exact_c2(x: _CostInputs, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """c2[p, q] of disjoint pairs p < q in the reference arithmetic.
-
-    Each entry sums the eight (letter of p, letter of q) combinations,
-    the four led by p and then the four led by q, each adding m[a, b] *
-    (((e[a', b'] - e[a', b]) - e[a, b']) + e[a, b]) with f and e, then
-    with s_in and h, from +0.0, where x' is the partner of x in its pair.
-    The terms of all eight are computed at once, each with its own
-    operations, and added in that order. Each entry is computed on its
-    own, so it has the same bits for any set of pairs; tests hold it to
-    reference_c2.
-    """
-    letters = np.stack((_U.take(p), _V.take(p), _U.take(q), _V.take(q)))
-    a, a2, b, b2 = (letters.take(c, 0) for c in _C2_COMBOS)
-    a, a2 = a * _N_LETTERS, a2 * _N_LETTERS
-    ab, a2b2, a2b, ab2 = a + b, a2 + b2, a2 + b, a + b2
-    terms = [
-        m.take(ab) * (((e.take(a2b2) - e.take(a2b)) - e.take(ab2)) + e.take(ab)) for m, e in ((x.f, x.e), (x.s_in, x.h))
-    ]
-    out = np.zeros(p.shape[0])
-    for c in range(len(_C2_COMBOS[0])):
-        for t in terms:
-            out += t[c]
-    return out
-
-
 def _band_width(x: _CostInputs, base_cost: float) -> float:
-    """band = 2 * eps, with eps a bound on |fast row - exact row| for every row.
+    """band = 2 * eps, with eps a bound on |fast row - (layout cost(row) -
+    base_cost)| for every row.
 
-    A row's delta sums at most three d1 and three c2 entries, in the same
-    five additions, from the fast tables (_build_d1, _build_c2) or from
-    the exact ones (_exact_d1, _exact_c2). Let u = 2**-53 and gamma_n =
-    n * u / (1 - n * u); any order of summing n terms errs by at most
-    gamma_{n-1} times the sum of their magnitudes (Higham, Accuracy and
-    Stability of Numerical Algorithms, sections 3.1 and 4.2; no
-    underflow). Let M_e, M_h and M_sp be the largest magnitudes of e, h
-    and sp, every count being >= 0, and Phi = M_e * sum(f) + M_h *
-    sum(s_in) + M_sp * sum(row_s); as a layout is a bijection onto the
-    letter slots, e, h and sp permute slot_to_slot, space_to_slot and
-    slot_to_space, and have their maxima.
-    The bound is built from these magnitudes, not from c2: c2 entries can
-    cancel to a rounding residue of much larger terms.
+    A row's fast delta sums at most three d1 and three c2 entries of the
+    fast tables (_build_d1, _build_c2) in five additions. Its layout cost
+    is _layout_cost of its layout, as _rescore computes it, and base_cost
+    is _layout_cost of x's. Let u = 2**-53 and gamma_n = n * u / (1 - n *
+    u); any order of summing n terms errs by at most gamma_{n-1} times the
+    sum of their magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, sections 3.1 and 4.2; no underflow). Let M_e, M_h and M_sp
+    be the largest magnitudes of e, h and sp, every count being >= 0, and
+    Phi = M_e * sum(f) + M_h * sum(s_in) + M_sp * sum(row_s); as a layout
+    is a bijection onto the letter slots, e, h and sp permute
+    slot_to_slot, space_to_slot and slot_to_space, and have their maxima,
+    in every layout. The bound is built from these magnitudes, not from
+    c2: c2 entries can cancel to a rounding residue of much larger terms.
 
     True terms. A count f[a, b] enters the d1 of the pairs holding a or
     b, at most two pairs of a row, each time times a difference of two e
     entries, and row_s[a] enters one; so a row's true d1 sum to at most
     4 Phi in magnitude. f[a, b] enters at most one of the row's c2, that
     of a's pair and b's pair, times four e entries: the true c2 sum to at
-    most 4 Phi.
+    most 4 Phi. Their exact sum D is the exact cost of the row's layout
+    minus the exact cost of x's.
 
-    Exact tables. An _exact_d1 entry, a row of effort._swapped_costs as
-    in delta_cost, sums blocks of at most 52 products, combines seven
-    blocks for the new and the old cost, each of at most 3 Phi_p in
-    magnitude (Phi_p, the part of Phi that pair p touches), and adds
-    and subtracts base_cost: it errs by at most 6 gamma_62 Phi_p
-    + 2.01u |base_cost|, and the Phi_p of a row's pairs sum to at most
-    2 Phi. An _exact_c2 entry adds 16 products of a count and three
-    subtractions of e or h entries: over a row, 4 gamma_20 Phi. So a
-    row's exact terms err by at most about 824u Phi + 6.03u |base_cost|.
+    Layout costs. _layout_cost rounds each of 676 products of f and e,
+    676 of s_in and h and 26 of row_s and sp once, sums each set, and adds
+    the three sums in two additions: it errs by at most about gamma_676
+    Phi + 2u Phi = 678u Phi, for x's layout and the row's alike. So the
+    layout cost(row) - base_cost, taken exactly, is within about 1356u Phi
+    of D.
 
     Fast tables. A _build_d1 entry adds the space product, four row sums
     of 26 products of one-subtraction differences and two corner
-    products, in six additions: gamma_34 * 8 Phi_p, so 16 gamma_34 Phi
-    over a row. A _build_c2 entry is two products of two-subtraction
-    differences, their sum, and its transpose added: 4 gamma_7 Phi over
-    a row. About 572u Phi in all.
+    products, in six additions: gamma_34 * 8 Phi_p, Phi_p the part of Phi
+    that pair p touches, so 16 gamma_34 Phi over a row, as the Phi_p of a
+    row's pairs sum to at most 2 Phi. A _build_c2 entry is two products
+    of two-subtraction differences, their sum, and its transpose added:
+    4 gamma_7 Phi over a row. Summing the row, five additions of terms of
+    at most about 8 Phi err by about 40u Phi. So the fast row is within
+    about 612u Phi of D.
 
-    Summing the row, five additions of terms of at most about 8 Phi err
-    by about 40u Phi, once with each set of tables.
-
-    So |fast row - exact row| is below about 1476u Phi + 6.03u
-    |base_cost|, and eps = 2**-41 * (Phi + |base_cost|) = 4096u * (Phi +
+    So |fast row - (layout cost(row) - base_cost)| is below about 1968u
+    Phi, and eps = 2**-41 * (Phi + |base_cost|) = 4096u * (Phi +
     |base_cost|) exceeds that, with the second-order terms and the
     rounding of best + band (about u * (8 Phi + band)), by more than
-    twice. Let best be the least fast delta and W the exact winner: for
-    every row R, fast(W) <= exact(W) + eps <= exact(R) + eps <= fast(R)
+    twice. Let best be the least fast delta and W the row of least layout
+    cost: for every row R, taking the differences exactly, fast(W) <=
+    (cost(W) - base_cost) + eps <= (cost(R) - base_cost) + eps <= fast(R)
     + 2 eps, so fast(W) <= best + band, and the same holds for every row
-    that ties W exactly. The rows whose fast delta is at most best + band
-    therefore hold the exact winner and its tie-break. The magnitudes are
-    scaled by 2**-41 before they are multiplied and summed, so the width
-    is finite wherever the costs are.
+    whose cost ties W's. The rows whose fast delta is at most best + band
+    therefore hold the least layout cost and its tie-break. The
+    magnitudes are scaled by 2**-41 before they are multiplied and
+    summed, so the width is finite wherever the costs are.
     """
     scale = 2.0**-41
     m_e, m_h, m_sp = (scale * float(np.abs(t).max()) for t in (x.e, x.h, x.sp))
@@ -476,45 +434,46 @@ def _band_width(x: _CostInputs, base_cost: float) -> float:
     return 2.0 * (phi + scale * abs(base_cost))
 
 
-def _rescore(x: _CostInputs, base_cost: float, bands: list[tuple[np.ndarray, ...]]) -> list[tuple[float, tuple]]:
-    """_best of each band, whose rows ascend in encoding, under the exact tables.
+def _rescore(x: _CostInputs, bands: list[tuple[np.ndarray, ...]]) -> list[tuple[float, tuple]]:
+    """The least (cost, encoding) of each band, whose rows ascend in
+    encoding, with cost the cost of the row's layout itself, with
+    stats_cost's bits (effort._layout_costs).
 
-    Only the d1 and c2 entries that the bands read are computed, once for
-    all bands, each with the bits of the whole exact table: d1 as one
-    _swapped_costs row per pair, as delta_cost computes it; so each result
-    is _best over the exact tables restricted to that band's rows. An
-    entry of a pair that touches no letter the corpus uses is not
-    computed but left +0.0, which are its exact bits: each of its products
-    is a zero count times a finite table entry (the base cost has already
-    raised on any other), so its sums are +0.0 or -0.0, (base_cost +
-    (new - old)) - base_cost is +0.0 for a finite base_cost > 0, and c2's
-    sum starts from +0.0. Both go in slices of _RESCORE_ROWS; the slices
-    of a band ascend in encoding, so the least of their _best is the
-    _best of the band.
+    Rows with the same live pairs, the pairs that move a letter with a
+    nonzero count, are scored once. A letter of any other pair has only
+    zero counts, so each of its products is a zero count times a finite
+    table entry (the base cost has already raised on any other), +0.0 or
+    -0.0, and adding a signed zero changes no sum that holds a nonzero
+    term: every partial sum, and so the cost, has the same value on all
+    rows with the same live pairs. Each row is keyed by its live pairs,
+    ascending, then one _N_PAIRS per dead pair, as base-326 digits. The
+    first row of each key has the smallest encoding of the key, so the
+    first least cost among the kept rows, which ascend, is the least (cost,
+    encoding) of the band, with that row's own bits. A 1-row band is
+    scored as it is.
     """
-    letters = x.f.any(0) | x.f.any(1) | x.s_in.any(0) | x.s_in.any(1) | (x.row_s > 0)
-    live = letters.take(_U) | letters.take(_V)
-    used = np.zeros(_N_PAIRS, dtype=bool)
-    used_keys = np.zeros(_N_PAIRS * _N_PAIRS, dtype=bool)
-    for rows in bands:
-        for col in rows:
-            used[col] = True
-        for a, b in itertools.combinations(rows, 2):
-            used_keys[a * _N_PAIRS + b] = True
-    used &= live
-    used_keys &= (live[:, None] & live).ravel()
-    pairs, keys = np.flatnonzero(used), np.flatnonzero(used_keys)
-    d1 = np.zeros(_N_PAIRS)
-    if pairs.size:
-        d1[pairs] = _exact_d1(x, base_cost, pairs)
-    c2 = np.zeros(_N_PAIRS * _N_PAIRS)
-    for lo in range(0, keys.shape[0], _RESCORE_ROWS):
-        at = keys[lo : lo + _RESCORE_ROWS]
-        c2[at] = _exact_c2(x, *np.divmod(at, _N_PAIRS))
+    used = x.f.any(0) | x.f.any(1) | x.s_in.any(0) | x.s_in.any(1) | (x.row_s > 0)
+    live = used.take(_U) | used.take(_V)
     found = []
     for rows in bands:
-        at = range(0, len(rows[0]), _RESCORE_ROWS)
-        found.append(min(_best(d1, c2, tuple(col[lo : lo + _RESCORE_ROWS] for col in rows)) for lo in at))
+        if rows[0].shape[0] > 1:
+            live_cols = [live.take(col) for col in rows]
+            key = np.zeros(rows[0].shape[0], dtype=np.int64)
+            for col, is_live in zip(rows, live_cols):
+                key = np.where(is_live, key * (_N_PAIRS + 1) + col, key)
+            for is_live in live_cols:
+                key = np.where(is_live, key, key * (_N_PAIRS + 1) + _N_PAIRS)
+            first = np.sort(np.unique(key, return_index=True)[1])
+            rows = tuple(col.take(first) for col in rows)
+        costs = []
+        for lo in range(0, rows[0].shape[0], _LAYOUTS):
+            pairs = np.stack([col[lo : lo + _LAYOUTS] for col in rows], axis=1)
+            # each row moves the letters of its pairs to their partners' slots
+            moved, new = (np.concatenate((a.take(pairs), b.take(pairs)), axis=1) for a, b in ((_U, _V), (_V, _U)))
+            costs.append(_layout_costs(x, moved, new))
+        costs = np.concatenate(costs)
+        r = int(np.argmin(costs))
+        found.append((float(costs[r]), tuple(int(col[r]) for col in rows)))
     return found
 
 
@@ -543,9 +502,8 @@ def _best(d1: np.ndarray, c2: np.ndarray | None, block) -> tuple[float, tuple[in
     Precondition: the block's rows ascend in encoding. argmin returns the
     first minimum, so ties go to the smallest encoding, and comparing the
     returned tuples across blocks and sizes reproduces canonical SwapSet
-    order (shorter encodings win on a shared prefix). The search scores
-    the band of each size with it under the exact tables; it is also the
-    reference that _best_size3 is tested against.
+    order (shorter encodings win on a shared prefix). The search does not
+    call it: it is the reference that the size-3 scan is tested against.
     """
     deltas = _row_deltas(d1, c2, block)
     r = int(np.argmin(deltas))
@@ -564,11 +522,11 @@ class _Size3Kernel:
 
     It reads the fast tables of _build_d1 and _build_c2: _best_size3 keeps
     from each block it scores the rows within the band, which _rescore
-    scores again with the exact tables, and skips the blocks whose bound
-    proves every row above the band. Precondition: d1 and c2 are finite
-    and no row's sum overflows, as optimize ensures. c2jk, the values of
-    c2 at the plan's rows, is gathered once here, only for a size-3
-    search; a paper plan holds only the rows it keeps.
+    scores again with the layout cost itself, and skips the blocks whose
+    bound proves every row above the band. Precondition: d1 and c2 are
+    finite and no row's sum overflows, as optimize ensures. c2jk, the
+    values of c2 at the plan's rows, is gathered once here, only for a
+    size-3 search; a paper plan holds only the rows it keeps.
     """
 
     def __init__(self, d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan):
@@ -669,10 +627,10 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     band), far above their sum plus 10u * S. So the block that stops the
     scan, and every later block, whose bound is no smaller, holds only
     rows that compute strictly above best + band. The band is then
-    complete, and with _band_width's eps the exact winner and its
-    tie-break are among its rows. All-zero tables with a zero band give
-    tau = 0 and skip nothing; a max that overflows gives tau = inf, which
-    skips nothing either.
+    complete, and with _band_width's eps the row of least layout cost and
+    its tie-break are among its rows. All-zero tables with a zero band
+    give tau = 0 and skip nothing; a max that overflows gives tau = inf,
+    which skips nothing either.
     """
     kernel = _Size3Kernel(d1, c2, plan)
     bound = kernel.bounds()
@@ -747,9 +705,9 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
     """Search swap sets exactly and return the cheapest layout.
 
     Ties are broken toward the lexicographically smallest canonical
-    encoding. The winning cost is recomputed from scratch before being
-    reported. Costs that are not finite on this corpus and geometry
-    raise ValueError.
+    encoding. Every candidate's cost, the reported one included, is its
+    layout's stats_cost, bit for bit. Costs that are not finite on this
+    corpus and geometry raise ValueError.
     """
     if stats.is_empty:
         raise ValueError("cannot optimize over empty bigram stats")
@@ -771,13 +729,13 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
                 n = cfg.n_swap_pairs
                 sizes, raw_pairs = (range(1, n + 1) if cfg.cumulative else (n,)), None
             bands = _bands(x, base_cost, sizes, cfg.mode)
-            # a cumulative search also considers size 0, the stock layout
-            found = [(0.0, ())] if cfg.cumulative else []
+            # a cumulative search also considers size 0, the stock layout,
+            # whose cost has the arithmetic of every other
+            found = [(base_cost, ())] if cfg.cumulative else []
             candidates = len(found) + sum(swap_count(size, cfg.mode) for size in sizes)
-            found.extend(_rescore(x, base_cost, bands))
-            _, idx = min(found)
+            found.extend(_rescore(x, bands))
+            best_cost, idx = min(found)
             swaps = SwapSet(tuple(_LETTER_PAIRS[p] for p in idx))
-            best_cost = stats_cost(g, apply_swaps(base, swaps), stats, cfg.model)
             per_pct = per(base_cost, best_cost)
             if not (math.isfinite(best_cost) and math.isfinite(per_pct)):
                 raise FloatingPointError("overflow in the best layout cost or the improvement rate")

@@ -1,4 +1,4 @@
-"""Shared fixtures, random-corpus helpers, and the naive search oracle."""
+"""Shared fixtures, random-corpus helpers, and the naive search oracles."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from keyswap import KeySequence, build_geometry, qwerty_layout
-from keyswap.effort import effort_tables, letter_slot_vector, stats_cost
+from keyswap.effort import DISTANCE_MODEL, effort_tables, letter_slot_vector, stats_cost
 from keyswap.geometry import LETTERS, SwapSet, apply_swaps
 from keyswap.stats import END
 
@@ -80,6 +80,76 @@ def brute_force(g, stats, n):
         if best is None or key < best:
             best = key
     return best[1], best[0]
+
+
+# pair index -> its two letter indices, in canonical pair order
+PAIR_LETTERS = np.array(list(itertools.combinations(range(26), 2)))
+
+
+def canonical_rows(n: int) -> tuple[np.ndarray, ...]:
+    """Every canonical 1- or 2-pair swap set as pair-index columns, ascending."""
+    if n == 1:
+        return (np.arange(len(PAIR_LETTERS)),)
+    disjoint = ~(PAIR_LETTERS[:, None, :, None] == PAIR_LETTERS[None, :, None, :]).any(axis=(2, 3))
+    return np.nonzero(np.triu(disjoint, 1))
+
+
+def live_pair_keys(stats, rows) -> np.ndarray:
+    """One key per row of pair-index columns, equal for rows that swap the
+    same live pairs, pairs that move a letter the corpus counts: such rows
+    move the counted letters alike, so their layouts cost the same."""
+    counts = stats.within_word + stats.within_word.T
+    used = (counts.sum(axis=1) + stats.across_space.sum(axis=1) + stats.across_space[:, :END].sum(axis=0)) > 0
+    live = used[PAIR_LETTERS].any(axis=1)
+    pairs = np.stack(rows, axis=1)
+    digits = np.sort(np.where(live[pairs], pairs, len(PAIR_LETTERS)), axis=1)
+    return digits @ (len(PAIR_LETTERS) + 1) ** np.arange(pairs.shape[1])[::-1]
+
+
+def live_pair_classes(stats, blocks) -> tuple[np.ndarray, ...]:
+    """The first row of each live_pair_keys class of the blocks' rows. The
+    rows must ascend in encoding, across blocks too, and so do the rows
+    returned, the smallest encoding of each class."""
+    keys, firsts = [], []
+    for block in blocks:
+        key = live_pair_keys(stats, block)
+        at = np.sort(np.unique(key, return_index=True)[1])
+        keys.append(key[at])
+        firsts.append(np.stack(block, axis=1)[at])
+    at = np.sort(np.unique(np.concatenate(keys), return_index=True)[1])
+    return tuple(np.concatenate(firsts)[at].T)
+
+
+def layout_costs(g, stats, rows, model=DISTANCE_MODEL) -> np.ndarray:
+    """stats_cost of the qwerty layout swapped by each row, many rows at a
+    time, with stats_cost's bits: each row's 676, 676 and 26 products are
+    summed as one contiguous row and the three sums added in order."""
+    t = effort_tables(g, model)
+    o = letter_slot_vector(g, qwerty_layout())
+    f = stats.within_word.astype(np.float64).ravel()
+    s_in = stats.across_space[:, :END].astype(np.float64).ravel()
+    row_s = stats.across_space.sum(axis=1)
+    out = []
+    for lo in range(0, len(rows[0]), 256):
+        pairs = np.stack([col[lo : lo + 256] for col in rows], axis=1)
+        slots = np.tile(o, (pairs.shape[0], 1))
+        at = np.arange(pairs.shape[0])[:, None]
+        u, v = PAIR_LETTERS[pairs, 0], PAIR_LETTERS[pairs, 1]
+        slots[at, u], slots[at, v] = o[v], o[u]
+        flat = (slots[:, :, None] * 26 + slots[:, None, :]).reshape(len(slots), -1)
+        a = (f * t.slot_to_slot.ravel()[flat]).sum(axis=1)
+        b = (s_in * t.space_to_slot.ravel()[flat]).sum(axis=1)
+        out.append((a + b) + (row_s * t.slot_to_space[slots]).sum(axis=1))
+    return np.concatenate(out)
+
+
+def oracle_best(g, stats, rows, model=DISTANCE_MODEL) -> tuple[float, tuple[int, ...]]:
+    """Least (stats_cost, pair indices) over rows that ascend in encoding:
+    the first least cost over the first row of each live-pair class."""
+    rows = live_pair_classes(stats, [rows])
+    costs = layout_costs(g, stats, rows, model)
+    r = int(np.argmin(costs))
+    return float(costs[r]), tuple(int(col[r]) for col in rows)
 
 
 def reference_c2(g, stats, base, model):
