@@ -36,18 +36,25 @@ cost are therefore those of scoring every row with stats_cost, bit for
 bit. _triplet_pairings is kept only as the reference stream of
 enumerate_swapsets(3, "paper") and of the tests.
 
-The size-3 search does not score every block. Each first pair i gets a
-lower bound on its block, bound[i] = min_j (a[i, j] + r[j]) + min_k
-c2[i, k], with a[i, j] = (d1[i] + d1[j]) + c2[i, j] and r[j] the least
-d1[k] + c2[j, k] over j's size-2 rows (a Gilmore-Lawler bound for this
-restricted quadratic assignment problem). Some first pairs take no row;
-the bound of most of them is +inf. First pairs of finite bound are
-scored in ascending bound order, one that takes no row adds no row, and
-the scan stops at the first block whose bound exceeds (best + band) +
-tau, best the least delta so far and tau = 2**-40 * (3 * (max|d1| +
-max|c2|) + band), far more than the rounding of any row, bound or cut;
-_best_size3 holds the proof. So every row of the band is either scored
-or shown to cost strictly more than best + band.
+The size-3 search does not score every row. A minimum over each run of
+plan rows gives two vectors per pair p: r[p], the least d1[k] + c2[p,
+k], and m[p], the least c2[p, k], over p's run of size-2 rows (p, k).
+First pair i takes k exactly when (i, k) is a plan row, so the same two
+vectors bound i's own c2[i, .] terms. A row (i, j, k) is then at least
+a[i, j] + max(r[j] + m[i], r[i] + m[j]) =: lb(i, j), with a[i, j] =
+(d1[i] + d1[j]) + c2[i, j], the bound of run j of block i, and every row
+of block i is at least d1[i] + max((r[i] + m[i]) + min_{j>i} r[j], (r[i]
++ r[i]) + min_{j>i} m[j]), the bound of the block (bounds of the
+Gilmore-Lawler kind for this restricted quadratic assignment problem).
+The block of least bound is scored in full; it gives best, the least
+delta so far, and the cut (best + band) + tau, with tau = 2**-40 * (3 *
+(max|d1| + max|c2|) + band) far more than the rounding of any row, bound
+or cut. The other blocks whose bound is within the cut are visited in
+ascending order of their least lb(i, j), and each scores only its runs
+with lb(i, j) within the cut, which falls as best does; the scan stops
+at the first block whose least lb exceeds it. _best_size3 holds the
+proof. So every row of the band is either scored or shown to cost
+strictly more than best + band.
 
 Every kernel requires finite tables: optimize does all of its cost
 arithmetic with numpy overflow and invalid values raising, so costs that
@@ -88,6 +95,8 @@ _N_TRIPLETS = 2600  # C(26, 3)
 
 # layouts per pass of _rescore, so that a wide band's temporaries stay small
 _LAYOUTS = 64
+# first pairs per pass of _Size3Kernel.run_bounds, for the same reason
+_FIRSTS = 64
 
 # verify_result's relative tolerance between stored and recomputed costs
 VERIFY_REL_TOL = 1e-9
@@ -144,7 +153,8 @@ class OptimizationResult:
 
     ``candidates`` counts the search space (the swap sets, or in paper
     mode the triplet pairings, that the search covers), not the rows it
-    scored: the size-3 search skips blocks its bound proves too costly.
+    scored: the size-3 search scores only the runs of rows that its
+    bounds do not prove too costly.
     """
 
     swaps: SwapSet
@@ -222,9 +232,11 @@ _SHARED = ~_COMPAT  # p and q share a letter, or p == q
 _FIRST = np.searchsorted(_U, np.arange(_N_LETTERS))
 # flat indices of (p, u_p) and (p, v_p) in a (325, 26) array of pair rows
 _OWN_U, _OWN_V = (np.arange(_N_PAIRS) * _N_LETTERS + w for w in (_U, _V))
+# _LATER[p, q]: q > p and shares no letter with p
+_LATER = np.triu(_COMPAT, 1)
 # every disjoint (i, j) with i < j, in canonical order; divmod of the flat
 # indices gives contiguous columns, where nonzero gives strided views
-_SIZE2 = np.divmod(np.flatnonzero(np.triu(_COMPAT, 1)), _N_PAIRS)
+_SIZE2 = np.divmod(np.flatnonzero(_LATER), _N_PAIRS)
 
 
 class _Size3Plan(NamedTuple):
@@ -233,13 +245,15 @@ class _Size3Plan(NamedTuple):
     Row (i, j, k) of the size-3 stream is first pair i followed by size-2
     row (j, k) = (first[r], second[r]) with r >= lo[i], so that j > i.
     first ascends and j has runs[j] rows, so lo[i] = runs[0] + ... +
-    runs[i] and that suffix is runs[j] rows of each j > i in turn.
-    Of the suffix, i takes the rows with takes[i, j] and takes[i, k]:
-    pairs that share no letter with i and, in paper mode, whose larger
-    letter is above v[i]. Some first pairs take no row: the last ones,
-    whose suffix is empty, and a few whose later pairs all hold a letter
-    of i, such as canonical 316-318 and paper 316. The plan depends only
-    on the alphabet and the mode.
+    runs[i], j's run is rows lo[j] - runs[j] to lo[j], and the suffix
+    lo[i]: is the run of each j > i in turn. takes[i, q] marks the plan
+    rows (i, q): pairs above i that share no letter with i and, in paper
+    mode, whose larger letter is above v[i]. Of its suffix, i takes the
+    rows with takes[i, j] and takes[i, k], since j and k are both above
+    i. Some first pairs take no row: the last ones, whose suffix is
+    empty, and a few whose later pairs all hold a letter of i, such as
+    canonical 316-318 and paper 316. The plan depends only on the
+    alphabet and the mode.
     """
 
     first: np.ndarray
@@ -251,14 +265,15 @@ class _Size3Plan(NamedTuple):
 
 def _size3_plan(mode: str) -> _Size3Plan:
     """Rebuilt on each call, in well under a millisecond, so that no copy
-    of its arrays outlives a search."""
-    first, second = _SIZE2
-    takes = _COMPAT
+    of its arrays outlives a search. takes marks the plan rows, so they
+    are its flat indices and runs its row counts; a canonical plan's takes
+    is _LATER itself, whose flat indices are _SIZE2."""
     if mode == "paper":
-        keep = _V.take(first) < _V.take(second)
-        first, second = first[keep], second[keep]
-        takes = takes & (_V[:, None] < _V)
-    runs = np.bincount(first, minlength=_N_PAIRS)
+        takes = _LATER & (_V[:, None] < _V)
+        first, second = np.divmod(np.flatnonzero(takes), _N_PAIRS)
+    else:
+        takes, (first, second) = _LATER, _SIZE2
+    runs = np.count_nonzero(takes, axis=1)
     return _Size3Plan(first, second, np.cumsum(runs), runs, takes)
 
 
@@ -270,8 +285,9 @@ def _candidate_blocks(n: int, mode: str = "canonical"):
     canonical encoding. The rows of the whole stream ascend in encoding,
     and so do the rows of each band, the precondition of _rescore. Size 3
     is one block per first pair i that takes a row: the rows of
-    _size3_plan(mode) that i takes, the rows that _Size3Kernel.block
-    leaves finite when the tables are finite. Paper mode is the size-3
+    _size3_plan(mode) that i takes, which _Size3Kernel scores, in full or
+    by runs, with finite deltas when the tables are finite; it gives the
+    other rows of i's suffix +inf. Paper mode is the size-3
     stream filtered to v[i] < v[j] < v[k]: the plan's size-2 rows keep
     v[j] < v[k], and first pair i keeps the rows with v[i] < v[j].
     """
@@ -518,21 +534,29 @@ def _band_rows(d1: np.ndarray, c2: np.ndarray | None, block, band: float) -> tup
 
 
 class _Size3Kernel:
-    """Scores the blocks of the size-3 stream from the plan, and bounds them.
+    """Scores the rows of the size-3 stream from the plan, and bounds them.
 
     It reads the fast tables of _build_d1 and _build_c2: _best_size3 keeps
-    from each block it scores the rows within the band, which _rescore
-    scores again with the layout cost itself, and skips the blocks whose
-    bound proves every row above the band. Precondition: d1 and c2 are
-    finite and no row's sum overflows, as optimize ensures. c2jk, the
-    values of c2 at the plan's rows, is gathered once here, only for a
-    size-3 search; a paper plan holds only the rows it keeps.
+    from each block or run it scores the rows within the band, which
+    _rescore scores again with the layout cost itself, and skips those
+    whose bound proves every row above the band. Precondition: d1 and c2
+    are finite and no row's sum overflows, as optimize ensures. d1k and
+    c2jk, the values of d1[k] and c2[j, k] at the plan's rows (j, k), are
+    gathered once here, only for a size-3 search; a paper plan holds only
+    the rows it keeps. A minimum.reduceat over each of d1k + c2jk and c2jk
+    gives r[p] and m[p], the least d1[k] + c2[p, k] and the least c2[p, k]
+    over pair p's run, +inf where the run is empty.
     """
 
     def __init__(self, d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan):
         self.d1, self.c2, self.plan = d1, c2, plan
         self.d1k = d1.take(plan.second)
         self.c2jk = c2.take(plan.first * _N_PAIRS + plan.second)
+        has = plan.runs > 0
+        starts = (plan.lo - plan.runs)[has]
+        self.r, self.m = np.full((2, _N_PAIRS), np.inf)
+        self.r[has] = np.minimum.reduceat(self.d1k + self.c2jk, starts)
+        self.m[has] = np.minimum.reduceat(self.c2jk, starts)
 
     def block(self, i: int) -> np.ndarray:
         """The deltas of first pair i's suffix lo[i]:, +inf at rows i does not take.
@@ -556,25 +580,49 @@ class _Size3Kernel:
         deltas += self.c2jk[lo:]
         return deltas
 
-    def bounds(self) -> np.ndarray:
-        """bound[i] = min_j (a[i, j] + r[j]) + min_k c2[i, k], over the
-        pairs j and k above i that i takes; +inf where i takes none.
+    def runs(self, i: int, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The plan rows of first pair i's runs js, and their deltas.
 
-        r[j] is the least d1[k] + c2[j, k] over j's run of plan rows, and
-        a[i, j] is block()'s a[j]. All 325 x 325 values of a + r are built
-        in place in one array, so the bound adds one such array to the
-        search's memory.
+        js ascends and holds pairs above i that i takes, so the rows ascend
+        in encoding. They are gathered, and each adds to a[j] the terms
+        d1[k], c2[i, k] and c2[j, k] in block()'s order, so each row gets
+        block()'s bits: those of _row_deltas where i takes k, +inf where it
+        does not.
         """
-        plan = self.plan
-        has = plan.runs > 0
-        r = np.full(_N_PAIRS, np.inf)
-        r[has] = np.minimum.reduceat(self.d1k + self.c2jk, (plan.lo - plan.runs)[has])
-        later = np.triu(plan.takes, 1)
-        s = np.add.outer(self.d1, self.d1)
-        s += self.c2
-        s += r
-        least_c2ik = np.min(self.c2, axis=1, where=later, initial=np.inf)
-        return np.min(s, axis=1, where=later, initial=np.inf) + least_c2ik
+        d1, c2i, plan = self.d1, self.c2[i], self.plan
+        n = plan.runs.take(js)
+        # run j is rows lo[j] - n to lo[j], after the n of the runs before it
+        at = np.repeat(plan.lo.take(js) - np.cumsum(n), n) + np.arange(n.sum())
+        deltas = np.repeat((d1[i] + d1.take(js)) + c2i.take(js), n)
+        deltas += self.d1k.take(at)
+        deltas += np.where(plan.takes[i], c2i, np.inf).take(plan.second.take(at))
+        deltas += self.c2jk.take(at)
+        return at, deltas
+
+    def block_bounds(self) -> np.ndarray:
+        """bound[i] = d1[i] + max((r[i] + m[i]) + min_{j>i} r[j], (r[i] +
+        r[i]) + min_{j>i} m[j]), +inf only where i takes no row;
+        _best_size3 proves it bounds block i."""
+        r, m = self.r, self.m
+        later = np.full((2, _N_PAIRS), np.inf)
+        later[:, :-1] = np.minimum.accumulate(np.stack((r, m))[:, :0:-1], axis=1)[:, ::-1]
+        return self.d1 + np.maximum((r + m) + later[0], (r + r) + later[1])
+
+    def run_bounds(self, firsts: np.ndarray) -> np.ndarray:
+        """lb[n, j] = a[i, j] + max(r[j] + m[i], r[i] + m[j]) for i =
+        firsts[n] and every pair j, +inf where i does not take j; with
+        a[i, j] block()'s a[j], it bounds run j of block i."""
+        d1, r, m = self.d1, self.r, self.m
+        lb = np.empty((firsts.shape[0], _N_PAIRS))
+        for lo in range(0, firsts.shape[0], _FIRSTS):
+            f, a = firsts[lo : lo + _FIRSTS], lb[lo : lo + _FIRSTS]
+            np.add.outer(d1.take(f), d1, out=a)
+            a += self.c2.take(f, 0)
+            t = np.add.outer(m.take(f), r)
+            np.maximum(t, np.add.outer(r.take(f), m), out=t)
+            a += t
+        lb[~self.plan.takes.take(firsts, 0)] = np.inf
+        return lb
 
 
 def _bands(x: _CostInputs, base_cost: float, sizes, mode: str) -> list[tuple[np.ndarray, ...]]:
@@ -596,60 +644,100 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     """The band of the size-3 stream: every row whose delta is at most
     best + band, best the least delta of the stream, ascending in encoding.
 
-    The first pairs with a finite bound are scored in ascending order of
-    their bound (ties by first pair), keeping best, the least delta scored
-    so far, and the rows of each block at most best + band. The scan
-    stops at the first block whose bound exceeds (best + band) + tau, with
-    tau = 2**-40 * (S + band) and S = 3 * (max|d1| + max|c2|). Rows kept
-    from a block scored before best fell are cut to the final best + band
-    at the end.
+    The scan. Block i is first pair i's rows, bound[i] its block bound
+    (block_bounds) and lb[i, j] the bound of its run j (run_bounds). The
+    first pair of least finite bound (the first on ties) is scored in
+    full. That sets best, the least delta scored so far, and the cut
+    (best + band) + tau, with tau = 2**-40 * (S + band) and S = 3 *
+    (max|d1| + max|c2|). Each other first pair whose bound is within that
+    cut is visited in ascending order of its least lb[i, j] (ties by
+    first pair), and scores only its runs whose lb is within the cut of
+    the moment: by gather (runs()), or in full (block()) when those runs
+    hold at least a quarter of its suffix, where scoring it all is
+    cheaper. The scan stops at the first pair whose least lb exceeds the
+    cut. Rows kept before best fell are cut to the final best + band at
+    the end.
 
-    Which first pairs are visited. A first pair that takes a row has a
-    finite bound, since that row's own terms bound each min; so one whose
+    Why the bounds hold, in exact arithmetic. Take a row (i, j, k). Its
+    size-2 parts (i, j) and (i, k) are rows of i's run, as i takes j and
+    k exactly when those are plan rows: so the minima of i's run, which
+    bound i's d1[k] + c2[i, k] and c2[i, k] where i is a second pair,
+    bound the same terms where i is first, and one pair of vectors r, m
+    serves both places. With (j, k) a row of j's run, d1[j] + c2[i, j],
+    d1[k] + c2[i, k] >= r[i], c2[i, k] >= m[i], d1[k] + c2[j, k] >= r[j]
+    and c2[j, k] >= m[j]. Grouping the six terms as a[i, j] + (d1[k] +
+    c2[j, k]) + c2[i, k] or as a[i, j] + (d1[k] + c2[i, k]) + c2[j, k]
+    gives lb's two options, and as d1[i] + (d1[j] + c2[i, j]) + (d1[k] +
+    c2[j, k]) + c2[i, k] or d1[i] + (d1[j] + c2[i, j]) + (d1[k] + c2[i,
+    k]) + c2[j, k] the block bound's two, as min_{j>i} r[j] <= r[j] and
+    min_{j>i} m[j] <= m[j]. Each bound is the max of two such sums, so
+    the row is at least either.
+
+    Which first pairs are visited. A first pair that takes a row (i, j,
+    k) has finite r[i], m[i], r[j] and m[j], so a finite bound; one whose
     bound is +inf takes no row and has no block. That includes every
-    first pair whose suffix is empty: each of its later pairs j has no
-    row, so r[j] is +inf. So block() never sees an empty suffix, even
-    when tau is inf. A visited pair that takes no row (canonical 316-318,
-    paper 316) scores only +inf and adds no row.
+    first pair whose suffix is empty, since each later pair has an empty
+    run. So block() never sees an empty suffix, even when tau is inf.
+    Which bounds are finite depends only on the plan: the first pairs of
+    finite bound that take no row are canonical 315-320 and 25 paper
+    ones. Visited, such a pair scores only +inf and adds no row, and a
+    run that i does not take has lb = +inf.
 
-    Proof that no skipped row computes at or below best + band. Take any
-    row (i, j, k) and its exact sum X of six terms, with |terms| summing
-    to at most S. The row's j and k are pairs above i that i takes, and
-    (j, k) is a row of j's run, so each min in bound[i] is at most that
-    row's term, and rounding is monotone: the computed bound[i] is at
-    most the computed ((a[i, j] + (d1[k] + c2[j, k])) + c2[i, k]), a
-    five-addition sum of the row's own terms. That sum and the kernel's
-    row are each within gamma_5 * S of X (Higham, Accuracy and Stability
-    of Numerical Algorithms, section 4.2), so the computed row is at
-    least bound[i] - 2 * gamma_5 * S, about bound[i] - 10u * S. The two
-    roundings of (best + band) + tau are at most u * (|best| + band +
-    tau) each, with |best| about S at most, and tau is 8192u * (S +
-    band), far above their sum plus 10u * S. So the block that stops the
-    scan, and every later block, whose bound is no smaller, holds only
-    rows that compute strictly above best + band. The band is then
-    complete, and with _band_width's eps the row of least layout cost and
-    its tie-break are among its rows. All-zero tables with a zero band
-    give tau = 0 and skip nothing; a max that overflows gives tau = inf,
-    which skips nothing either.
+    Proof that no skipped row computes at or below best + band. Let X be
+    a row's exact sum of six terms, with |terms| summing to at most S.
+    Each bound of the row is computed in five additions, and a max, from
+    six operands, each at most the computed term or two-term sum of the
+    row that it bounds; rounding is monotone, so the computed bound is at
+    most the same five additions over the row's own terms, such as
+    ((d1[i] + d1[j]) + c2[i, j]) + ((d1[k] + c2[j, k]) + c2[i, k]). That
+    sum and the kernel's row are each within gamma_5 * S of X (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 4.2), so the
+    computed row is at least the computed bound - 2 * gamma_5 * S, about
+    bound - 10u * S. The two roundings of (best + band) + tau are at most
+    u * (|best| + band + tau) each, with |best| about S at most, and tau
+    is 8192u * (S + band), far above their sum plus 10u * S. So a block
+    whose bound exceeds the first cut, a run whose lb exceeds the cut of
+    its visit, and the blocks from the one whose least lb stops the scan
+    on, whose least lb is no smaller, hold only rows that compute
+    strictly above best + band at that moment; best only falls, so they
+    compute above the final best + band. The band is then complete, and
+    with _band_width's eps the row of least layout cost and its
+    tie-break are among its rows. All-zero tables with a zero band give
+    tau = 0 and skip nothing; a max that overflows gives tau = inf, which
+    skips nothing either.
     """
     kernel = _Size3Kernel(d1, c2, plan)
-    bound = kernel.bounds()
     s = 3 * (max(float(d1.max()), -float(d1.min())) + max(float(c2.max()), -float(c2.min())))
     tau = 2.0**-40 * (s + band)
+    bound = kernel.block_bounds()
     live = np.flatnonzero(bound < math.inf)
-    best, kept = math.inf, []
-    for i in live[np.argsort(bound[live], kind="stable")].tolist():
-        if bound[i] > (best + band) + tau:
+    seed = int(live[np.argmin(bound.take(live))])
+    deltas = kernel.block(seed)
+    best, kept = float(deltas.min()), []
+    if best < math.inf:
+        r = np.flatnonzero(deltas <= best + band)
+        kept.append((seed, plan.lo[seed] + r, deltas.take(r)))
+    firsts = live[(bound.take(live) <= (best + band) + tau) & (live != seed)]
+    lb = kernel.run_bounds(firsts)
+    least_lb = lb.min(axis=1, initial=math.inf)
+    for n in np.argsort(least_lb, kind="stable").tolist():
+        cut = (best + band) + tau
+        if least_lb[n] > cut:
             break
-        deltas = kernel.block(i)
+        i, js = int(firsts[n]), np.flatnonzero(lb[n] <= cut)
+        lo = int(plan.lo[i])
+        if 4 * int(plan.runs.take(js).sum()) >= plan.first.shape[0] - lo:
+            at, deltas = None, kernel.block(i)
+        else:
+            at, deltas = kernel.runs(i, js)
         least = float(deltas.min())
         if least == math.inf:
-            continue  # i takes no row
+            continue  # i takes no row of these runs
         best = min(best, least)
         if least <= best + band:
             r = np.flatnonzero(deltas <= best + band)
-            kept.append((i, plan.lo[i] + r, deltas[r]))
-    del kernel
+            kept.append((i, lo + r if at is None else at.take(r), deltas.take(r)))
+    del kernel, lb
     cut = best + band
     kept = [(i, at[deltas <= cut]) for i, at, deltas in sorted(kept, key=lambda block: block[0])]
     at = np.concatenate([at for _, at in kept])
@@ -718,7 +806,7 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
             x = _cost_inputs(g, stats, base, cfg.model)
             base_cost = _layout_cost(x)
             if not base_cost > 0.0:
-                raise ValueError("base layout cost is zero; improvement rate is undefined")
+                raise ValueError(f"base layout cost is {base_cost!r}, not positive; improvement rate is undefined")
             # stats_cost and per add in Python floats, which overflow without raising
             if not math.isfinite(base_cost):
                 raise FloatingPointError("overflow in the base layout cost")

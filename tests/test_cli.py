@@ -150,6 +150,18 @@ def test_optimize_data_errors(workdir, capsys):
     assert "not a normalized corpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_optimize_names_a_negative_base_cost(workdir, capsys, scale):
+    # Fitts alpha < 0 makes this corpus's base cost negative on both geometries.
+    (workdir / "u.txt").write_text("ab ab ab ba", encoding="utf-8")
+    (workdir / "geo.json").write_text(json.dumps(DEFAULT_SPEC.scaled(scale).to_json_dict()), encoding="utf-8")
+    argv = ["optimize", "u.txt", "-o", "r.json", "--swaps", "1", "--geometry", "geo.json"]
+    assert main(argv + ["--model", "fitts", "--alpha", "-2.5", "--beta", "3.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("keyswap: error: base layout cost is -") and err.count("\n") == 1, err
+    assert "not positive" in err and not (workdir / "r.json").exists()
+
+
 def test_report_outputs(workdir, capsys):
     optimize(workdir)
     assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"]) == 0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from keyswap.corpus import KeySequence, ingest_tweets, read_tweet_file
-from keyswap.effort import EffortModel, _cost_inputs, delta_cost, stats_cost
+from keyswap.effort import EffortModel, _cost_inputs, _layout_cost, delta_cost, stats_cost
 from keyswap.geometry import DEFAULT_SPEC, LETTERS, GeometrySpec, SwapSet, apply_swaps, build_geometry, qwerty_layout
 from keyswap.optimizer import (
     MODES,
@@ -333,9 +333,10 @@ def test_size3_plan_suffixes_are_runs_of_first_pairs(mode):
 
 
 def test_size3_kernel_matches_best_on_every_block(geometry):
-    # The kernel's per-block scorer gives every row of a block the bits of
-    # _row_deltas, and the scan returns exactly the stream's rows within
-    # the band of its least delta, though it skips blocks.
+    # The kernel's block scorer gives every row of a block the bits of
+    # _row_deltas, and so does its run scorer on every third run of each
+    # block; the scan returns exactly the stream's rows within the band of
+    # its least delta, though it skips blocks and runs.
     texts = bundled_texts() + [tie_heavy_text(random.Random(2000 + s)) for s in range(3)]
     blocks = {mode: list(_candidate_blocks(3, mode)) for mode in MODES}
     assert all(len(b[0]) for mode in MODES for b in blocks[mode])
@@ -356,23 +357,101 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
                 want = [_row_deltas(d1, c2, block) for block in blocks[mode]]
                 for block, deltas in zip(blocks[mode], want):
                     i = int(block[0][0])
+                    lo = int(plan.lo[i])
                     got = kernel.block(i)
                     taken = np.isfinite(got)
-                    assert np.array_equal(plan.first[plan.lo[i] :][taken], block[1]), case
+                    assert np.array_equal(plan.first[lo:][taken], block[1]), case
                     assert got[taken].tobytes() == deltas.tobytes(), case
+                    js = np.flatnonzero(plan.takes[i] & (plan.runs > 0))[::3]
+                    chosen = np.zeros(325, dtype=bool)
+                    chosen[js] = True
+                    at, part = kernel.runs(i, js)
+                    # ascending rows of the suffix, runs[j] of each chosen j
+                    assert at[0] >= lo and np.all(np.diff(at) > 0), case
+                    assert np.array_equal(plan.first[at], np.repeat(js, plan.runs[js])), case
+                    assert part.tobytes() == got[at - lo].tobytes(), case
+                    assert part[np.isfinite(part)].tobytes() == deltas[chosen[block[1]]].tobytes(), case
                 deltas = np.concatenate(want)
                 in_band = np.flatnonzero(deltas <= deltas.min() + band)
                 rows = _best_size3(d1, c2, plan, band)
                 assert np.array_equal(_encodings([rows]), _encodings(blocks[mode])[in_band]), case
 
 
+def _watch_scan(monkeypatch) -> list[tuple[str, int]]:
+    """Record each block the size-3 scan scores, as ("block", i) when it
+    scores the whole suffix and ("runs", i) when it gathers runs."""
+    scored = []
+    block, runs = _Size3Kernel.block, _Size3Kernel.runs
+    monkeypatch.setattr(_Size3Kernel, "block", lambda kernel, i: scored.append(("block", i)) or block(kernel, i))
+    monkeypatch.setattr(_Size3Kernel, "runs", lambda kernel, i, js: scored.append(("runs", i)) or runs(kernel, i, js))
+    return scored
+
+
+def _scan_tau(d1, c2, band) -> float:
+    """_best_size3's slack: 2**-40 * (3 * (max|d1| + max|c2|) + band)."""
+    return 2.0**-40 * (3 * (np.abs(d1).max() + np.abs(c2).max()) + band)
+
+
+def _size3_table_cases(geometry):
+    """(name, d1, c2, band) over the bundled corpora and tie_heavy_text
+    seeds under two models, and random tables with a zero band."""
+    base = qwerty_layout()
+    texts = [(p.stem, t) for p, t in zip(sorted(DATA.glob("*.jsonl")), bundled_texts())]
+    texts += [(f"tie-{s}", tie_heavy_text(random.Random(s))) for s in (2003, 2038)]
+    for name, text in texts:
+        stats = count_bigrams(KeySequence(text))
+        for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
+            x = _cost_inputs(geometry, stats, base, model)
+            yield (name, model.kind), optimizer._build_d1(x), optimizer._build_c2(x), _band_width(x, _layout_cost(x))
+    rng = np.random.default_rng(2222)
+    for s in range(3):
+        g = rng.normal(size=(325, 325))
+        c2 = g + g.T
+        c2[optimizer._SHARED] = 0.0
+        yield ("random", s), rng.normal(size=325), c2, 0.0
+
+
+def test_size3_bounds_hold_for_every_block_and_run(geometry, monkeypatch):
+    # Each first pair's block bound is at most its block's least delta, and
+    # each lb(i, j) at most the least delta of run j of block i, up to
+    # _best_size3's tau; a run that i does not take has lb = +inf.
+    scored = _watch_scan(monkeypatch)
+    both = []
+    for name, d1, c2, band in _size3_table_cases(geometry):
+        tau = _scan_tau(d1, c2, band)
+        for mode in MODES:
+            case = (name, mode)
+            plan = _size3_plan(mode)
+            kernel = _Size3Kernel(d1, c2, plan)
+            bound = kernel.block_bounds()
+            firsts = np.array([int(b[0][0]) for b in _candidate_blocks(3, mode)])
+            lb = kernel.run_bounds(firsts)
+            assert np.all(np.isfinite(bound[firsts])), case
+            for n, i in enumerate(firsts.tolist()):
+                lo = int(plan.lo[i])
+                deltas = kernel.block(i)
+                assert bound[i] <= deltas.min() + tau, (case, i)
+                # the least delta of each run of the suffix, +inf where i takes no row
+                j = np.flatnonzero(plan.runs[i + 1 :]) + i + 1
+                least = np.minimum.reduceat(deltas, plan.lo[j] - plan.runs[j] - lo)
+                assert np.all(lb[n, j] <= least + tau), (case, i)
+                assert np.all(lb[n][~plan.takes[i]] == np.inf), (case, i)
+            del scored[:]
+            _best_size3(d1, c2, plan, band)
+            if {kind for kind, _ in scored} == {"block", "runs"}:
+                both.append(case)
+    # the run path and the whole-block path fire in one scan, as on river
+    assert (("river", "distance"), "canonical") in both, both
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode, monkeypatch):
     # Small integers add exactly, so rows (ad, be, cf) and (gm, hn, io)
     # both cost -3 and every other row costs more. c2[gm, jz] = -10 gives
-    # the later block the lower bound, so it is scanned first; the earlier
-    # block must still be scanned, so that a band of width 0 holds both
-    # rows, and the smaller encoding must win.
+    # the later block the lower bound, so it is scored first, in full; the
+    # earlier block must still be scored, so that a band of width 0 holds
+    # both rows, and the smaller encoding must win. Its bound on run be,
+    # -3, is the only one within the cut, so it is scored by runs.
     idx = {"".join(p): n for n, p in enumerate(itertools.combinations(LETTERS, 2))}
     rows = [tuple(idx[p] for p in row) for row in (("ad", "be", "cf"), ("gm", "hn", "io"))]
     d1, c2 = np.full(325, 2.0), np.full((325, 325), 5.0)
@@ -380,13 +459,11 @@ def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode, monkeypatch):
         for p, q in itertools.combinations(row, 2):
             c2[p, q] = c2[q, p] = -3.0
     c2[idx["gm"], idx["jz"]] = c2[idx["jz"], idx["gm"]] = -10.0
-    scanned = []
-    block = _Size3Kernel.block
-    monkeypatch.setattr(_Size3Kernel, "block", lambda kernel, i: scanned.append(i) or block(kernel, i))
+    scored = _watch_scan(monkeypatch)
     got = _best_size3(d1, c2, _size3_plan(mode), 0.0)
-    assert scanned[0] == rows[1][0]
-    assert {rows[0][0], rows[1][0]} <= set(scanned)
-    assert len(scanned) < len(list(_candidate_blocks(3, mode)))
+    assert scored[0] == ("block", rows[1][0])
+    assert ("runs", rows[0][0]) in scored
+    assert len(scored) < len(list(_candidate_blocks(3, mode)))
     assert [tuple(int(c[r]) for c in got) for r in range(len(got[0]))] == rows
     assert _best(d1, c2, got) == (-3.0, rows[0]) == min(_best(d1, c2, block) for block in _candidate_blocks(3, mode))
 
@@ -671,8 +748,18 @@ def test_optimize_rejects_degenerate_inputs(geometry):
     with pytest.raises(ValueError):
         optimize(geometry, BigramStats())
     # A corpus of one doubled letter has positive presses but zero cost.
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"base layout cost is 0\.0, not positive"):
         optimize(geometry, count_bigrams(KeySequence("aa")))
+
+
+@pytest.mark.parametrize("spec, cost", [(DEFAULT_SPEC, "-2.41"), (DEFAULT_SPEC.scaled(2.0), "-11.97")])
+def test_optimize_names_a_negative_base_cost(spec, cost):
+    # Fitts alpha < 0 can make the whole base cost negative; the message
+    # gives its value instead of calling it zero.
+    model = EffortModel(kind="fitts", alpha=-2.5, beta=3.0)
+    stats = count_bigrams(KeySequence("ab ab ab ba"))
+    with pytest.raises(ValueError, match=rf"base layout cost is {cost}\d*, not positive"):
+        optimize(build_geometry(spec), stats, SearchConfig(n_swap_pairs=1, model=model))
 
 
 # (n, mode, whether a search of that size and mode exists)
