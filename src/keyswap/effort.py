@@ -1,4 +1,4 @@
-"""Typing effort models and the three cost evaluators.
+"""Typing effort models and the cost evaluators.
 
 Cost is additive over traversed segments. The default model charges the
 straight-line distance in mm; the optional Fitts variant charges
@@ -7,16 +7,16 @@ segment (a doubled letter) costs nothing under either model: the finger
 never moves.
 
 ``sequence_cost`` walks tokens one by one and is the ground truth. The
-others read one set of inputs, _cost_inputs: ``stats_cost`` sums them
-(_layout_cost, whose arithmetic the search also scores its best
-candidates with), and ``delta_cost`` updates a known cost after a letter
-swap by touching only the affected rows, including re-deciding nearest
-space sub-keys, as one row of _swapped_costs.
+others read one set of inputs, _cost_inputs, and sum them with one
+arithmetic: ``stats_cost`` is _layout_cost, and the cost of a swapped
+layout, nearest space sub-keys re-decided, is a row of _layout_costs,
+with the same bits. The search scores its best candidates with those
+rows, and ``delta_cost`` adds the change in layout cost that one row
+gives to a known cost.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -210,26 +210,21 @@ def _layout_cost(x: _CostInputs) -> float:
     return total
 
 
-def _took(x: _CostInputs, moved: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """took[r, a]: the letter whose slot in x's layout letter a holds in row
-    r's layout, which moves the letters moved[r] to the slots of new[r]."""
-    took = np.tile(np.arange(x.sp.shape[0]), (moved.shape[0], 1))
-    took[np.arange(moved.shape[0])[:, None], moved] = new
-    return took
-
-
 def _layout_costs(x: _CostInputs, moved: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """_layout_cost of each row's layout, as _took gives it, with its bits.
+    """_layout_cost of each row's layout, with its bits.
 
-    Row r's e, h and sp are e[took, took], h[took, took] and sp[took], the
+    Row r's layout moves the letters moved[r] to the slots of the letters
+    new[r] in x's layout, so letter a holds the slot of took[r, a] there,
+    and its e, h and sp are e[took, took], h[took, took] and sp[took], the
     tables of _cost_inputs at its layout. Their products with f, s_in and
     row_s are summed per row over the same 676, 676 and 26 contiguous
     entries that _layout_cost sums, and numpy's sum of a row does not
     depend on the other rows; the three sums are added as (a + b) + c, as
     _layout_cost adds them.
     """
-    took = _took(x, moved, new)
-    n, n_letters = took.shape
+    n, n_letters = moved.shape[0], x.sp.shape[0]
+    took = np.tile(np.arange(n_letters), (n, 1))
+    took[np.arange(n)[:, None], moved] = new
     flat = (took * n_letters)[:, :, None] + took[:, None, :]
     a = (x.f * x.e.take(flat)).reshape(n, -1).sum(axis=1)
     b = (x.s_in * x.h.take(flat)).reshape(n, -1).sum(axis=1)
@@ -253,41 +248,6 @@ def per(d_qwerty: float, d_optimized: float) -> float:
     return 100.0 * (d_qwerty - d_optimized) / d_qwerty
 
 
-def _swapped_costs(x: _CostInputs, base_cost: float, moved: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Cost of each row's layout, updated from base_cost, the cost of x's.
-
-    Row r moves the letters moved[r], ascending, to the slots of the
-    letters new[r] in x's layout, so each reads the e, h and sp entries
-    of the letter it displaced. Only the terms whose row or column letter
-    moved are summed, at the old and at the new slots, nearest sub-keys
-    included: the rows, the columns and the (moved, moved) block of f and
-    e, then of s_in and h, the block subtracted as it is counted twice,
-    and the space after each moved letter, in that order. Each sum
-    reduces one C-contiguous row per swap set, and numpy's sum of a row
-    does not depend on the other rows, so every row has the bits of a
-    one-row call.
-    """
-    n, n_letters = moved.shape[0], x.sp.shape[0]
-    letters = np.arange(n_letters)
-    mr, mc = moved[:, :, None], moved[:, None, :]
-    took = _took(x, moved, new)
-    # each term's letter block per row: (moved, any), (any, moved), (moved, moved)
-    blocks = ((mr, letters), (letters[:, None], mc), (mr, mc))
-    counts = [m.take(a * n_letters + b) for m in (x.f, x.s_in) for a, b in blocks]
-
-    def affected(at: np.ndarray, at_moved: np.ndarray) -> np.ndarray:
-        ar, ac = at_moved[:, :, None], at_moved[:, None, :]
-        at_blocks = ((ar, at[..., None, :]), (at[..., :, None], ac), (ar, ac))
-        f_rows, f_cols, f_both, s_rows, s_cols, s_both = (
-            (c * tab.take(a * n_letters + b)).reshape(n, -1).sum(axis=1)
-            for c, (tab, (a, b)) in zip(counts, itertools.product((x.e, x.h), at_blocks))
-        )
-        space = (x.row_s[moved] * x.sp[at_moved]).sum(axis=1)
-        return (((((f_rows + f_cols) - f_both) + s_rows) + s_cols) - s_both) + space
-
-    return base_cost + (affected(took, new) - affected(letters, moved))
-
-
 def delta_cost(
     g: KeyboardGeometry,
     base: Layout,
@@ -296,16 +256,20 @@ def delta_cost(
     swaps: SwapSet,
     model: EffortModel = DISTANCE_MODEL,
 ) -> float:
-    """Cost of the swapped layout, updated incrementally from base_cost.
+    """Cost of the swapped layout, as base_cost plus the change in layout cost.
 
-    Only terms touching the at most six moved letters are recomputed,
-    nearest-sub-key decisions included: a one-row _swapped_costs. The
-    empty SwapSet returns base_cost unchanged.
+    The change is the swapped layout's cost, one row of _layout_costs,
+    less the base layout's, _layout_cost, both read from one _cost_inputs
+    and each with stats_cost's bits. So the result is base_cost +
+    (stats_cost(swapped) - stats_cost(base)) bit for bit, and, with
+    base_cost = stats_cost(base), stats_cost(swapped) itself whenever the
+    two costs are within a factor of 2 of each other: their difference is
+    then exact (Sterbenz), and so is the sum. The empty SwapSet returns
+    base_cost unchanged.
     """
     if not swaps.pairs:
         return base_cost
     x = _cost_inputs(g, stats, base, model)
     pairs = np.array([[LETTER_INDEX[a], LETTER_INDEX[b]] for a, b in swaps.pairs])
-    moved, partner = pairs.ravel(), pairs[:, ::-1].ravel()
-    order = np.argsort(moved)
-    return float(_swapped_costs(x, base_cost, moved[order][None], partner[order][None])[0])
+    swapped = float(_layout_costs(x, pairs.ravel()[None], pairs[:, ::-1].ravel()[None])[0])
+    return base_cost + (swapped - _layout_cost(x))

@@ -68,6 +68,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -263,18 +264,23 @@ class _Size3Plan(NamedTuple):
     takes: np.ndarray
 
 
+@lru_cache(maxsize=len(MODES))
 def _size3_plan(mode: str) -> _Size3Plan:
-    """Rebuilt on each call, in well under a millisecond, so that no copy
-    of its arrays outlives a search. takes marks the plan rows, so they
-    are its flat indices and runs its row counts; a canonical plan's takes
-    is _LATER itself, whose flat indices are _SIZE2."""
+    """Built on the first call for each mode and kept for the process, so
+    importing the package builds none; its arrays are read-only, as every
+    search shares them. takes marks the plan rows, so
+    they are its flat indices and runs its row counts; a canonical plan's
+    takes is _LATER itself, whose flat indices are _SIZE2."""
     if mode == "paper":
         takes = _LATER & (_V[:, None] < _V)
         first, second = np.divmod(np.flatnonzero(takes), _N_PAIRS)
     else:
         takes, (first, second) = _LATER, _SIZE2
     runs = np.count_nonzero(takes, axis=1)
-    return _Size3Plan(first, second, np.cumsum(runs), runs, takes)
+    plan = _Size3Plan(first, second, np.cumsum(runs), runs, takes)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def _candidate_blocks(n: int, mode: str = "canonical"):
@@ -341,9 +347,9 @@ def _build_d1(x: _CostInputs) -> np.ndarray:
     moved, by the same with m^T and e^T; the 2 x 2 block where both moved
     is then off by (P m P^T)[p, p] * (P e P^T)[p, p]. So d1 is, over (m,
     e) = (f, e) and (s_in, h), the sum of those three parts, minus (P
-    row_s)[p] * (P sp)[p] for the space after each letter. The bits are
-    not delta_cost's: _band_width bounds how far a row of the tables is
-    from the change in layout cost.
+    row_s)[p] * (P sp)[p] for the space after each letter. Its bits are
+    not those of the change in layout cost, which delta_cost adds:
+    _band_width bounds how far a row of the tables is from that change.
     """
     d1 = -(_first_difference(x.row_s) * _first_difference(x.sp))
     for m, e in ((x.f, x.e), (x.s_in, x.h)):

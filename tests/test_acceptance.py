@@ -5,7 +5,7 @@ line per criterion:
 
   1  worked-example sentence cost, sub-keys, and press path
   2  golden key-pair distances
-  3  table factorization and incremental deltas vs the sequence walk
+  3  table factorization and delta_cost vs the sequence walk
   4  search result vs a naive brute force (1 and 2 swap pairs)
   5  candidate-space sizes in both enumeration modes
   6  full pairing search never loses to triplet pairing

@@ -1,4 +1,4 @@
-"""Effort models: sequence walk, table factorization, incremental deltas."""
+"""Effort models: sequence walk, table factorization, delta_cost."""
 
 from __future__ import annotations
 

@@ -149,7 +149,7 @@ def table_texts() -> list[str]:
 # SHA-256 of the float64 bytes of every delta_cost, stats_cost and
 # _band_width value of test_public_costs_are_pinned, in its order
 COST_SHA256 = {
-    "delta_cost": "9d83e18f615912fe68fb63c241aaad02db4976a2dcdf7e14589c3067acfba493",
+    "delta_cost": "d75276ccff5242d053515e21a67dba350cd7c7dad4772ad197098027d02539ed",
     "stats_cost": "9f67f0c69b68c85a01267f3ec937e5c0bc2fead9aa88f4452cd220a19885a2aa",
     "band_width": "2666bcd64980b8eae8ac509bebec6754e32c515ea815858625e66ad8a5c40d4d",
 }
@@ -183,6 +183,35 @@ def test_public_costs_are_pinned(geometry):
     assert got == COST_SHA256
 
 
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, DEFAULT_SPEC.scaled(2.0)], ids=["default", "scaled"])
+def test_delta_cost_adds_the_change_in_layout_cost(spec):
+    # delta_cost(c) is c + (stats_cost(swapped) - stats_cost(base)) bit
+    # for bit, whatever c is. With c = stats_cost(base) it is
+    # stats_cost(swapped) itself wherever the two costs are within a
+    # factor of 2, as Sterbenz's lemma makes their difference exact.
+    g = build_geometry(spec)
+    rng = random.Random(2323)
+    exact = cases = 0
+    for text in table_texts() + [TWO_LETTER_TEXT]:
+        stats = count_bigrams(KeySequence(text))
+        for model in MODELS:
+            for base in (qwerty_layout(), apply_swaps(qwerty_layout(), _random_swaps(rng, 3))):
+                base_cost = stats_cost(g, base, stats, model)
+                for n in (1, 2, 3):
+                    swaps = _random_swaps(rng, n)
+                    swapped = stats_cost(g, apply_swaps(base, swaps), stats, model)
+                    for c in (base_cost, 0.0, -base_cost, rng.uniform(-1e4, 1e4)):
+                        got = delta_cost(g, base, c, stats, swaps, model)
+                        assert got.hex() == (c + (swapped - base_cost)).hex(), (text[:20], model, swaps, c)
+                    cases += 1
+                    if base_cost * swapped > 0 and abs(swapped) / 2 <= abs(base_cost) <= 2 * abs(swapped):
+                        got = delta_cost(g, base, base_cost, stats, swaps, model)
+                        assert got.hex() == swapped.hex(), (text[:20], model, swaps)
+                        exact += 1
+    # the factor-2 claim is not vacuous: it covers most cases
+    assert exact > 0.9 * cases, (exact, cases)
+
+
 def _margin(d1, c2, d1x, c2x, eps) -> float:
     """eps over the largest |fast row - reference row| at sizes 1 and 2,
     and over a bound on it at size 3: three d1 and three c2 differences
@@ -200,8 +229,9 @@ def test_fast_tables_stay_within_eps_of_the_exact_ones(geometry):
     # layout cost being the oracle's, at every size-1 row and at every
     # size-2 row of the corpora of at most 5,000 live-pair classes; the
     # others use every 16th size-2 row, as their 44,850 layouts take about
-    # 0.5 s a model. The fast tables are also held to delta_cost - base_cost
-    # and reference_c2. UNIFORM_TEXT makes the 16 products of c2[ab, cd]
+    # 0.5 s a model. The fast tables are also held to delta_cost - base_cost,
+    # the change in layout cost up to the rounding of one addition, and to
+    # reference_c2. UNIFORM_TEXT makes the 16 products of c2[ab, cd]
     # cancel: the reference entry is a rounding residue and the fast one
     # 0.0, so eps must come from the magnitudes of the terms, not from c2.
     # The smallest margin over these cases is about 62 against the tables,
@@ -330,6 +360,27 @@ def test_size3_plan_suffixes_are_runs_of_first_pairs(mode):
     for i in [int(b[0][0]) for b in _candidate_blocks(3, mode)]:
         runs = np.repeat(np.arange(325)[i + 1 :], plan.runs[i + 1 :])
         assert np.array_equal(runs, plan.first[plan.lo[i] :]), i
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_size3_plan_is_built_once_per_mode_and_read_only(geometry, mode):
+    # Every size-3 search of a mode shares one plan, so none may write to
+    # it, and a search on the kept plan gives the bytes of one that built it.
+    stats = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text))
+
+    def result_bytes() -> str:
+        return json.dumps(optimize(geometry, stats, SearchConfig(mode=mode)).to_json_dict())
+
+    _size3_plan.cache_clear()
+    built = result_bytes()
+    plan = _size3_plan(mode)
+    assert _size3_plan(mode) is plan
+    for a in plan:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = a.flat[0]
+    assert result_bytes() == built
+    assert _size3_plan(mode) is plan
 
 
 def test_size3_kernel_matches_best_on_every_block(geometry):
