@@ -212,6 +212,31 @@ def test_delta_cost_adds_the_change_in_layout_cost(spec):
     assert exact > 0.9 * cases, (exact, cases)
 
 
+# SHA-256 of the float64 bytes of every d1, and of every c2 at the size-2
+# rows, of test_fast_tables_are_pinned, in its order
+TABLE_SHA256 = {
+    "d1": "28b1ffba42d06bb2748ab4264aecf86ae0a4466cdcba57a429943cdf917c5412",
+    "c2": "30c9c83bbb439d347c7258608767cbc5fd3fdeb09f5355600a42be14e350c652",
+}
+
+
+def test_fast_tables_are_pinned():
+    # The winner is chosen within a band of these tables, so their bits
+    # are pinned; c2 is pinned at the 44,850 size-2 rows, the entries the
+    # search reads.
+    values = {name: [] for name in TABLE_SHA256}
+    for spec in (DEFAULT_SPEC, DEFAULT_SPEC.scaled(2.0)):
+        g = build_geometry(spec)
+        for text in table_texts() + [TWO_LETTER_TEXT]:
+            stats = count_bigrams(KeySequence(text))
+            for model in MODELS:
+                x = _cost_inputs(g, stats, qwerty_layout(), model)
+                values["d1"].append(optimizer._build_d1(x))
+                values["c2"].append(optimizer._build_c2(x)[_SIZE2])
+    got = {name: hashlib.sha256(np.concatenate(v).tobytes()).hexdigest() for name, v in values.items()}
+    assert got == TABLE_SHA256
+
+
 def _margin(d1, c2, d1x, c2x, eps) -> float:
     """eps over the largest |fast row - reference row| at sizes 1 and 2,
     and over a bound on it at size 3: three d1 and three c2 differences
