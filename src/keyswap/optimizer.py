@@ -21,10 +21,13 @@ Cost is a sum over letter pairs, so the change from applying disjoint
 transpositions p1..pn is exactly the per-transposition deltas d1[p] plus
 the pairwise cross terms c2[p, q]. The search builds them once per
 search, from effort's _cost_inputs, which also give its base cost:
-_build_d1 from first differences of the bigram and effort tables and,
-for sizes above 1, _build_c2 from second differences, dense 325 x 325
-arrays. Each size has one candidate stream, _candidate_blocks(n, mode);
-sizes 1 and 2 keep with _band_rows, and size 3 with _best_size3 over the
+_build_d1 from first differences of the bigram and effort tables, a
+vector of 325, and, for sizes above 1, _build_c2 from second
+differences, a vector of one c2[p, q] per size-2 row (p, q), p < q, the
+only entries the search reads. The half of c2 that depends only on the
+geometry, the model and the base layout is built once per process and
+cached (_c2_geometry). Each size has one candidate stream,
+_candidate_blocks(n, mode); sizes 1 and 2 keep with _band_rows, and size 3 with _best_size3 over the
 rows of _size3_plan(mode), every row whose table delta is within band of
 the least, where band = 2 * eps and eps bounds |table row - (layout
 cost(row) - base cost)| for every row (_band_width holds the proof).
@@ -98,6 +101,9 @@ _N_TRIPLETS = 2600  # C(26, 3)
 _LAYOUTS = 64
 # first pairs per pass of _Size3Kernel.run_bounds, for the same reason
 _FIRSTS = 64
+# size-2 rows per pass of _build_c2, so that each pass's four columns
+# of 8-byte values stay under 128 KiB, glibc's default mmap threshold
+_ROWS = 4000
 
 # verify_result's relative tolerance between stored and recomputed costs
 VERIFY_REL_TOL = 1e-9
@@ -228,9 +234,6 @@ _PAIR_IDX = np.full((_N_LETTERS, _N_LETTERS), -1, dtype=np.intp)
 _PAIR_IDX[_U, _V] = _PAIR_IDX[_V, _U] = np.arange(_N_PAIRS)
 # _COMPAT[p, q]: pairs p and q share no letter (so p != q)
 _COMPAT = (_U[:, None] != _U) & (_U[:, None] != _V) & (_V[:, None] != _U) & (_V[:, None] != _V)
-_SHARED = ~_COMPAT  # p and q share a letter, or p == q
-# _FIRST[u]: the first pair whose smaller letter is u or above
-_FIRST = np.searchsorted(_U, np.arange(_N_LETTERS))
 # flat indices of (p, u_p) and (p, v_p) in a (325, 26) array of pair rows
 _OWN_U, _OWN_V = (np.arange(_N_PAIRS) * _N_LETTERS + w for w in (_U, _V))
 # _LATER[p, q]: q > p and shares no letter with p
@@ -238,6 +241,9 @@ _LATER = np.triu(_COMPAT, 1)
 # every disjoint (i, j) with i < j, in canonical order; divmod of the flat
 # indices gives contiguous columns, where nonzero gives strided views
 _SIZE2 = np.divmod(np.flatnonzero(_LATER), _N_PAIRS)
+# flat indices of (i, u_j) and (i, v_j) in a (325, 26) array of pair rows,
+# for every size-2 row (i, j)
+_ROW_U, _ROW_V = (_SIZE2[0] * _N_LETTERS + w.take(_SIZE2[1]) for w in (_U, _V))
 
 
 class _Size3Plan(NamedTuple):
@@ -253,8 +259,9 @@ class _Size3Plan(NamedTuple):
     rows with takes[i, j] and takes[i, k], since j and k are both above
     i. Some first pairs take no row: the last ones, whose suffix is
     empty, and a few whose later pairs all hold a letter of i, such as
-    canonical 316-318 and paper 316. The plan depends only on the
-    alphabet and the mode.
+    canonical 316-318 and paper 316. size2[r] marks the size-2 rows r of
+    _SIZE2 that are plan rows, so c2 at the plan's rows is c2[size2]. The
+    plan depends only on the alphabet and the mode.
     """
 
     first: np.ndarray
@@ -262,6 +269,7 @@ class _Size3Plan(NamedTuple):
     lo: np.ndarray
     runs: np.ndarray
     takes: np.ndarray
+    size2: np.ndarray
 
 
 @lru_cache(maxsize=len(MODES))
@@ -270,14 +278,16 @@ def _size3_plan(mode: str) -> _Size3Plan:
     importing the package builds none; its arrays are read-only, as every
     search shares them. takes marks the plan rows, so
     they are its flat indices and runs its row counts; a canonical plan's
-    takes is _LATER itself, whose flat indices are _SIZE2."""
+    takes is _LATER itself, whose flat indices are _SIZE2. takes lies
+    within _LATER, so its entries at _LATER's marks, in flat order, are
+    size2."""
     if mode == "paper":
         takes = _LATER & (_V[:, None] < _V)
         first, second = np.divmod(np.flatnonzero(takes), _N_PAIRS)
     else:
         takes, (first, second) = _LATER, _SIZE2
     runs = np.count_nonzero(takes, axis=1)
-    plan = _Size3Plan(first, second, np.cumsum(runs), runs, takes)
+    plan = _Size3Plan(first, second, np.cumsum(runs), runs, takes, takes[_LATER])
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -361,36 +371,76 @@ def _build_d1(x: _CostInputs) -> np.ndarray:
     return d1
 
 
-def _build_c2(x: _CostInputs) -> np.ndarray:
-    """c2[p, q]: cross term of disjoint pairs p and q, from second differences.
+@lru_cache(maxsize=4)
+def _c2_geometry(eh: bytes) -> np.ndarray:
+    """The half of c2 that a corpus does not change, for the effort tables
+    e and h whose float64 bytes eh holds, one after the other.
 
-    Swapping p and q together changes the cost by d1[p] + d1[q] + c2[p, q].
-    The entries m[a, b] with a in p and b in q contribute, in exact
-    arithmetic, sum over those four (a, b) of m[a, b] * (((e[a', b'] -
-    e[a', b]) - e[a, b']) + e[a, b]), x' being the partner of x in its
-    pair, which factors into (P m P^T)[p, q] * (P e P^T)[p, q]. With G =
-    (P e P^T) o (P f P^T) + (P h P^T) o (P s_in P^T), c2 = G + G^T on
-    disjoint pairs, the entries with b in p and a in q giving G^T, and
-    +0.0 where p and q share a letter.
-
-    The pairs q = (u, v), v > u, are contiguous, and for them (P m
-    P^T)[p, q] = (P m)[p, u] - (P m)[p, v]: one broadcast subtraction per
-    first letter u, over the rows of (P m)^T, gives that block of all four
-    second differences, transposed, which is multiplied and summed
-    straight into the rows q of G^T. So no 325 x 325 array is built but
-    G^T and c2. The bits are not those of summing the eight (letter of
-    p, letter of q) combinations in turn: _band_width bounds how far a
-    row of the tables is from the change in layout cost.
+    Row r, for size-2 row (i, j) of _SIZE2, is E2(i, j), E2(j, i), H2(i,
+    j) and H2(j, i), where X2(p, q) = (P x)[p, u_q] - (P x)[p, v_q] is the
+    second difference (P x P^T)[p, q] of table x, with _build_c2's bits.
+    44,850 x 4 values, 1.4 MB, read-only. The cache is keyed by the bytes
+    of e and h, the only inputs of these values, so an entry can never
+    serve another geometry, model or base layout; a search computes it
+    under optimize's raising errstate, and one that raises leaves no
+    entry. Each gather builds both tables at both orientations at once,
+    from a 1.4 MB index array, and those and the second gather are freed
+    here: glibc's malloc then raises its mmap threshold to their size, so
+    the smaller arrays of later searches are served from its heap and
+    reused, not mapped afresh and faulted in page by page.
     """
-    a = np.stack([_first_difference(m).T for m in (x.e, x.f, x.h, x.s_in)])
-    gt = np.empty((_N_PAIRS, _N_PAIRS))
-    for u in range(_N_LETTERS - 1):
-        d = a[:, u, None] - a[:, u + 1 :]
-        d[0] *= d[1]
-        d[2] *= d[3]
-        np.add(d[0], d[2], out=gt[_FIRST[u] : _FIRST[u + 1]])
-    c2 = gt + gt.T
-    c2[_SHARED] = 0.0
+    e, h = np.frombuffer(eh).reshape(2, _N_LETTERS, _N_LETTERS)
+    pm = np.stack([_first_difference(m) for m in (e, h)]).ravel()
+    i, j = _SIZE2
+    # [row, table, orientation]: (P x)[i, w_j] and (P x)[j, w_i], for w = u and v
+    tables = np.arange(2)[:, None] * (_N_PAIRS * _N_LETTERS)
+    half = pm.take(tables + np.stack((_ROW_U, j * _N_LETTERS + _U.take(i)), axis=1)[:, None])
+    half -= pm.take(tables + np.stack((_ROW_V, j * _N_LETTERS + _V.take(i)), axis=1)[:, None])
+    half = half.reshape(-1, 4)
+    half.flags.writeable = False
+    return half
+
+
+def _build_c2(x: _CostInputs) -> np.ndarray:
+    """c2[r]: cross term of size-2 row r = (i, j) of _SIZE2, from second differences.
+
+    Swapping disjoint pairs i and j together changes the cost by d1[i] +
+    d1[j] + c2[r]. The entries m[a, b] with a in i and b in j contribute,
+    in exact arithmetic, sum over those four (a, b) of m[a, b] * (((e[a',
+    b'] - e[a', b]) - e[a, b']) + e[a, b]), x' being the partner of x in
+    its pair, which factors into (P m P^T)[i, j] * (P e P^T)[i, j]. With
+    G = (P e P^T) o (P f P^T) + (P h P^T) o (P s_in P^T), the cross term
+    is G[i, j] + G[j, i], the entries with b in i and a in j giving G[j,
+    i]. Only these 44,850 rows are built: the search reads no other pairs.
+
+    The second differences of e and h, at both orientations, depend only
+    on the geometry, the model and the base layout, and come from the
+    cache _c2_geometry. Those of f and s_in are gathered here, a few
+    thousand rows at a time: (P f P^T)[i, j] = (P f)[i, u_j] - (P f)[i,
+    v_j], and (P f P^T)[j, i] = (P f^T P^T)[i, j] at the same two flat
+    indices. Counts are integers far below 2**51, so every such
+    difference is exact, and its bits do not depend on how it is
+    associated. Each product, sum and G[i, j] + G[j, i] is one operation
+    on the same operands as in the full table G^T + G, so c2 has that
+    table's bits at every size-2 row. They are not those of summing the
+    eight (letter of i, letter of j) combinations in turn: _band_width
+    bounds how far a row of the tables is from the change in layout cost.
+    """
+    geometry = _c2_geometry(x.e.tobytes() + x.h.tobytes())
+    # (P f), (P f^T), (P s_in) and (P s_in^T), side by side: 4 values per (pair, letter)
+    counts = _first_difference(np.stack((x.f, x.f.T, x.s_in, x.s_in.T), axis=-1)).reshape(-1, 4)
+    c2 = np.empty(geometry.shape[0])
+    for lo in range(0, c2.shape[0], _ROWS):
+        rows = slice(lo, lo + _ROWS)
+        # F2(i, j), F2(j, i), S2(i, j) and S2(j, i), times the geometry half's row
+        d = counts.take(_ROW_U[rows], 0)
+        d -= counts.take(_ROW_V[rows], 0)
+        d *= geometry[rows]
+        # as complex pairs, the F2 pair plus the S2 pair is G[i, j], G[j, i]:
+        # complex addition adds the real and the imaginary parts apart
+        z = d.view(np.complex128)
+        g = z[:, 0] + z[:, 1]
+        np.add(g.real, g.imag, out=c2[rows])
     return c2
 
 
@@ -431,10 +481,11 @@ def _band_width(x: _CostInputs, base_cost: float) -> float:
     of 26 products of one-subtraction differences and two corner
     products, in six additions: gamma_34 * 8 Phi_p, Phi_p the part of Phi
     that pair p touches, so 16 gamma_34 Phi over a row, as the Phi_p of a
-    row's pairs sum to at most 2 Phi. A _build_c2 entry is two products
-    of two-subtraction differences, their sum, and its transpose added:
-    4 gamma_7 Phi over a row. Summing the row, five additions of terms of
-    at most about 8 Phi err by about 40u Phi. So the fast row is within
+    row's pairs sum to at most 2 Phi. A _build_c2 entry, G[i, j] + G[j,
+    i], adds two sums of two products of two-subtraction differences, of
+    which those of the counts are exact: 4 gamma_7 Phi over a row.
+    Summing the row, five additions of terms of at most about 8 Phi err
+    by about 40u Phi. So the fast row is within
     about 612u Phi of D.
 
     So |fast row - (layout cost(row) - base_cost)| is below about 1968u
@@ -500,8 +551,11 @@ def _rescore(x: _CostInputs, bands: list[tuple[np.ndarray, ...]]) -> list[tuple[
 
 
 def _row_deltas(d1: np.ndarray, c2: np.ndarray | None, block) -> np.ndarray:
-    """The cost delta of each row of a block.
+    """The cost delta of each row of a block, the reference that the
+    search's sums are tested against.
 
+    c2 is the symmetric 325 x 325 table of cross terms, +0.0 where two
+    pairs share a letter: _build_c2's rows, each at [i, j] and [j, i].
     The sum is always associated as ((d1[i] + d1[j]) + c2[i, j]), then
     + d1[k], + c2[i, k], + c2[j, k]; a size-1 block reads no c2, which may
     then be None.
@@ -525,18 +579,26 @@ def _best(d1: np.ndarray, c2: np.ndarray | None, block) -> tuple[float, tuple[in
     first minimum, so ties go to the smallest encoding, and comparing the
     returned tuples across blocks and sizes reproduces canonical SwapSet
     order (shorter encodings win on a shared prefix). The search does not
-    call it: it is the reference that the size-3 scan is tested against.
+    call it: it is the reference, over _row_deltas' table, that the
+    size-3 scan is tested against.
     """
     deltas = _row_deltas(d1, c2, block)
     r = int(np.argmin(deltas))
     return float(deltas[r]), tuple(int(col[r]) for col in block)
 
 
-def _band_rows(d1: np.ndarray, c2: np.ndarray | None, block, band: float) -> tuple[np.ndarray, ...]:
+def _band_rows(deltas: np.ndarray, block, band: float) -> tuple[np.ndarray, ...]:
     """The rows of a block whose delta is at most the least one + band, in block order."""
-    deltas = _row_deltas(d1, c2, block)
     keep = np.flatnonzero(deltas <= deltas.min() + band)
     return tuple(col.take(keep) for col in block)
+
+
+def _run_rows(plan: _Size3Plan, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row count of each pair's run, and the plan rows of the runs, in
+    the order of pairs."""
+    n = plan.runs.take(pairs)
+    # run j is rows lo[j] - n to lo[j], after the n of the runs before it
+    return n, np.repeat(plan.lo.take(pairs) - np.cumsum(n), n) + np.arange(n.sum())
 
 
 class _Size3Kernel:
@@ -548,21 +610,34 @@ class _Size3Kernel:
     whose bound proves every row above the band. Precondition: d1 and c2
     are finite and no row's sum overflows, as optimize ensures. d1k and
     c2jk, the values of d1[k] and c2[j, k] at the plan's rows (j, k), are
-    gathered once here, only for a size-3 search; a paper plan holds only
-    the rows it keeps. A minimum.reduceat over each of d1k + c2jk and c2jk
+    taken once here, only for a size-3 search: a canonical plan's rows are
+    the size-2 rows, so c2jk is c2 itself, and a paper plan takes c2 at
+    its size2 rows. A minimum.reduceat over each of d1k + c2jk and c2jk
     gives r[p] and m[p], the least d1[k] + c2[p, k] and the least c2[p, k]
-    over pair p's run, +inf where the run is empty.
+    over pair p's run, +inf where the run is empty. First pair i's own
+    terms c2[i, k] are its run of c2jk, as i takes k exactly when (i, k)
+    is a plan row.
     """
 
     def __init__(self, d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan):
-        self.d1, self.c2, self.plan = d1, c2, plan
+        self.d1, self.plan = d1, plan
         self.d1k = d1.take(plan.second)
-        self.c2jk = c2.take(plan.first * _N_PAIRS + plan.second)
+        self.c2jk = c2 if plan.first.shape[0] == c2.shape[0] else c2[plan.size2]
         has = plan.runs > 0
         starts = (plan.lo - plan.runs)[has]
         self.r, self.m = np.full((2, _N_PAIRS), np.inf)
         self.r[has] = np.minimum.reduceat(self.d1k + self.c2jk, starts)
         self.m[has] = np.minimum.reduceat(self.c2jk, starts)
+
+    def _c2_row(self, i: int) -> np.ndarray:
+        """c2[i, q] at every pair q that first pair i takes, +inf at the
+        others: i's run of c2jk scattered into a row."""
+        plan = self.plan
+        hi = int(plan.lo[i])
+        lo = hi - int(plan.runs[i])
+        row = np.full(_N_PAIRS, np.inf)
+        row[plan.second[lo:hi]] = self.c2jk[lo:hi]
+        return row
 
     def block(self, i: int) -> np.ndarray:
         """The deltas of first pair i's suffix lo[i]:, +inf at rows i does not take.
@@ -572,17 +647,17 @@ class _Size3Kernel:
         turn, so repeating a by runs lays a[j] under each of j's rows with
         no gather. Each row then adds d1[k], c2[i, k] and c2[j, k] in that
         order, so a row that i takes gets the same bits as in _row_deltas.
-        The pairs that i does not take are +inf in a and in the c2[i, k]
-        vector, so every row that i takes is finite and every other row is
-        exactly +inf; if i takes no row, every delta is +inf. The suffix
-        ascends in encoding and must not be empty.
+        The pairs that i does not take are +inf in i's row of c2, so in a
+        and in the c2[i, k] terms, so every row that i takes is finite and
+        every other row is exactly +inf; if i takes no row, every delta is
+        +inf. The suffix ascends in encoding and must not be empty.
         """
-        d1, c2i, plan = self.d1, self.c2[i], self.plan
-        lo, takes = int(plan.lo[i]), plan.takes[i]
+        d1, c2i, plan = self.d1, self._c2_row(i), self.plan
+        lo = int(plan.lo[i])
         j = slice(i + 1, None)
-        deltas = np.repeat(np.where(takes[j], (d1[i] + d1[j]) + c2i[j], np.inf), plan.runs[j])
+        deltas = np.repeat((d1[i] + d1[j]) + c2i[j], plan.runs[j])
         deltas += self.d1k[lo:]
-        deltas += np.where(takes, c2i, np.inf)[plan.second[lo:]]
+        deltas += c2i.take(plan.second[lo:])
         deltas += self.c2jk[lo:]
         return deltas
 
@@ -595,13 +670,11 @@ class _Size3Kernel:
         block()'s bits: those of _row_deltas where i takes k, +inf where it
         does not.
         """
-        d1, c2i, plan = self.d1, self.c2[i], self.plan
-        n = plan.runs.take(js)
-        # run j is rows lo[j] - n to lo[j], after the n of the runs before it
-        at = np.repeat(plan.lo.take(js) - np.cumsum(n), n) + np.arange(n.sum())
+        d1, c2i, plan = self.d1, self._c2_row(i), self.plan
+        n, at = _run_rows(plan, js)
         deltas = np.repeat((d1[i] + d1.take(js)) + c2i.take(js), n)
         deltas += self.d1k.take(at)
-        deltas += np.where(plan.takes[i], c2i, np.inf).take(plan.second.take(at))
+        deltas += c2i.take(plan.second.take(at))
         deltas += self.c2jk.take(at)
         return at, deltas
 
@@ -617,32 +690,37 @@ class _Size3Kernel:
     def run_bounds(self, firsts: np.ndarray) -> np.ndarray:
         """lb[n, j] = a[i, j] + max(r[j] + m[i], r[i] + m[j]) for i =
         firsts[n] and every pair j, +inf where i does not take j; with
-        a[i, j] block()'s a[j], it bounds run j of block i."""
-        d1, r, m = self.d1, self.r, self.m
-        lb = np.empty((firsts.shape[0], _N_PAIRS))
+        a[i, j] block()'s a[j], it bounds run j of block i. The pairs that
+        i takes are its run of plan rows (i, j), so each lb is computed
+        there, from d1k and c2jk, and scattered into i's row."""
+        d1, r, m, plan = self.d1, self.r, self.m, self.plan
+        lb = np.full((firsts.shape[0], _N_PAIRS), np.inf)
         for lo in range(0, firsts.shape[0], _FIRSTS):
-            f, a = firsts[lo : lo + _FIRSTS], lb[lo : lo + _FIRSTS]
-            np.add.outer(d1.take(f), d1, out=a)
-            a += self.c2.take(f, 0)
-            t = np.add.outer(m.take(f), r)
-            np.maximum(t, np.add.outer(r.take(f), m), out=t)
-            a += t
-        lb[~self.plan.takes.take(firsts, 0)] = np.inf
+            f = firsts[lo : lo + _FIRSTS]
+            n, at = _run_rows(plan, f)
+            i, j = np.repeat(f, n), plan.second.take(at)
+            a = (d1.take(i) + self.d1k.take(at)) + self.c2jk.take(at)
+            a += np.maximum(m.take(i) + r.take(j), r.take(i) + m.take(j))
+            lb[lo : lo + _FIRSTS].ravel()[np.repeat(np.arange(f.shape[0]) * _N_PAIRS, n) + j] = a
         return lb
 
 
 def _bands(x: _CostInputs, base_cost: float, sizes, mode: str) -> list[tuple[np.ndarray, ...]]:
     """The band of each search size under the fast tables, which are
-    dropped on return; a size-1 search builds no c2."""
+    dropped on return; a size-1 search builds no c2. Each size-2 row's
+    delta is (d1[i] + d1[j]) + c2[r], with c2 read as it is built."""
     band = _band_width(x, base_cost)
     d1 = _build_d1(x)
     c2 = _build_c2(x) if max(sizes) > 1 else None
     bands = []
     for size in sizes:
-        if size == 3:
-            bands.append(_best_size3(d1, c2, _size3_plan(mode), band))
+        if size == 1:
+            bands.append(_band_rows(d1, (np.arange(_N_PAIRS),), band))
+        elif size == 2:
+            i, j = _SIZE2
+            bands.append(_band_rows((d1.take(i) + d1.take(j)) + c2, _SIZE2, band))
         else:
-            bands.extend(_band_rows(d1, c2, block, band) for block in _candidate_blocks(size, mode))
+            bands.append(_best_size3(d1, c2, _size3_plan(mode), band))
     return bands
 
 
@@ -655,8 +733,9 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     first pair of least finite bound (the first on ties) is scored in
     full. That sets best, the least delta scored so far, and the cut
     (best + band) + tau, with tau = 2**-40 * (S + band) and S = 3 *
-    (max|d1| + max|c2|). Each other first pair whose bound is within that
-    cut is visited in ascending order of its least lb[i, j] (ties by
+    (max|d1| + max|c2|), the max over c2's size-2 rows, which hold every
+    cross term of every row. Each other first pair whose bound is within
+    that cut is visited in ascending order of its least lb[i, j] (ties by
     first pair), and scores only its runs whose lb is within the cut of
     the moment: by gather (runs()), or in full (block()) when those runs
     hold at least a quarter of its suffix, where scoring it all is

@@ -94,6 +94,36 @@ def canonical_rows(n: int) -> tuple[np.ndarray, ...]:
     return np.nonzero(np.triu(disjoint, 1))
 
 
+def canonical_triples(paper: bool = False):
+    """Every canonical 3-pair swap set as pair-index columns (i, j, k),
+    i < j < k and no letter shared, one block per first pair i, ascending
+    in encoding; paper mode keeps the sets whose pairs' larger letters
+    ascend too. Built from canonical_rows(2), independently of the
+    package's candidate streams."""
+    j, k = canonical_rows(2)
+    letters = (1 << PAIR_LETTERS).sum(axis=1)
+    jk, larger = letters[j] | letters[k], PAIR_LETTERS[:, 1]
+    if paper:
+        keep = larger[j] < larger[k]
+        j, k, jk = j[keep], k[keep], jk[keep]
+    for i in range(len(PAIR_LETTERS)):
+        at = np.searchsorted(j, i + 1)
+        rows = at + np.flatnonzero((jk[at:] & letters[i]) == 0)
+        if paper:
+            rows = rows[larger[i] < larger[j[rows]]]
+        if rows.size:
+            yield np.full(rows.size, i), j[rows], k[rows]
+
+
+def c2_table(c2) -> np.ndarray:
+    """The symmetric 325 x 325 table of the cross terms whose size-2 rows,
+    in canonical order, c2 holds, +0.0 where two pairs share a letter."""
+    i, j = canonical_rows(2)
+    table = np.zeros((len(PAIR_LETTERS), len(PAIR_LETTERS)))
+    table[i, j] = table[j, i] = c2
+    return table
+
+
 def live_pair_keys(stats, rows) -> np.ndarray:
     """One key per row of pair-index columns, equal for rows that swap the
     same live pairs, pairs that move a letter the corpus counts: such rows

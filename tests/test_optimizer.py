@@ -45,8 +45,10 @@ from conftest import (
     TWO_LETTER_TEXT,
     UNIFORM_TEXT,
     brute_force,
+    c2_table,
     canonical_pair_tuples,
     canonical_rows,
+    canonical_triples,
     layout_costs,
     live_pair_classes,
     live_pair_keys,
@@ -132,7 +134,7 @@ def _build_d1(g, stats, base, base_cost, model):
 
 
 def _build_c2(g, stats, base, model):
-    """The search's c2 for one corpus, built from scratch."""
+    """The search's c2 for one corpus, one entry per size-2 row."""
     return optimizer._build_c2(_cost_inputs(g, stats, base, model))
 
 
@@ -232,7 +234,7 @@ def test_fast_tables_are_pinned():
             for model in MODELS:
                 x = _cost_inputs(g, stats, qwerty_layout(), model)
                 values["d1"].append(optimizer._build_d1(x))
-                values["c2"].append(optimizer._build_c2(x)[_SIZE2])
+                values["c2"].append(optimizer._build_c2(x))
     got = {name: hashlib.sha256(np.concatenate(v).tobytes()).hexdigest() for name, v in values.items()}
     assert got == TABLE_SHA256
 
@@ -277,7 +279,7 @@ def test_fast_tables_stay_within_eps_of_the_exact_ones(geometry):
             base_cost = stats_cost(geometry, base, stats, model)
             x = _cost_inputs(geometry, stats, base, model)
             eps = _band_width(x, base_cost) / 2
-            d1, c2 = optimizer._build_d1(x), optimizer._build_c2(x)
+            d1, c2 = optimizer._build_d1(x), c2_table(optimizer._build_c2(x))
             d1x = np.array([delta_cost(geometry, base, base_cost, stats, SwapSet((p,)), model) for p in LETTER_PAIRS])
             c2x = reference_c2(geometry, stats, base, model)
             margins.append(_margin(d1, c2, d1x - base_cost, c2x, eps))
@@ -291,13 +293,15 @@ def test_fast_tables_stay_within_eps_of_the_exact_ones(geometry):
 
 
 def test_delta_table_build_peak_memory(geometry):
-    # The build holds d1, and _build_c2's G^T and c2, two 325 x 325 float
-    # arrays of 0.8 MiB each (about 2.0 MiB in all on river); perfbench's
-    # peak_rss_mb follows this transient.
+    # The build holds d1, c2's 44,850 rows (0.34 MiB) and one pass of
+    # _build_c2's gathers (a few 125 KiB arrays); the geometry half of c2
+    # is kept per process, like effort_tables, and is filled before the
+    # count starts. perfbench's peak_rss_mb follows this transient.
     stats = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text))
     base, model = qwerty_layout(), EffortModel()
     base_cost = stats_cost(geometry, base, stats, model)
-    _build_d1(geometry, stats, base, base_cost, model)  # fill effort_tables' cache
+    # fill the caches of effort_tables and of c2's geometry half
+    _build_d1(geometry, stats, base, base_cost, model), _build_c2(geometry, stats, base, model)
     tracemalloc.start()
     try:
         _build_d1(geometry, stats, base, base_cost, model), _build_c2(geometry, stats, base, model)
@@ -366,9 +370,10 @@ def test_candidate_streams_ascend_so_argmin_breaks_ties(n, mode):
         keys = keys * 325 + np.concatenate([b[c] for b in blocks])
     assert np.all(np.diff(keys) > 0)
     # With every delta zero, all rows tie and the first row must win.
-    d1, c2 = np.zeros(325), np.zeros((325, 325))
+    d1, c2 = np.zeros(325), np.zeros(len(_SIZE2[0]))
+    table = c2_table(c2)
     first = tuple(int(col[0]) for col in blocks[0])
-    assert min(_best(d1, c2, block) for block in blocks) == (0.0, first)
+    assert min(_best(d1, table, block) for block in blocks) == (0.0, first)
     if n == 3:
         # tau and the band are 0, so nothing is pruned: every block is
         # scored and every row ties, so the band is the whole stream, in
@@ -408,6 +413,54 @@ def test_size3_plan_is_built_once_per_mode_and_read_only(geometry, mode):
     assert _size3_plan(mode) is plan
 
 
+def test_c2_geometry_half_is_cached_per_table_and_read_only(monkeypatch):
+    # Searches over three geometries and the three models, and the first
+    # again, share the cached geometry half of c2 only where their effort
+    # tables are the same: each search's c2 has the bits of a build from an
+    # empty cache, every cached half is read-only, and the cache keeps at
+    # most its bound of halves. Other space sub-key columns change h but
+    # not e. Fitts alpha -2.5 makes the base cost negative on the scaled
+    # geometry, so that model is searched on the default one only.
+    stats = count_bigrams(KeySequence(tie_heavy_text(random.Random(2002))))
+    built = []
+    build = optimizer._build_c2
+    monkeypatch.setattr(optimizer, "_build_c2", lambda x: built.append(build(x)) or built[-1])
+    cache = optimizer._c2_geometry
+    bound = cache.cache_info().maxsize
+    steps = [(spec, model) for model in MODELS[:2] for spec in (DEFAULT_SPEC, DEFAULT_SPEC.scaled(2.0))]
+    steps += [(DEFAULT_SPEC, MODELS[2]), (GeometrySpec(space_subkey_columns=(4, 10, 11, 12)), MODELS[0])]
+    steps.append((DEFAULT_SPEC, MODELS[0]))
+    assert len({(spec, model) for spec, model in steps}) > bound
+    cache.cache_clear()
+    for spec, model in steps:
+        g = build_geometry(spec)
+        optimize(g, stats, SearchConfig(n_swap_pairs=2, model=model))
+        assert cache.cache_info().currsize <= bound, (spec, model)
+        x = _cost_inputs(g, stats, qwerty_layout(), model)
+        half = cache(x.e.tobytes() + x.h.tobytes())
+        assert not half.flags.writeable
+        with pytest.raises(ValueError):
+            half[0, 0] = half[0, 0]
+    assert cache.cache_info().hits >= len(steps)
+    for (spec, model), c2 in zip(steps, built, strict=True):
+        cache.cache_clear()
+        fresh = build(_cost_inputs(build_geometry(spec), stats, qwerty_layout(), model))
+        assert fresh.tobytes() == c2.tobytes(), (spec, model)
+    # A search whose costs overflow still fails as it did, and adds no half;
+    # nor does a fill whose own differences overflow.
+    g = build_geometry(GeometrySpec(key_width=1e306, key_height=1e306, h_gap=1e306, v_gap=1e306))
+    river = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text))
+    before = cache.cache_info().currsize
+    with pytest.raises(ValueError, match="not finite on this corpus and geometry") as info:
+        optimize(g, river, SearchConfig())
+    assert "overflow encountered in" in str(info.value)
+    e = np.zeros((26, 26))
+    e[0], e[1] = 1e308, -1e308
+    with pytest.raises(FloatingPointError), optimizer._raising():
+        cache(e.tobytes() + np.zeros((26, 26)).tobytes())
+    assert cache.cache_info().currsize == before
+
+
 def test_size3_kernel_matches_best_on_every_block(geometry):
     # The kernel's block scorer gives every row of a block the bits of
     # _row_deltas, and so does its run scorer on every third run of each
@@ -423,14 +476,15 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
             base_cost = stats_cost(geometry, base, stats, model)
             d1 = _build_d1(geometry, stats, base, base_cost, model)
             c2 = _build_c2(geometry, stats, base, model)
+            table = c2_table(c2)
             band = _band_width(_cost_inputs(geometry, stats, base, model), base_cost)
             for mode in MODES:
                 case = (text[:20], model.kind, mode)
                 plan = _size3_plan(mode)
                 kernel = _Size3Kernel(d1, c2, plan)
                 # a paper plan gathers c2 only at the rows it keeps
-                assert kernel.c2jk.tobytes() == c2[plan.first, plan.second].tobytes(), case
-                want = [_row_deltas(d1, c2, block) for block in blocks[mode]]
+                assert kernel.c2jk.tobytes() == table[plan.first, plan.second].tobytes(), case
+                want = [_row_deltas(d1, table, block) for block in blocks[mode]]
                 for block, deltas in zip(blocks[mode], want):
                     i = int(block[0][0])
                     lo = int(plan.lo[i])
@@ -470,7 +524,8 @@ def _scan_tau(d1, c2, band) -> float:
 
 def _size3_table_cases(geometry):
     """(name, d1, c2, band) over the bundled corpora and tie_heavy_text
-    seeds under two models, and random tables with a zero band."""
+    seeds under two models, and random tables with a zero band; c2 holds
+    the size-2 rows."""
     base = qwerty_layout()
     texts = [(p.stem, t) for p, t in zip(sorted(DATA.glob("*.jsonl")), bundled_texts())]
     texts += [(f"tie-{s}", tie_heavy_text(random.Random(s))) for s in (2003, 2038)]
@@ -481,10 +536,7 @@ def _size3_table_cases(geometry):
             yield (name, model.kind), optimizer._build_d1(x), optimizer._build_c2(x), _band_width(x, _layout_cost(x))
     rng = np.random.default_rng(2222)
     for s in range(3):
-        g = rng.normal(size=(325, 325))
-        c2 = g + g.T
-        c2[optimizer._SHARED] = 0.0
-        yield ("random", s), rng.normal(size=325), c2, 0.0
+        yield ("random", s), rng.normal(size=325), rng.normal(size=len(_SIZE2[0])), 0.0
 
 
 def test_size3_bounds_hold_for_every_block_and_run(geometry, monkeypatch):
@@ -530,18 +582,21 @@ def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode, monkeypatch):
     # -3, is the only one within the cut, so it is scored by runs.
     idx = {"".join(p): n for n, p in enumerate(itertools.combinations(LETTERS, 2))}
     rows = [tuple(idx[p] for p in row) for row in (("ad", "be", "cf"), ("gm", "hn", "io"))]
-    d1, c2 = np.full(325, 2.0), np.full((325, 325), 5.0)
+    # c2's entry of each size-2 row (p, q), p < q
+    at = {pq: r for r, pq in enumerate(zip(*(col.tolist() for col in _SIZE2)))}
+    d1, c2 = np.full(325, 2.0), np.full(len(_SIZE2[0]), 5.0)
     for row in rows:
         for p, q in itertools.combinations(row, 2):
-            c2[p, q] = c2[q, p] = -3.0
-    c2[idx["gm"], idx["jz"]] = c2[idx["jz"], idx["gm"]] = -10.0
+            c2[at[p, q]] = -3.0
+    c2[at[idx["gm"], idx["jz"]]] = -10.0
+    table = c2_table(c2)
     scored = _watch_scan(monkeypatch)
     got = _best_size3(d1, c2, _size3_plan(mode), 0.0)
     assert scored[0] == ("block", rows[1][0])
     assert ("runs", rows[0][0]) in scored
     assert len(scored) < len(list(_candidate_blocks(3, mode)))
     assert [tuple(int(c[r]) for c in got) for r in range(len(got[0]))] == rows
-    assert _best(d1, c2, got) == (-3.0, rows[0]) == min(_best(d1, c2, block) for block in _candidate_blocks(3, mode))
+    assert _best(d1, table, got) == (-3.0, rows[0]) == min(_best(d1, table, block) for block in _candidate_blocks(3, mode))
 
 
 def test_size3_search_peak_memory(geometry):
@@ -549,7 +604,7 @@ def test_size3_search_peak_memory(geometry):
     stats = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text))
     searches = (SearchConfig(cumulative=True), SearchConfig(mode="paper"))
     for cfg in searches:
-        optimize(geometry, stats, cfg)  # fill the effort table and plan caches
+        optimize(geometry, stats, cfg)  # fill the caches of effort tables, plans and c2's geometry half
     for cfg in searches:
         tracemalloc.start()
         try:
@@ -619,6 +674,28 @@ def test_optimize_picks_the_exact_winner_of_every_row(geometry):
             want = min([(base_cost, ())] + [winners[size, "canonical"] for size in (1, 2, 3)])
             got = optimize(geometry, stats, SearchConfig(cumulative=True, model=model))
             assert _bits((got.best_cost_mm, got.swaps.pairs)) == _bits((want[0], _letter_pairs(want[1]))), text[:20]
+
+
+def test_size3_search_matches_an_exhaustive_oracle(geometry):
+    # The oracle enumerates every disjoint triple of pairs itself, keeps
+    # the paper-mode ones for a paper search, and scores one row per
+    # live-pair class with the layout cost; optimize must return its least
+    # (cost, encoding), with its bits. A small alphabet keeps the classes
+    # few; the tie-heavy corpus makes most rows tie.
+    rng = random.Random(4040)
+    texts = [" ".join("".join(rng.choice("stuv") for _ in range(rng.randint(1, 5))) for _ in range(60))]
+    texts += [tie_heavy_text(random.Random(2038))]
+    for text in texts:
+        stats = count_bigrams(KeySequence(text))
+        for mode in MODES:
+            triples = list(canonical_triples(paper=mode == "paper"))
+            assert sum(len(block[0]) for block in triples) == {"canonical": 3_453_450, "paper": 1_151_150}[mode]
+            classes = live_pair_classes(stats, triples)
+            del triples
+            for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
+                cost, idx = oracle_best(geometry, stats, classes, model)
+                got = optimize(geometry, stats, SearchConfig(mode=mode, model=model))
+                assert _bits((got.best_cost_mm, got.swaps.pairs)) == _bits((cost, _letter_pairs(idx))), (text[:20], mode, model.kind)
 
 
 # Tie corpora on which the winner once came from a sum of each row's terms
@@ -763,7 +840,7 @@ def test_paper_search_matches_the_triplet_stream_reference(geometry):
             got = optimize(geometry, stats, SearchConfig(mode="paper", model=model))
             base_cost = stats_cost(geometry, base, stats, model)
             x = _cost_inputs(geometry, stats, base, model)
-            d1, c2 = optimizer._build_d1(x), optimizer._build_c2(x)
+            d1, c2 = optimizer._build_d1(x), c2_table(optimizer._build_c2(x))
             deltas = np.concatenate([_row_deltas(d1, c2, block) for block in blocks])
             band = np.unique(encodings[deltas <= deltas.min() + _band_width(x, base_cost)])
             rows = (band // 325**2, band // 325 % 325, band % 325)
