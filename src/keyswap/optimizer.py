@@ -52,12 +52,11 @@ Gilmore-Lawler kind for this restricted quadratic assignment problem).
 The block of least bound is scored in full; it gives best, the least
 delta so far, and the cut (best + band) + tau, with tau = 2**-40 * (3 *
 (max|d1| + max|c2|) + band) far more than the rounding of any row, bound
-or cut. The other blocks whose bound is within the cut are visited in
-ascending order of their least lb(i, j), and each scores only its runs
-with lb(i, j) within the cut, which falls as best does; the scan stops
-at the first block whose least lb exceeds it. _best_size3 holds the
-proof. So every row of the band is either scored or shown to cost
-strictly more than best + band.
+or cut. Of the other blocks whose bound is within the cut, every run
+with lb(i, j) within it is then scored by one gather, in plan order and
+in chunks, each chunk's runs cut again by the cut of the moment, which
+falls as best does. _best_size3 holds the proof. So every row of the
+band is either scored or shown to cost strictly more than best + band.
 
 Every kernel requires finite tables: optimize does all of its cost
 arithmetic with numpy overflow and invalid values raising, so costs that
@@ -99,8 +98,9 @@ _N_TRIPLETS = 2600  # C(26, 3)
 
 # layouts per pass of _rescore, so that a wide band's temporaries stay small
 _LAYOUTS = 64
-# first pairs per pass of _Size3Kernel.run_bounds, for the same reason
-_FIRSTS = 64
+# runs per pass of _best_size3's gather, for the same reason: a run holds
+# at most 276 rows
+_RUNS = 64
 # size-2 rows per pass of _build_c2, so that each pass's four columns
 # of 8-byte values stay under 128 KiB, glibc's default mmap threshold
 _ROWS = 4000
@@ -253,15 +253,16 @@ class _Size3Plan(NamedTuple):
     row (j, k) = (first[r], second[r]) with r >= lo[i], so that j > i.
     first ascends and j has runs[j] rows, so lo[i] = runs[0] + ... +
     runs[i], j's run is rows lo[j] - runs[j] to lo[j], and the suffix
-    lo[i]: is the run of each j > i in turn. takes[i, q] marks the plan
-    rows (i, q): pairs above i that share no letter with i and, in paper
-    mode, whose larger letter is above v[i]. Of its suffix, i takes the
-    rows with takes[i, j] and takes[i, k], since j and k are both above
-    i. Some first pairs take no row: the last ones, whose suffix is
-    empty, and a few whose later pairs all hold a letter of i, such as
-    canonical 316-318 and paper 316. size2[r] marks the size-2 rows r of
-    _SIZE2 that are plan rows, so c2 at the plan's rows is c2[size2]. The
-    plan depends only on the alphabet and the mode.
+    lo[i]: is the run of each j > i in turn. i takes pair q when (i, q)
+    is a plan row: q is above i, shares no letter with i and, in paper
+    mode, has its larger letter above v[i]. takes[i, q] is then that
+    plan row, and elsewhere it is the count of plan rows, one past the
+    last. Of its suffix, i takes the rows (j, k) where it takes j and k,
+    since both are above i. Some first pairs take no row: the last ones,
+    whose suffix is empty, and a few whose later pairs all hold a letter
+    of i, such as canonical 316-318 and paper 316. size2[r] marks the
+    size-2 rows r of _SIZE2 that are plan rows, so c2 at the plan's rows
+    is c2[size2]. The plan depends only on the alphabet and the mode.
     """
 
     first: np.ndarray
@@ -276,18 +277,18 @@ class _Size3Plan(NamedTuple):
 def _size3_plan(mode: str) -> _Size3Plan:
     """Built on the first call for each mode and kept for the process, so
     importing the package builds none; its arrays are read-only, as every
-    search shares them. takes marks the plan rows, so
-    they are its flat indices and runs its row counts; a canonical plan's
-    takes is _LATER itself, whose flat indices are _SIZE2. takes lies
-    within _LATER, so its entries at _LATER's marks, in flat order, are
-    size2."""
-    if mode == "paper":
-        takes = _LATER & (_V[:, None] < _V)
-        first, second = np.divmod(np.flatnonzero(takes), _N_PAIRS)
-    else:
-        takes, (first, second) = _LATER, _SIZE2
-    runs = np.count_nonzero(takes, axis=1)
-    plan = _Size3Plan(first, second, np.cumsum(runs), runs, takes, takes[_LATER])
+    search shares them. A mask of the pairs (i, q) that i takes has the
+    plan rows as its flat indices and runs as its row counts; a
+    canonical plan's mask is _LATER itself, whose flat indices are
+    _SIZE2. The mask lies within _LATER, so its entries at _LATER's
+    marks, in flat order, are size2."""
+    mask = _LATER & (_V[:, None] < _V) if mode == "paper" else _LATER
+    rows = np.flatnonzero(mask)
+    first, second = np.divmod(rows, _N_PAIRS) if mode == "paper" else _SIZE2
+    runs = np.count_nonzero(mask, axis=1)
+    takes = np.full(_N_PAIRS * _N_PAIRS, rows.shape[0], dtype=np.int32)
+    takes[rows] = np.arange(rows.shape[0])
+    plan = _Size3Plan(first, second, np.cumsum(runs), runs, takes.reshape(_N_PAIRS, _N_PAIRS), mask[_LATER])
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -314,7 +315,7 @@ def _candidate_blocks(n: int, mode: str = "canonical"):
     else:
         plan = _size3_plan(mode)
         for i in range(_N_PAIRS):
-            lo, t = int(plan.lo[i]), plan.takes[i]
+            lo, t = int(plan.lo[i]), plan.takes[i] < plan.first.shape[0]
             rows = lo + np.flatnonzero(t.take(plan.first[lo:]) & t.take(plan.second[lo:]))
             if rows.size:
                 yield np.full(rows.size, i), plan.first.take(rows), plan.second.take(rows)
@@ -436,11 +437,8 @@ def _build_c2(x: _CostInputs) -> np.ndarray:
         d = counts.take(_ROW_U[rows], 0)
         d -= counts.take(_ROW_V[rows], 0)
         d *= geometry[rows]
-        # as complex pairs, the F2 pair plus the S2 pair is G[i, j], G[j, i]:
-        # complex addition adds the real and the imaginary parts apart
-        z = d.view(np.complex128)
-        g = z[:, 0] + z[:, 1]
-        np.add(g.real, g.imag, out=c2[rows])
+        # G[i, j] + G[j, i]
+        np.add(d[:, 0] + d[:, 2], d[:, 1] + d[:, 3], out=c2[rows])
     return c2
 
 
@@ -605,39 +603,30 @@ class _Size3Kernel:
     """Scores the rows of the size-3 stream from the plan, and bounds them.
 
     It reads the fast tables of _build_d1 and _build_c2: _best_size3 keeps
-    from each block or run it scores the rows within the band, which
-    _rescore scores again with the layout cost itself, and skips those
-    whose bound proves every row above the band. Precondition: d1 and c2
-    are finite and no row's sum overflows, as optimize ensures. d1k and
-    c2jk, the values of d1[k] and c2[j, k] at the plan's rows (j, k), are
-    taken once here, only for a size-3 search: a canonical plan's rows are
-    the size-2 rows, so c2jk is c2 itself, and a paper plan takes c2 at
-    its size2 rows. A minimum.reduceat over each of d1k + c2jk and c2jk
-    gives r[p] and m[p], the least d1[k] + c2[p, k] and the least c2[p, k]
-    over pair p's run, +inf where the run is empty. First pair i's own
-    terms c2[i, k] are its run of c2jk, as i takes k exactly when (i, k)
-    is a plan row.
+    from the rows it scores those within the band, which _rescore scores
+    again with the layout cost itself, and skips the blocks and runs whose
+    bound proves every row above the band. Precondition: d1 and c2 are
+    finite and no row's sum overflows, as optimize ensures. d1k and c2jk,
+    the values of d1[k] and c2[j, k] at the plan's rows (j, k), are taken
+    once here, only for a size-3 search: a canonical plan's rows are the
+    size-2 rows, so c2jk holds c2, and a paper plan's hold c2 at its
+    size2 rows. One +inf follows them, one past the last plan row, where
+    takes points for the pairs that a first pair does not take. So
+    c2jk[takes[i, q]] is c2[i, q] where i takes q, as (i, q) is then a
+    plan row, and +inf elsewhere. A minimum.reduceat over each of d1k +
+    c2jk and c2jk gives r[p] and m[p], the least d1[k] + c2[p, k] and the
+    least c2[p, k] over pair p's run, +inf where the run is empty.
     """
 
     def __init__(self, d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan):
         self.d1, self.plan = d1, plan
         self.d1k = d1.take(plan.second)
-        self.c2jk = c2 if plan.first.shape[0] == c2.shape[0] else c2[plan.size2]
+        self.c2jk = np.append(c2 if plan.first.shape[0] == c2.shape[0] else c2[plan.size2], math.inf)
         has = plan.runs > 0
         starts = (plan.lo - plan.runs)[has]
         self.r, self.m = np.full((2, _N_PAIRS), np.inf)
-        self.r[has] = np.minimum.reduceat(self.d1k + self.c2jk, starts)
-        self.m[has] = np.minimum.reduceat(self.c2jk, starts)
-
-    def _c2_row(self, i: int) -> np.ndarray:
-        """c2[i, q] at every pair q that first pair i takes, +inf at the
-        others: i's run of c2jk scattered into a row."""
-        plan = self.plan
-        hi = int(plan.lo[i])
-        lo = hi - int(plan.runs[i])
-        row = np.full(_N_PAIRS, np.inf)
-        row[plan.second[lo:hi]] = self.c2jk[lo:hi]
-        return row
+        self.r[has] = np.minimum.reduceat(self.d1k + self.c2jk[:-1], starts)
+        self.m[has] = np.minimum.reduceat(self.c2jk[:-1], starts)
 
     def block(self, i: int) -> np.ndarray:
         """The deltas of first pair i's suffix lo[i]:, +inf at rows i does not take.
@@ -652,31 +641,14 @@ class _Size3Kernel:
         every other row is exactly +inf; if i takes no row, every delta is
         +inf. The suffix ascends in encoding and must not be empty.
         """
-        d1, c2i, plan = self.d1, self._c2_row(i), self.plan
+        d1, c2i, plan = self.d1, self.c2jk.take(self.plan.takes[i]), self.plan
         lo = int(plan.lo[i])
         j = slice(i + 1, None)
         deltas = np.repeat((d1[i] + d1[j]) + c2i[j], plan.runs[j])
         deltas += self.d1k[lo:]
         deltas += c2i.take(plan.second[lo:])
-        deltas += self.c2jk[lo:]
+        deltas += self.c2jk[lo:-1]
         return deltas
-
-    def runs(self, i: int, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The plan rows of first pair i's runs js, and their deltas.
-
-        js ascends and holds pairs above i that i takes, so the rows ascend
-        in encoding. They are gathered, and each adds to a[j] the terms
-        d1[k], c2[i, k] and c2[j, k] in block()'s order, so each row gets
-        block()'s bits: those of _row_deltas where i takes k, +inf where it
-        does not.
-        """
-        d1, c2i, plan = self.d1, self._c2_row(i), self.plan
-        n, at = _run_rows(plan, js)
-        deltas = np.repeat((d1[i] + d1.take(js)) + c2i.take(js), n)
-        deltas += self.d1k.take(at)
-        deltas += c2i.take(plan.second.take(at))
-        deltas += self.c2jk.take(at)
-        return at, deltas
 
     def block_bounds(self) -> np.ndarray:
         """bound[i] = d1[i] + max((r[i] + m[i]) + min_{j>i} r[j], (r[i] +
@@ -687,22 +659,38 @@ class _Size3Kernel:
         later[:, :-1] = np.minimum.accumulate(np.stack((r, m))[:, :0:-1], axis=1)[:, ::-1]
         return self.d1 + np.maximum((r + m) + later[0], (r + r) + later[1])
 
-    def run_bounds(self, firsts: np.ndarray) -> np.ndarray:
-        """lb[n, j] = a[i, j] + max(r[j] + m[i], r[i] + m[j]) for i =
-        firsts[n] and every pair j, +inf where i does not take j; with
-        a[i, j] block()'s a[j], it bounds run j of block i. The pairs that
-        i takes are its run of plan rows (i, j), so each lb is computed
-        there, from d1k and c2jk, and scattered into i's row."""
-        d1, r, m, plan = self.d1, self.r, self.m, self.plan
-        lb = np.full((firsts.shape[0], _N_PAIRS), np.inf)
-        for lo in range(0, firsts.shape[0], _FIRSTS):
-            f = firsts[lo : lo + _FIRSTS]
-            n, at = _run_rows(plan, f)
-            i, j = np.repeat(f, n), plan.second.take(at)
-            a = (d1.take(i) + self.d1k.take(at)) + self.c2jk.take(at)
-            a += np.maximum(m.take(i) + r.take(j), r.take(i) + m.take(j))
-            lb[lo : lo + _FIRSTS].ravel()[np.repeat(np.arange(f.shape[0]) * _N_PAIRS, n) + j] = a
-        return lb
+    def lb(self, firsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The runs of first pairs firsts, as their plan rows at = (i, j)
+        in the order of firsts, and lb(i, j) = a[i, j] + max(r[j] + m[i],
+        r[i] + m[j]) of each, with a[i, j] block()'s a[j]. i's runs j are
+        the pairs that i takes, its own run of plan rows, so each term of
+        i is repeated over them."""
+        plan, r, m = self.plan, self.r, self.m
+        n, at = _run_rows(plan, firsts)
+        j = plan.second.take(at)
+        lb = (np.repeat(self.d1.take(firsts), n) + self.d1k.take(at)) + self.c2jk.take(at)
+        lb += np.maximum(np.repeat(m.take(firsts), n) + r.take(j), np.repeat(r.take(firsts), n) + m.take(j))
+        return at, lb
+
+    def gather(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows (i, j, k) of the runs at = (i, j), plan rows, as first
+        pair i and plan row (j, k) of each, and their deltas.
+
+        Run (i, j) is i followed by j's run of plan rows, in the order of
+        at. Each row adds to a[i, j] = (d1[i] + d1[j]) + c2[i, j] the terms
+        d1[k], c2[i, k] and c2[j, k] in block()'s order, so each row gets
+        block()'s bits: those of _row_deltas where i takes k, +inf where it
+        does not.
+        """
+        plan, c2jk = self.plan, self.c2jk
+        first = plan.first.take(at)
+        n, rows = _run_rows(plan, plan.second.take(at))
+        i = np.repeat(first, n)
+        deltas = np.repeat((self.d1.take(first) + self.d1k.take(at)) + c2jk.take(at), n)
+        deltas += self.d1k.take(rows)
+        deltas += c2jk.take(plan.takes.ravel().take(i * _N_PAIRS + plan.second.take(rows)))
+        deltas += c2jk.take(rows)
+        return i, rows, deltas
 
 
 def _bands(x: _CostInputs, base_cost: float, sizes, mode: str) -> list[tuple[np.ndarray, ...]]:
@@ -729,19 +717,18 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     best + band, best the least delta of the stream, ascending in encoding.
 
     The scan. Block i is first pair i's rows, bound[i] its block bound
-    (block_bounds) and lb[i, j] the bound of its run j (run_bounds). The
-    first pair of least finite bound (the first on ties) is scored in
-    full. That sets best, the least delta scored so far, and the cut
-    (best + band) + tau, with tau = 2**-40 * (S + band) and S = 3 *
-    (max|d1| + max|c2|), the max over c2's size-2 rows, which hold every
-    cross term of every row. Each other first pair whose bound is within
-    that cut is visited in ascending order of its least lb[i, j] (ties by
-    first pair), and scores only its runs whose lb is within the cut of
-    the moment: by gather (runs()), or in full (block()) when those runs
-    hold at least a quarter of its suffix, where scoring it all is
-    cheaper. The scan stops at the first pair whose least lb exceeds the
-    cut. Rows kept before best fell are cut to the final best + band at
-    the end.
+    (block_bounds) and lb(i, j) the bound of its run j (lb). The seed,
+    the first pair of least finite bound (the first on ties), is scored
+    in full by block(). That sets best, the least delta scored so far,
+    and the cut (best + band) + tau, with tau = 2**-40 * (S + band) and S
+    = 3 * (max|d1| + max|c2|), the max over c2's size-2 rows, which hold
+    every cross term of every row. The runs of every other first pair
+    whose bound is within that cut are bounded as one flat vector, and
+    those whose lb is within it are scored by gather(), in plan order, in
+    chunks of _RUNS runs; before each chunk the cut of the moment, which
+    falls as best does, is applied again. The seed's rows go in between
+    the chunks at their place, so the kept rows ascend with no sort. Rows
+    kept before best fell are cut to the final best + band at the end.
 
     Why the bounds hold, in exact arithmetic. Take a row (i, j, k). Its
     size-2 parts (i, j) and (i, k) are rows of i's run, as i takes j and
@@ -758,15 +745,15 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     min_{j>i} m[j] <= m[j]. Each bound is the max of two such sums, so
     the row is at least either.
 
-    Which first pairs are visited. A first pair that takes a row (i, j,
+    Which first pairs are scored. A first pair that takes a row (i, j,
     k) has finite r[i], m[i], r[j] and m[j], so a finite bound; one whose
     bound is +inf takes no row and has no block. That includes every
     first pair whose suffix is empty, since each later pair has an empty
-    run. So block() never sees an empty suffix, even when tau is inf.
+    run. So the seed's suffix is never empty, even when tau is inf.
     Which bounds are finite depends only on the plan: the first pairs of
     finite bound that take no row are canonical 315-320 and 25 paper
-    ones. Visited, such a pair scores only +inf and adds no row, and a
-    run that i does not take has lb = +inf.
+    ones. Seeded or gathered, such a pair scores only +inf; while best is
+    +inf no row is kept.
 
     Proof that no skipped row computes at or below best + band. Let X be
     a row's exact sum of six terms, with |terms| summing to at most S.
@@ -781,15 +768,14 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     bound - 10u * S. The two roundings of (best + band) + tau are at most
     u * (|best| + band + tau) each, with |best| about S at most, and tau
     is 8192u * (S + band), far above their sum plus 10u * S. So a block
-    whose bound exceeds the first cut, a run whose lb exceeds the cut of
-    its visit, and the blocks from the one whose least lb stops the scan
-    on, whose least lb is no smaller, hold only rows that compute
-    strictly above best + band at that moment; best only falls, so they
-    compute above the final best + band. The band is then complete, and
-    with _band_width's eps the row of least layout cost and its
-    tie-break are among its rows. All-zero tables with a zero band give
-    tau = 0 and skip nothing; a max that overflows gives tau = inf, which
-    skips nothing either.
+    whose bound exceeds the first cut, and a run whose lb exceeds the cut
+    applied before its chunk, hold only rows that compute strictly above
+    best + band at that moment; best only falls, so each cut is at least
+    the final one, and they compute above the final best + band. The
+    band is then complete, and with _band_width's eps the row of least
+    layout cost and its tie-break are among its rows. All-zero tables
+    with a zero band give tau = 0 and skip nothing; a max that overflows
+    gives tau = inf, which skips nothing either.
     """
     kernel = _Size3Kernel(d1, c2, plan)
     s = 3 * (max(float(d1.max()), -float(d1.min())) + max(float(c2.max()), -float(c2.min())))
@@ -798,37 +784,38 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     live = np.flatnonzero(bound < math.inf)
     seed = int(live[np.argmin(bound.take(live))])
     deltas = kernel.block(seed)
-    best, kept = float(deltas.min()), []
-    if best < math.inf:
-        r = np.flatnonzero(deltas <= best + band)
-        kept.append((seed, plan.lo[seed] + r, deltas.take(r)))
-    firsts = live[(bound.take(live) <= (best + band) + tau) & (live != seed)]
-    lb = kernel.run_bounds(firsts)
-    least_lb = lb.min(axis=1, initial=math.inf)
-    for n in np.argsort(least_lb, kind="stable").tolist():
-        cut = (best + band) + tau
-        if least_lb[n] > cut:
-            break
-        i, js = int(firsts[n]), np.flatnonzero(lb[n] <= cut)
-        lo = int(plan.lo[i])
-        if 4 * int(plan.runs.take(js).sum()) >= plan.first.shape[0] - lo:
-            at, deltas = None, kernel.block(i)
-        else:
-            at, deltas = kernel.runs(i, js)
-        least = float(deltas.min())
-        if least == math.inf:
-            continue  # i takes no row of these runs
-        best = min(best, least)
-        if least <= best + band:
-            r = np.flatnonzero(deltas <= best + band)
-            kept.append((i, lo + r if at is None else at.take(r), deltas.take(r)))
-    del kernel, lb
-    cut = best + band
-    kept = [(i, at[deltas <= cut]) for i, at, deltas in sorted(kept, key=lambda block: block[0])]
-    at = np.concatenate([at for _, at in kept])
-    first = np.repeat([i for i, _ in kept], [at.shape[0] for _, at in kept])
+    best = float(deltas.min())
+
+    def within(deltas: np.ndarray) -> np.ndarray:
+        # none while best is +inf: every delta scored so far is +inf
+        return np.flatnonzero(deltas <= best + band) if best < math.inf else np.arange(0)
+
+    r = within(deltas)
+    seed_rows = (np.full(r.shape[0], seed), plan.lo[seed] + r, deltas.take(r))
+    at, lb = kernel.lb(live[(bound.take(live) <= (best + band) + tau) & (live != seed)])
+    admitted = np.flatnonzero(lb <= (best + band) + tau)
+    at, lb = at.take(admitted), lb.take(admitted)
+    # a chunk starts every _RUNS runs, and where the seed's rows go, between
+    # the runs of the first pairs before it and those after it
+    splice = int(np.searchsorted(at, plan.lo[seed]))
+    starts = sorted({*range(0, at.shape[0], _RUNS), splice})
+    # (first pair, plan row (j, k), delta) of the rows within the band of the moment, in plan order
+    kept = []
+    for lo, hi in zip(starts, starts[1:] + [at.shape[0]]):
+        if lo == splice:
+            kept.append(seed_rows)
+        chunk = lo + np.flatnonzero(lb[lo:hi] <= (best + band) + tau)
+        if chunk.size:
+            i, rows, deltas = kernel.gather(at.take(chunk))
+            best = min(best, float(deltas.min()))
+            r = within(deltas)
+            kept.append((i.take(r), rows.take(r), deltas.take(r)))
+    del kernel, at, lb
+    i, rows, deltas = (np.concatenate(col) for col in zip(*kept))
     del kept
-    return first, plan.first.take(at), plan.second.take(at)
+    keep = deltas <= best + band
+    rows = rows[keep]
+    return i[keep], plan.first.take(rows), plan.second.take(rows)
 
 
 # ---------------------------------------------------------------------------

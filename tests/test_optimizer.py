@@ -463,9 +463,11 @@ def test_c2_geometry_half_is_cached_per_table_and_read_only(monkeypatch):
 
 def test_size3_kernel_matches_best_on_every_block(geometry):
     # The kernel's block scorer gives every row of a block the bits of
-    # _row_deltas, and so does its run scorer on every third run of each
-    # block; the scan returns exactly the stream's rows within the band of
-    # its least delta, though it skips blocks and runs.
+    # _row_deltas, and +inf at the rows of its suffix that the first pair
+    # does not take; its gather, in one call over every third run of every
+    # block, gives each of its rows the block scorer's bits. The scan
+    # returns exactly the stream's rows within the band of its least delta,
+    # though it skips blocks and runs.
     texts = bundled_texts() + [tie_heavy_text(random.Random(2000 + s)) for s in range(3)]
     blocks = {mode: list(_candidate_blocks(3, mode)) for mode in MODES}
     assert all(len(b[0]) for mode in MODES for b in blocks[mode])
@@ -482,25 +484,25 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
                 case = (text[:20], model.kind, mode)
                 plan = _size3_plan(mode)
                 kernel = _Size3Kernel(d1, c2, plan)
-                # a paper plan gathers c2 only at the rows it keeps
-                assert kernel.c2jk.tobytes() == table[plan.first, plan.second].tobytes(), case
+                # a paper plan gathers c2 only at the rows it keeps; one +inf follows them
+                assert kernel.c2jk.tobytes() == np.append(table[plan.first, plan.second], np.inf).tobytes(), case
                 want = [_row_deltas(d1, table, block) for block in blocks[mode]]
-                for block, deltas in zip(blocks[mode], want):
-                    i = int(block[0][0])
-                    lo = int(plan.lo[i])
-                    got = kernel.block(i)
+                firsts = np.array([int(block[0][0]) for block in blocks[mode]])
+                at = kernel.lb(firsts)[0][::3]
+                i, rows, part = kernel.gather(at)
+                # runs[j] rows of each run (i, j), in the order of at
+                n = plan.runs[plan.second[at]]
+                assert np.array_equal(i, np.repeat(plan.first[at], n)), case
+                assert np.array_equal(plan.first[rows], np.repeat(plan.second[at], n)), case
+                # the gathered rows of each first pair, which ascends
+                ends = zip(np.searchsorted(i, firsts).tolist(), np.searchsorted(i, firsts, "right").tolist())
+                for first, block, deltas, (start, stop) in zip(firsts.tolist(), blocks[mode], want, ends):
+                    lo = int(plan.lo[first])
+                    got = kernel.block(first)
                     taken = np.isfinite(got)
                     assert np.array_equal(plan.first[lo:][taken], block[1]), case
                     assert got[taken].tobytes() == deltas.tobytes(), case
-                    js = np.flatnonzero(plan.takes[i] & (plan.runs > 0))[::3]
-                    chosen = np.zeros(325, dtype=bool)
-                    chosen[js] = True
-                    at, part = kernel.runs(i, js)
-                    # ascending rows of the suffix, runs[j] of each chosen j
-                    assert at[0] >= lo and np.all(np.diff(at) > 0), case
-                    assert np.array_equal(plan.first[at], np.repeat(js, plan.runs[js])), case
-                    assert part.tobytes() == got[at - lo].tobytes(), case
-                    assert part[np.isfinite(part)].tobytes() == deltas[chosen[block[1]]].tobytes(), case
+                    assert part[start:stop].tobytes() == got[rows[start:stop] - lo].tobytes(), case
                 deltas = np.concatenate(want)
                 in_band = np.flatnonzero(deltas <= deltas.min() + band)
                 rows = _best_size3(d1, c2, plan, band)
@@ -508,12 +510,18 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
 
 
 def _watch_scan(monkeypatch) -> list[tuple[str, int]]:
-    """Record each block the size-3 scan scores, as ("block", i) when it
-    scores the whole suffix and ("runs", i) when it gathers runs."""
+    """Record the first pairs the size-3 scan scores, as ("block", i) when
+    it scores i's whole suffix and ("gather", i) for each first pair of the
+    runs that one gather scores."""
     scored = []
-    block, runs = _Size3Kernel.block, _Size3Kernel.runs
+    block, gather = _Size3Kernel.block, _Size3Kernel.gather
+
+    def watched_gather(kernel, at):
+        scored.extend(("gather", i) for i in np.unique(kernel.plan.first[at]).tolist())
+        return gather(kernel, at)
+
     monkeypatch.setattr(_Size3Kernel, "block", lambda kernel, i: scored.append(("block", i)) or block(kernel, i))
-    monkeypatch.setattr(_Size3Kernel, "runs", lambda kernel, i, js: scored.append(("runs", i)) or runs(kernel, i, js))
+    monkeypatch.setattr(_Size3Kernel, "gather", watched_gather)
     return scored
 
 
@@ -542,7 +550,7 @@ def _size3_table_cases(geometry):
 def test_size3_bounds_hold_for_every_block_and_run(geometry, monkeypatch):
     # Each first pair's block bound is at most its block's least delta, and
     # each lb(i, j) at most the least delta of run j of block i, up to
-    # _best_size3's tau; a run that i does not take has lb = +inf.
+    # _best_size3's tau. The runs of i are the pairs that i takes, in order.
     scored = _watch_scan(monkeypatch)
     both = []
     for name, d1, c2, band in _size3_table_cases(geometry):
@@ -553,22 +561,26 @@ def test_size3_bounds_hold_for_every_block_and_run(geometry, monkeypatch):
             kernel = _Size3Kernel(d1, c2, plan)
             bound = kernel.block_bounds()
             firsts = np.array([int(b[0][0]) for b in _candidate_blocks(3, mode)])
-            lb = kernel.run_bounds(firsts)
             assert np.all(np.isfinite(bound[firsts])), case
-            for n, i in enumerate(firsts.tolist()):
+            at, lb = kernel.lb(firsts)
+            assert np.array_equal(plan.first[at], np.repeat(firsts, plan.runs[firsts])), case
+            assert np.all(plan.takes[plan.first[at], plan.second[at]] == at), case
+            ends = np.cumsum(plan.runs[firsts])
+            for i, hi in zip(firsts.tolist(), ends.tolist()):
                 lo = int(plan.lo[i])
                 deltas = kernel.block(i)
                 assert bound[i] <= deltas.min() + tau, (case, i)
-                # the least delta of each run of the suffix, +inf where i takes no row
-                j = np.flatnonzero(plan.runs[i + 1 :]) + i + 1
-                least = np.minimum.reduceat(deltas, plan.lo[j] - plan.runs[j] - lo)
-                assert np.all(lb[n, j] <= least + tau), (case, i)
-                assert np.all(lb[n][~plan.takes[i]] == np.inf), (case, i)
+                # the least delta of each run of i, +inf where j's run is empty
+                j = plan.second[at[hi - plan.runs[i] : hi]]
+                least = np.full(j.shape, np.inf)
+                has = plan.runs[j] > 0
+                least[has] = np.minimum.reduceat(deltas, plan.lo[j[has]] - plan.runs[j[has]] - lo)
+                assert np.all(lb[hi - plan.runs[i] : hi] <= least + tau), (case, i)
             del scored[:]
             _best_size3(d1, c2, plan, band)
-            if {kind for kind, _ in scored} == {"block", "runs"}:
+            if {kind for kind, _ in scored} == {"block", "gather"}:
                 both.append(case)
-    # the run path and the whole-block path fire in one scan, as on river
+    # the seed's whole block and the gather of runs both fire in one scan, as on river
     assert (("river", "distance"), "canonical") in both, both
 
 
@@ -576,10 +588,10 @@ def test_size3_bounds_hold_for_every_block_and_run(geometry, monkeypatch):
 def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode, monkeypatch):
     # Small integers add exactly, so rows (ad, be, cf) and (gm, hn, io)
     # both cost -3 and every other row costs more. c2[gm, jz] = -10 gives
-    # the later block the lower bound, so it is scored first, in full; the
-    # earlier block must still be scored, so that a band of width 0 holds
-    # both rows, and the smaller encoding must win. Its bound on run be,
-    # -3, is the only one within the cut, so it is scored by runs.
+    # the later block the lower bound, so it seeds the scan, scored in
+    # full; the earlier block must still be scored, so that a band of width
+    # 0 holds both rows, and the smaller encoding must win. Its bound on
+    # run be, -3, is the only one within the cut, so the gather scores it.
     idx = {"".join(p): n for n, p in enumerate(itertools.combinations(LETTERS, 2))}
     rows = [tuple(idx[p] for p in row) for row in (("ad", "be", "cf"), ("gm", "hn", "io"))]
     # c2's entry of each size-2 row (p, q), p < q
@@ -593,10 +605,30 @@ def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode, monkeypatch):
     scored = _watch_scan(monkeypatch)
     got = _best_size3(d1, c2, _size3_plan(mode), 0.0)
     assert scored[0] == ("block", rows[1][0])
-    assert ("runs", rows[0][0]) in scored
-    assert len(scored) < len(list(_candidate_blocks(3, mode)))
+    assert ("gather", rows[0][0]) in scored
+    assert len({i for _, i in scored}) < len(list(_candidate_blocks(3, mode)))
     assert [tuple(int(c[r]) for c in got) for r in range(len(got[0]))] == rows
     assert _best(d1, table, got) == (-3.0, rows[0]) == min(_best(d1, table, block) for block in _candidate_blocks(3, mode))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_size3_scan_keeps_its_band_with_one_run_a_chunk(geometry, mode, monkeypatch):
+    # With one run a chunk, the scan applies its falling cut again before
+    # every run and splices the seed's rows in between two runs; its band
+    # must still be every row of the stream within band of the least delta,
+    # in the stream's order.
+    monkeypatch.setattr(optimizer, "_RUNS", 1)
+    blocks = list(_candidate_blocks(3, mode))
+    river = ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text
+    texts = [river, TWO_LETTER_TEXT, tie_heavy_text(random.Random(2038))]
+    for text in texts:
+        x = _cost_inputs(geometry, count_bigrams(KeySequence(text)), qwerty_layout(), EffortModel())
+        d1, c2, band = optimizer._build_d1(x), optimizer._build_c2(x), _band_width(x, _layout_cost(x))
+        table = c2_table(c2)
+        deltas = np.concatenate([_row_deltas(d1, table, block) for block in blocks])
+        in_band = np.flatnonzero(deltas <= deltas.min() + band)
+        rows = _best_size3(d1, c2, _size3_plan(mode), band)
+        assert np.array_equal(_encodings([rows]), _encodings(blocks)[in_band]), text[:20]
 
 
 def test_size3_search_peak_memory(geometry):
