@@ -49,14 +49,15 @@ a[i, j] + max(r[j] + m[i], r[i] + m[j]) =: lb(i, j), with a[i, j] =
 of block i is at least d1[i] + max((r[i] + m[i]) + min_{j>i} r[j], (r[i]
 + r[i]) + min_{j>i} m[j]), the bound of the block (bounds of the
 Gilmore-Lawler kind for this restricted quadratic assignment problem).
-The block of least bound is scored in full; it gives best, the least
-delta so far, and the cut (best + band) + tau, with tau = 2**-40 * (3 *
-(max|d1| + max|c2|) + band) far more than the rounding of any row, bound
-or cut. Of the other blocks whose bound is within the cut, every run
-with lb(i, j) within it is then scored by one gather, in plan order and
-in chunks, each chunk's runs cut again by the cut of the moment, which
-falls as best does. _best_size3 holds the proof. So every row of the
-band is either scored or shown to cost strictly more than best + band.
+The run of least lb in the block of least bound is scored first; it
+gives best, the least delta so far, and the cut (best + band) + tau,
+with tau = 2**-40 * (3 * (max|d1| + max|c2|) + band) far more than the
+rounding of any row, bound or cut. Of the blocks whose bound is within
+the cut, every run with lb(i, j) within it is then scored by one gather,
+the only scorer of the scan, in plan order and in chunks, each chunk's
+runs cut again by the cut of the moment, which falls as best does.
+_best_size3 holds the proof. So every row of the band is either scored
+or shown to cost strictly more than best + band.
 
 Every kernel requires finite tables: optimize does all of its cost
 arithmetic with numpy overflow and invalid values raising, so costs that
@@ -302,9 +303,9 @@ def _candidate_blocks(n: int, mode: str = "canonical"):
     canonical encoding. The rows of the whole stream ascend in encoding,
     and so do the rows of each band, the precondition of _rescore. Size 3
     is one block per first pair i that takes a row: the rows of
-    _size3_plan(mode) that i takes, which _Size3Kernel scores, in full or
-    by runs, with finite deltas when the tables are finite; it gives the
-    other rows of i's suffix +inf. Paper mode is the size-3
+    _size3_plan(mode) that i takes, which _Size3Kernel scores by runs,
+    with finite deltas when the tables are finite; it gives the other rows
+    of a run +inf. Paper mode is the size-3
     stream filtered to v[i] < v[j] < v[k]: the plan's size-2 rows keep
     v[j] < v[k], and first pair i keeps the rows with v[i] < v[j].
     """
@@ -628,28 +629,6 @@ class _Size3Kernel:
         self.r[has] = np.minimum.reduceat(self.d1k + self.c2jk[:-1], starts)
         self.m[has] = np.minimum.reduceat(self.c2jk[:-1], starts)
 
-    def block(self, i: int) -> np.ndarray:
-        """The deltas of first pair i's suffix lo[i]:, +inf at rows i does not take.
-
-        a[j] = (d1[i] + d1[j]) + c2[i, j] holds the first two sums of every
-        row (i, j, .), j > i. The suffix lo[i]: is runs[j] rows of each j in
-        turn, so repeating a by runs lays a[j] under each of j's rows with
-        no gather. Each row then adds d1[k], c2[i, k] and c2[j, k] in that
-        order, so a row that i takes gets the same bits as in _row_deltas.
-        The pairs that i does not take are +inf in i's row of c2, so in a
-        and in the c2[i, k] terms, so every row that i takes is finite and
-        every other row is exactly +inf; if i takes no row, every delta is
-        +inf. The suffix ascends in encoding and must not be empty.
-        """
-        d1, c2i, plan = self.d1, self.c2jk.take(self.plan.takes[i]), self.plan
-        lo = int(plan.lo[i])
-        j = slice(i + 1, None)
-        deltas = np.repeat((d1[i] + d1[j]) + c2i[j], plan.runs[j])
-        deltas += self.d1k[lo:]
-        deltas += c2i.take(plan.second[lo:])
-        deltas += self.c2jk[lo:-1]
-        return deltas
-
     def block_bounds(self) -> np.ndarray:
         """bound[i] = d1[i] + max((r[i] + m[i]) + min_{j>i} r[j], (r[i] +
         r[i]) + min_{j>i} m[j]), +inf only where i takes no row;
@@ -662,7 +641,7 @@ class _Size3Kernel:
     def lb(self, firsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The runs of first pairs firsts, as their plan rows at = (i, j)
         in the order of firsts, and lb(i, j) = a[i, j] + max(r[j] + m[i],
-        r[i] + m[j]) of each, with a[i, j] block()'s a[j]. i's runs j are
+        r[i] + m[j]) of each, with gather()'s a[i, j]. i's runs j are
         the pairs that i takes, its own run of plan rows, so each term of
         i is repeated over them."""
         plan, r, m = self.plan, self.r, self.m
@@ -677,10 +656,11 @@ class _Size3Kernel:
         pair i and plan row (j, k) of each, and their deltas.
 
         Run (i, j) is i followed by j's run of plan rows, in the order of
-        at. Each row adds to a[i, j] = (d1[i] + d1[j]) + c2[i, j] the terms
-        d1[k], c2[i, k] and c2[j, k] in block()'s order, so each row gets
-        block()'s bits: those of _row_deltas where i takes k, +inf where it
-        does not.
+        at. Each row adds to a[i, j] = (d1[i] + d1[j]) + c2[i, j], finite as
+        i takes j, the terms d1[k], c2[i, k] and c2[j, k] in that order, so
+        a row that i takes gets the bits of _row_deltas. c2[i, k] is read
+        at takes[i, k], which is +inf where i does not take k, so every
+        other row is exactly +inf. A run whose j's run is empty adds no row.
         """
         plan, c2jk = self.plan, self.c2jk
         first = plan.first.take(at)
@@ -717,18 +697,19 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     best + band, best the least delta of the stream, ascending in encoding.
 
     The scan. Block i is first pair i's rows, bound[i] its block bound
-    (block_bounds) and lb(i, j) the bound of its run j (lb). The seed,
-    the first pair of least finite bound (the first on ties), is scored
-    in full by block(). That sets best, the least delta scored so far,
-    and the cut (best + band) + tau, with tau = 2**-40 * (S + band) and S
-    = 3 * (max|d1| + max|c2|), the max over c2's size-2 rows, which hold
-    every cross term of every row. The runs of every other first pair
-    whose bound is within that cut are bounded as one flat vector, and
-    those whose lb is within it are scored by gather(), in plan order, in
-    chunks of _RUNS runs; before each chunk the cut of the moment, which
-    falls as best does, is applied again. The seed's rows go in between
-    the chunks at their place, so the kept rows ascend with no sort. Rows
-    kept before best fell are cut to the final best + band at the end.
+    (block_bounds) and lb(i, j) the bound of its run j (lb). gather() is
+    the only scorer. It first scores the seed run, the run of least lb in
+    the block of least finite bound (the first on ties of each). That
+    sets best, the least delta scored so far, and the cut (best + band) +
+    tau, with tau = 2**-40 * (S + band) and S = 3 * (max|d1| + max|c2|),
+    the max over c2's size-2 rows, which hold every cross term of every
+    row. The runs of every first pair whose bound is within that cut, the
+    seed's included, are bounded as one flat vector, and those whose lb is
+    within it are scored by gather(), in plan order, in chunks of _RUNS
+    runs; before each chunk the cut of the moment, which falls as best
+    does, is applied again. The seed run is scored again at its place, so
+    the kept rows ascend with no sort. Rows kept before best fell are cut
+    to the final best + band at the end.
 
     Why the bounds hold, in exact arithmetic. Take a row (i, j, k). Its
     size-2 parts (i, j) and (i, k) are rows of i's run, as i takes j and
@@ -749,11 +730,16 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     k) has finite r[i], m[i], r[j] and m[j], so a finite bound; one whose
     bound is +inf takes no row and has no block. That includes every
     first pair whose suffix is empty, since each later pair has an empty
-    run. So the seed's suffix is never empty, even when tau is inf.
+    run. So the seed block has at least one run, even when tau is inf.
     Which bounds are finite depends only on the plan: the first pairs of
     finite bound that take no row are canonical 315-320 and 25 paper
-    ones. Seeded or gathered, such a pair scores only +inf; while best is
-    +inf no row is kept.
+    ones, and one of them can seed the scan. Its runs then hold only
+    rows of +inf, or no row where j's run is empty, which makes lb +inf.
+    The seed run's least delta is taken from +inf, so best stays +inf,
+    the cut is +inf, and every run of every block of finite bound is
+    gathered until a finite delta sets best. Rows kept while best is +inf
+    are +inf, and the final cut drops them, as the stream holds a finite
+    row.
 
     Proof that no skipped row computes at or below best + band. Let X be
     a row's exact sum of six terms, with |terms| summing to at most S.
@@ -782,33 +768,21 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     tau = 2.0**-40 * (s + band)
     bound = kernel.block_bounds()
     live = np.flatnonzero(bound < math.inf)
-    seed = int(live[np.argmin(bound.take(live))])
-    deltas = kernel.block(seed)
-    best = float(deltas.min())
-
-    def within(deltas: np.ndarray) -> np.ndarray:
-        # none while best is +inf: every delta scored so far is +inf
-        return np.flatnonzero(deltas <= best + band) if best < math.inf else np.arange(0)
-
-    r = within(deltas)
-    seed_rows = (np.full(r.shape[0], seed), plan.lo[seed] + r, deltas.take(r))
-    at, lb = kernel.lb(live[(bound.take(live) <= (best + band) + tau) & (live != seed)])
+    # the seed block's runs, and of them the seed run, whose least delta is
+    # +inf if it holds no row that its first pair takes, or no row at all
+    at, lb = kernel.lb(live[[np.argmin(bound.take(live))]])
+    best = float(kernel.gather(at[[np.argmin(lb)]])[2].min(initial=math.inf))
+    at, lb = kernel.lb(live[bound.take(live) <= (best + band) + tau])
     admitted = np.flatnonzero(lb <= (best + band) + tau)
     at, lb = at.take(admitted), lb.take(admitted)
-    # a chunk starts every _RUNS runs, and where the seed's rows go, between
-    # the runs of the first pairs before it and those after it
-    splice = int(np.searchsorted(at, plan.lo[seed]))
-    starts = sorted({*range(0, at.shape[0], _RUNS), splice})
     # (first pair, plan row (j, k), delta) of the rows within the band of the moment, in plan order
     kept = []
-    for lo, hi in zip(starts, starts[1:] + [at.shape[0]]):
-        if lo == splice:
-            kept.append(seed_rows)
-        chunk = lo + np.flatnonzero(lb[lo:hi] <= (best + band) + tau)
+    for lo in range(0, at.shape[0], _RUNS):
+        chunk = lo + np.flatnonzero(lb[lo : lo + _RUNS] <= (best + band) + tau)
         if chunk.size:
             i, rows, deltas = kernel.gather(at.take(chunk))
-            best = min(best, float(deltas.min()))
-            r = within(deltas)
+            best = float(deltas.min(initial=best))
+            r = np.flatnonzero(deltas <= best + band)
             kept.append((i.take(r), rows.take(r), deltas.take(r)))
     del kernel, at, lb
     i, rows, deltas = (np.concatenate(col) for col in zip(*kept))

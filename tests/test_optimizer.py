@@ -462,12 +462,12 @@ def test_c2_geometry_half_is_cached_per_table_and_read_only(monkeypatch):
 
 
 def test_size3_kernel_matches_best_on_every_block(geometry):
-    # The kernel's block scorer gives every row of a block the bits of
-    # _row_deltas, and +inf at the rows of its suffix that the first pair
-    # does not take; its gather, in one call over every third run of every
-    # block, gives each of its rows the block scorer's bits. The scan
-    # returns exactly the stream's rows within the band of its least delta,
-    # though it skips blocks and runs.
+    # The kernel's gather, in one call over every third run of every block,
+    # gives each row that its first pair takes the bits of _row_deltas, and
+    # +inf to every other row of the runs; the rows it takes are the
+    # stream's rows of those runs, in the stream's order. The scan returns
+    # exactly the stream's rows within the band of its least delta, though
+    # it skips blocks and runs.
     texts = bundled_texts() + [tie_heavy_text(random.Random(2000 + s)) for s in range(3)]
     blocks = {mode: list(_candidate_blocks(3, mode)) for mode in MODES}
     assert all(len(b[0]) for mode in MODES for b in blocks[mode])
@@ -486,7 +486,7 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
                 kernel = _Size3Kernel(d1, c2, plan)
                 # a paper plan gathers c2 only at the rows it keeps; one +inf follows them
                 assert kernel.c2jk.tobytes() == np.append(table[plan.first, plan.second], np.inf).tobytes(), case
-                want = [_row_deltas(d1, table, block) for block in blocks[mode]]
+                deltas = np.concatenate([_row_deltas(d1, table, block) for block in blocks[mode]])
                 firsts = np.array([int(block[0][0]) for block in blocks[mode]])
                 at = kernel.lb(firsts)[0][::3]
                 i, rows, part = kernel.gather(at)
@@ -494,33 +494,29 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
                 n = plan.runs[plan.second[at]]
                 assert np.array_equal(i, np.repeat(plan.first[at], n)), case
                 assert np.array_equal(plan.first[rows], np.repeat(plan.second[at], n)), case
-                # the gathered rows of each first pair, which ascends
-                ends = zip(np.searchsorted(i, firsts).tolist(), np.searchsorted(i, firsts, "right").tolist())
-                for first, block, deltas, (start, stop) in zip(firsts.tolist(), blocks[mode], want, ends):
-                    lo = int(plan.lo[first])
-                    got = kernel.block(first)
-                    taken = np.isfinite(got)
-                    assert np.array_equal(plan.first[lo:][taken], block[1]), case
-                    assert got[taken].tobytes() == deltas.tobytes(), case
-                    assert part[start:stop].tobytes() == got[rows[start:stop] - lo].tobytes(), case
-                deltas = np.concatenate(want)
+                taken = plan.takes[i, plan.second[rows]] < plan.first.shape[0]
+                assert np.all(part[~taken] == np.inf), case
+                # the stream's rows (i, j, k) whose run (i, j) is gathered
+                encodings = _encodings(blocks[mode])
+                gathered = np.isin(encodings // 325, plan.first[at] * 325 + plan.second[at])
+                got = (i[taken] * 325 + plan.first[rows[taken]]) * 325 + plan.second[rows[taken]]
+                assert np.array_equal(encodings[gathered], got), case
+                assert part[taken].tobytes() == deltas[gathered].tobytes(), case
                 in_band = np.flatnonzero(deltas <= deltas.min() + band)
                 rows = _best_size3(d1, c2, plan, band)
-                assert np.array_equal(_encodings([rows]), _encodings(blocks[mode])[in_band]), case
+                assert np.array_equal(_encodings([rows]), encodings[in_band]), case
 
 
-def _watch_scan(monkeypatch) -> list[tuple[str, int]]:
-    """Record the first pairs the size-3 scan scores, as ("block", i) when
-    it scores i's whole suffix and ("gather", i) for each first pair of the
-    runs that one gather scores."""
+def _watch_scan(monkeypatch) -> list[np.ndarray]:
+    """Record each gather of the size-3 scan as the first pair of each of
+    its runs, in its order."""
     scored = []
-    block, gather = _Size3Kernel.block, _Size3Kernel.gather
+    gather = _Size3Kernel.gather
 
     def watched_gather(kernel, at):
-        scored.extend(("gather", i) for i in np.unique(kernel.plan.first[at]).tolist())
+        scored.append(kernel.plan.first[at])
         return gather(kernel, at)
 
-    monkeypatch.setattr(_Size3Kernel, "block", lambda kernel, i: scored.append(("block", i)) or block(kernel, i))
     monkeypatch.setattr(_Size3Kernel, "gather", watched_gather)
     return scored
 
@@ -550,48 +546,47 @@ def _size3_table_cases(geometry):
 def test_size3_bounds_hold_for_every_block_and_run(geometry, monkeypatch):
     # Each first pair's block bound is at most its block's least delta, and
     # each lb(i, j) at most the least delta of run j of block i, up to
-    # _best_size3's tau. The runs of i are the pairs that i takes, in order.
+    # _best_size3's tau, the deltas being _row_deltas'. The runs of i are
+    # the pairs that i takes, in order. The scan's first gather is one run
+    # of the block of least bound.
     scored = _watch_scan(monkeypatch)
-    both = []
     for name, d1, c2, band in _size3_table_cases(geometry):
         tau = _scan_tau(d1, c2, band)
+        table = c2_table(c2)
         for mode in MODES:
             case = (name, mode)
             plan = _size3_plan(mode)
             kernel = _Size3Kernel(d1, c2, plan)
             bound = kernel.block_bounds()
-            firsts = np.array([int(b[0][0]) for b in _candidate_blocks(3, mode)])
+            blocks = list(_candidate_blocks(3, mode))
+            firsts = np.array([int(b[0][0]) for b in blocks])
             assert np.all(np.isfinite(bound[firsts])), case
             at, lb = kernel.lb(firsts)
             assert np.array_equal(plan.first[at], np.repeat(firsts, plan.runs[firsts])), case
             assert np.all(plan.takes[plan.first[at], plan.second[at]] == at), case
             ends = np.cumsum(plan.runs[firsts])
-            for i, hi in zip(firsts.tolist(), ends.tolist()):
-                lo = int(plan.lo[i])
-                deltas = kernel.block(i)
+            for i, hi, block in zip(firsts.tolist(), ends.tolist(), blocks):
+                deltas = _row_deltas(d1, table, block)
                 assert bound[i] <= deltas.min() + tau, (case, i)
-                # the least delta of each run of i, +inf where j's run is empty
+                # the least delta of each run of i, +inf where the block has no row (i, j, .)
                 j = plan.second[at[hi - plan.runs[i] : hi]]
                 least = np.full(j.shape, np.inf)
-                has = plan.runs[j] > 0
-                least[has] = np.minimum.reduceat(deltas, plan.lo[j[has]] - plan.runs[j[has]] - lo)
+                seconds, starts = np.unique(block[1], return_index=True)
+                least[np.searchsorted(j, seconds)] = np.minimum.reduceat(deltas, starts)
                 assert np.all(lb[hi - plan.runs[i] : hi] <= least + tau), (case, i)
             del scored[:]
             _best_size3(d1, c2, plan, band)
-            if {kind for kind, _ in scored} == {"block", "gather"}:
-                both.append(case)
-    # the seed's whole block and the gather of runs both fire in one scan, as on river
-    assert (("river", "distance"), "canonical") in both, both
+            assert scored[0].tolist() == [np.argmin(bound)], case
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode, monkeypatch):
     # Small integers add exactly, so rows (ad, be, cf) and (gm, hn, io)
     # both cost -3 and every other row costs more. c2[gm, jz] = -10 gives
-    # the later block the lower bound, so it seeds the scan, scored in
-    # full; the earlier block must still be scored, so that a band of width
-    # 0 holds both rows, and the smaller encoding must win. Its bound on
-    # run be, -3, is the only one within the cut, so the gather scores it.
+    # the later block the lower bound, so one run of it seeds the scan; the
+    # earlier block must still be scored, so that a band of width 0 holds
+    # both rows, and the smaller encoding must win. Its bound on run be,
+    # -3, is the only one within the cut, so a later gather scores it.
     idx = {"".join(p): n for n, p in enumerate(itertools.combinations(LETTERS, 2))}
     rows = [tuple(idx[p] for p in row) for row in (("ad", "be", "cf"), ("gm", "hn", "io"))]
     # c2's entry of each size-2 row (p, q), p < q
@@ -604,17 +599,41 @@ def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode, monkeypatch):
     table = c2_table(c2)
     scored = _watch_scan(monkeypatch)
     got = _best_size3(d1, c2, _size3_plan(mode), 0.0)
-    assert scored[0] == ("block", rows[1][0])
-    assert ("gather", rows[0][0]) in scored
-    assert len({i for _, i in scored}) < len(list(_candidate_blocks(3, mode)))
+    assert scored[0].tolist() == [rows[1][0]]
+    assert rows[0][0] in np.concatenate(scored[1:])
+    assert len(np.unique(np.concatenate(scored))) < len(list(_candidate_blocks(3, mode)))
     assert [tuple(int(c[r]) for c in got) for r in range(len(got[0]))] == rows
     assert _best(d1, table, got) == (-3.0, rows[0]) == min(_best(d1, table, block) for block in _candidate_blocks(3, mode))
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_size3_scan_seeded_by_a_run_with_no_row(mode, monkeypatch):
+    # First pair 315 has a finite bound and takes no row, and in its every
+    # run j's own run is empty. With zero tables but c2[315, q] = -8 for
+    # every size-2 row (315, q), its block has the least bound, so one of
+    # its runs, with no row, seeds the scan. best must then stay +inf, so
+    # that every run is gathered, and the band is that of the stream: the
+    # rows (i, 315, q), each costing -8.
+    d1, c2 = np.zeros(325), np.zeros(len(_SIZE2[0]))
+    c2[_SIZE2[0] == 315] = -8.0
+    plan = _size3_plan(mode)
+    kernel = _Size3Kernel(d1, c2, plan)
+    assert np.argmin(kernel.block_bounds()) == 315
+    assert np.all(kernel.lb(np.array([315]))[1] == np.inf)
+    scored = _watch_scan(monkeypatch)
+    got = _best_size3(d1, c2, plan, 0.0)
+    assert scored[0].tolist() == [315]
+    blocks = list(_candidate_blocks(3, mode))
+    deltas = np.concatenate([_row_deltas(d1, c2_table(c2), block) for block in blocks])
+    in_band = np.flatnonzero(deltas <= deltas.min())
+    assert deltas.min() == -8.0 and len(in_band) == {"canonical": 693, "paper": 630}[mode]
+    assert np.array_equal(_encodings([got]), _encodings(blocks)[in_band])
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_size3_scan_keeps_its_band_with_one_run_a_chunk(geometry, mode, monkeypatch):
     # With one run a chunk, the scan applies its falling cut again before
-    # every run and splices the seed's rows in between two runs; its band
+    # every run, the seed run's second scoring included; its band
     # must still be every row of the stream within band of the least delta,
     # in the stream's order.
     monkeypatch.setattr(optimizer, "_RUNS", 1)
