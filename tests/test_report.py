@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import xml.etree.ElementTree as ET
@@ -32,6 +33,12 @@ from keyswap.report import (
 from keyswap.stats import BigramStats, count_bigrams
 
 from conftest import random_corpus_text
+
+# SHA-256 of the figures of test_degenerate_figures_are_pinned
+DEGENERATE_SHA256 = {
+    "scatter": "22424cd109435b1afe1524521f3ebe3b41a084ebd67385288774a456afa686d4",
+    "aggregate": "843d875c6d082cb1208956d8bda8da3bfb51b7d200e5172fce7eb1fdccc1647b",
+}
 
 
 def test_per_known_values():
@@ -220,3 +227,20 @@ def test_aggregate_panels_svg(geometry):
     svg = aggregate_panels_svg(agg, reports)
     _assert_valid_svg(svg)
     assert svg == aggregate_panels_svg(agg, reports)
+
+
+def test_degenerate_figures_are_pinned():
+    # the pair rows tie on both axes, and the reports on every average and
+    # on PER, so each of those spans falls back to 1.0, which no figure of
+    # the result digests does
+    rows = [PairRow(label, 4, 12.5, 2.0, 1.5) for label in ("e-sp", "h-e", "sp-t")]
+    reports = [
+        UserReport(f"u{n}", n, 2.5 * n, 2.0 * n, 2.5, 2.0, 20.0, (("e", "j"),), tuple(rows), 4, 37.5)
+        for n in (100, 200, 300)
+    ]
+    agg = AggregateStats(3, 2.5, 0.0, 2.0, 0.0, 2.5, 0.0, 2.0, 0.0, 20.0, 20.0, 20.0, 0.0)
+    figures = {"scatter": pair_scatter_svg(rows, "tie"), "aggregate": aggregate_panels_svg(agg, reports)}
+    for svg in figures.values():
+        _assert_valid_svg(svg)
+    got = {name: hashlib.sha256(svg.encode("utf-8")).hexdigest() for name, svg in figures.items()}
+    assert got == DEGENERATE_SHA256
