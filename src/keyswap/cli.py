@@ -170,14 +170,15 @@ def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settin
             default = layer.get(key, default)
         return default
 
-    try:
-        policy = IngestPolicy.from_json_dict(section("policy", IngestPolicy))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid ingest policy: {exc}")
-    try:
-        model = EffortModel(**section("model", EffortModel))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid effort model: {exc}")
+    # positional-only, so that a section key named like a parameter reaches make
+    def build(what: str, make, /, *values, **named):
+        try:
+            return make(*values, **named)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"invalid {what}: {exc}")
+
+    policy = build("ingest policy", IngestPolicy.from_json_dict, section("policy", IngestPolicy))
+    model = build("effort model", EffortModel, **section("model", EffortModel))
 
     search = section("search", SearchConfig)
     if "model" in search:
@@ -188,10 +189,7 @@ def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settin
             search["workers"] = int(env)
         except ValueError:
             raise UsageError(f"{ENV_THREADS} must be an integer, got {env!r}")
-    try:
-        search = SearchConfig(model=model, **search)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid search settings: {exc}")
+    search = build("search settings", SearchConfig, model=model, **search)
 
     geometry_path = getattr(args, "geometry", None)
     spec = _load_json(geometry_path, "geometry spec") if geometry_path else top("geometry")

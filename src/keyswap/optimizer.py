@@ -27,9 +27,10 @@ differences, a vector of one c2[p, q] per size-2 row (p, q), p < q, the
 only entries the search reads. The half of c2 that depends only on the
 geometry, the model and the base layout is built once per process and
 cached (_c2_geometry). Each size has one candidate stream,
-_candidate_blocks(n, mode); sizes 1 and 2 keep with _band_rows, and size 3 with _best_size3 over the
-rows of _size3_plan(mode), every row whose table delta is within band of
-the least, where band = 2 * eps and eps bounds |table row - (layout
+_candidate_blocks(n, mode). Sizes 1 and 2 keep their band with
+_band_rows, and size 3 with _best_size3 over the rows of
+_size3_plan(mode): every row whose table delta is within band of the
+least, where band = 2 * eps and eps bounds |table row - (layout
 cost(row) - base cost)| for every row (_band_width holds the proof).
 _rescore then scores each band with the layout cost itself, in
 stats_cost's arithmetic, once per class of rows that move the corpus's

@@ -3,7 +3,9 @@
 Distances here are displayed in cm (internals stay in mm); percentages
 and ratios carry two decimals in rendered tables. All SVG output is
 hand-assembled with fixed number formatting so identical inputs give
-identical bytes.
+identical bytes. One writer, _svg, wraps every figure's body in its
+<svg> document, and one frame, _frame, draws the title, x axis and
+x-range labels of every cross-user panel, scatter or histogram.
 
 The pair tables and heat maps count moves from the move table of stats,
 the one that traversals() and pair_usage() read too. The parts of SVG
@@ -248,11 +250,12 @@ def _svg_document(g: KeyboardGeometry, body: list[str]) -> str:
     y0 = min(ys) - kh / 2 - pad
     w = max(xs) - min(xs) + kw + 2 * pad
     h = max(ys) - min(ys) + kh + 2 * pad
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{x0:.3f} {y0:.3f} {w:.3f} {h:.3f}" '
-        f'width="{w * 9:.0f}" height="{h * 9:.0f}">'
-    )
+    return _svg(f"{x0:.3f} {y0:.3f} {w:.3f} {h:.3f}", f"{w * 9:.0f}", f"{h * 9:.0f}", body)
+
+
+def _svg(view_box: str, width: str, height: str, body: list[str]) -> str:
+    """The <svg> document of every figure, around its body elements."""
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view_box}" width="{width}" height="{height}">'
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
@@ -275,10 +278,10 @@ def heatmap_svg(
     moved = m.src != m.dst
     ra, rb = _ID_RANK[m.src[moved]], _ID_RANK[m.dst[moved]]
     n_slots = _ID_RANK.size
-    segs = np.zeros(n_slots * n_slots, dtype=np.int64)
-    np.add.at(segs, np.minimum(ra, rb) * n_slots + np.maximum(ra, rb), m.count[moved])
+    segs = np.bincount(np.minimum(ra, rb) * n_slots + np.maximum(ra, rb), m.count[moved], n_slots * n_slots)
     keys = np.flatnonzero(segs)
-    counts = segs[keys].tolist()
+    # bincount sums in float64; int counts key the tails below faster
+    counts = segs[keys].astype(np.int64).tolist()
     f_max = max(counts) if counts else 1
     body = _keyboard_body(g, layout, highlight)
     denom = math.log1p(f_max)
@@ -297,6 +300,23 @@ def layout_svg(g: KeyboardGeometry, layout: Layout, highlight: SwapSet = SwapSet
     return _svg_document(g, _keyboard_body(g, layout, highlight))
 
 
+def _frame(
+    x: float, y: float, w: float, h: float, title: str, lo: float, hi: float
+) -> tuple[float, float, float, float, list[str]]:
+    """A panel's plot area (left, bottom, width, height), and its title,
+    x axis and labels of the x range lo to hi."""
+    inset_l, inset_b, inset_t = 34.0, 22.0, 14.0
+    px0, py0 = x + inset_l, y + h - inset_b
+    pw, ph = w - inset_l - 8.0, h - inset_b - inset_t
+    return px0, py0, pw, ph, [
+        f'<text x="{x + w / 2:.1f}" y="{y + 10:.1f}" font-size="8" text-anchor="middle" '
+        f'font-family="sans-serif" fill="#333">{title}</text>',
+        f'<line x1="{px0:.1f}" y1="{py0:.1f}" x2="{px0 + pw:.1f}" y2="{py0:.1f}" stroke="#888" stroke-width="0.6"/>',
+        f'<text x="{px0:.1f}" y="{py0 + 9:.1f}" font-size="6" text-anchor="middle" font-family="sans-serif" fill="#666">{lo:.2f}</text>',
+        f'<text x="{px0 + pw:.1f}" y="{py0 + 9:.1f}" font-size="6" text-anchor="middle" font-family="sans-serif" fill="#666">{hi:.2f}</text>',
+    ]
+
+
 def _panel(
     x: float,
     y: float,
@@ -309,9 +329,6 @@ def _panel(
     point_color: str = "#1f77b4",
 ) -> list[str]:
     """Scatter panel with min/max axis labels and an optional fit line."""
-    inset_l, inset_b, inset_t = 34.0, 22.0, 14.0
-    px0, py0 = x + inset_l, y + h - inset_b
-    pw, ph = w - inset_l - 8.0, h - inset_b - inset_t
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if line is not None:
@@ -320,6 +337,7 @@ def _panel(
         y_hi = max(y_hi, m * x_lo + c, m * x_hi + c)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
+    px0, py0, pw, ph, parts = _frame(x, y, w, h, title, x_lo, x_hi)
 
     def sx(v: float) -> float:
         return px0 + (v - x_lo) / x_span * pw
@@ -327,13 +345,9 @@ def _panel(
     def sy(v: float) -> float:
         return py0 - (v - y_lo) / y_span * ph
 
-    parts = [
-        f'<text x="{x + w / 2:.1f}" y="{y + 10:.1f}" font-size="8" text-anchor="middle" '
-        f'font-family="sans-serif" fill="#333">{title}</text>',
-        f'<line x1="{px0:.1f}" y1="{py0:.1f}" x2="{px0 + pw:.1f}" y2="{py0:.1f}" stroke="#888" stroke-width="0.6"/>',
-        f'<line x1="{px0:.1f}" y1="{py0:.1f}" x2="{px0:.1f}" y2="{py0 - ph:.1f}" stroke="#888" stroke-width="0.6"/>',
-        f'<text x="{px0:.1f}" y="{py0 + 9:.1f}" font-size="6" text-anchor="middle" font-family="sans-serif" fill="#666">{x_lo:.2f}</text>',
-        f'<text x="{px0 + pw:.1f}" y="{py0 + 9:.1f}" font-size="6" text-anchor="middle" font-family="sans-serif" fill="#666">{x_hi:.2f}</text>',
+    # the y axis goes between the x axis and its labels
+    parts.insert(2, f'<line x1="{px0:.1f}" y1="{py0:.1f}" x2="{px0:.1f}" y2="{py0 - ph:.1f}" stroke="#888" stroke-width="0.6"/>')
+    parts += [
         f'<text x="{px0 - 3:.1f}" y="{py0:.1f}" font-size="6" text-anchor="end" dominant-baseline="central" font-family="sans-serif" fill="#666">{y_lo:.2f}</text>',
         f'<text x="{px0 - 3:.1f}" y="{py0 - ph:.1f}" font-size="6" text-anchor="end" dominant-baseline="central" font-family="sans-serif" fill="#666">{y_hi:.2f}</text>',
     ]
@@ -356,17 +370,8 @@ def _hist_panel(x: float, y: float, w: float, h: float, title: str, vals: list[f
     for v in vals:
         b = min(int((v - lo) / span * n_bins), n_bins - 1)
         counts[b] += 1
-    inset_l, inset_b, inset_t = 34.0, 22.0, 14.0
-    px0, py0 = x + inset_l, y + h - inset_b
-    pw, ph = w - inset_l - 8.0, h - inset_b - inset_t
+    px0, py0, pw, ph, parts = _frame(x, y, w, h, title, lo, hi)
     c_max = max(counts) or 1
-    parts = [
-        f'<text x="{x + w / 2:.1f}" y="{y + 10:.1f}" font-size="8" text-anchor="middle" '
-        f'font-family="sans-serif" fill="#333">{title}</text>',
-        f'<line x1="{px0:.1f}" y1="{py0:.1f}" x2="{px0 + pw:.1f}" y2="{py0:.1f}" stroke="#888" stroke-width="0.6"/>',
-        f'<text x="{px0:.1f}" y="{py0 + 9:.1f}" font-size="6" text-anchor="middle" font-family="sans-serif" fill="#666">{lo:.2f}</text>',
-        f'<text x="{px0 + pw:.1f}" y="{py0 + 9:.1f}" font-size="6" text-anchor="middle" font-family="sans-serif" fill="#666">{hi:.2f}</text>',
-    ]
     bw = pw / n_bins
     for i, c in enumerate(counts):
         bh = ph * c / c_max
@@ -388,8 +393,7 @@ def pair_scatter_svg(rows: list[PairRow], user_id: str = "") -> str:
     suffix = f" ({user_id.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')})" if user_id else ""
     body += _panel(0, 0, w, h, f"stock layout{suffix}", xs, [r.d_qwerty_cm for r in rows])
     body += _panel(0, h, w, h, f"optimized layout{suffix}", xs, [r.d_opt_cm for r in rows], point_color="#2ca02c")
-    head = f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w:.0f} {h * 2:.0f}" width="{w * 3:.0f}" height="{h * 6:.0f}">'
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return _svg(f"0 0 {w:.0f} {h * 2:.0f}", f"{w * 3:.0f}", f"{h * 6:.0f}", body)
 
 
 # ---------------------------------------------------------------------------
@@ -500,5 +504,4 @@ def aggregate_panels_svg(agg: AggregateStats, reports: list[UserReport]) -> str:
     body += _hist_panel(0, 2 * h, w, h, "improvement pct", pers)
     body += _panel(w, 2 * h, w, h, "improvement pct vs stock avg cm", [r.avg_qwerty_cm for r in reports], pers, point_color="#9467bd")
     body += _panel(0, 3 * h, w, h, "improvement pct vs letters", letters, pers, point_color="#9467bd")
-    head = f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {2 * w:.0f} {4 * h:.0f}" width="{2 * w * 2:.0f}" height="{4 * h * 2:.0f}">'
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return _svg(f"0 0 {2 * w:.0f} {4 * h:.0f}", f"{2 * w * 2:.0f}", f"{4 * h * 2:.0f}", body)

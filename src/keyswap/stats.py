@@ -194,16 +194,13 @@ def _usage_rows(m: _MoveTable, g: KeyboardGeometry) -> tuple[np.ndarray, np.ndar
     A move into or within a word is one row. The moves out of a space
     into letter b are one "sp-b" row, whose distance is the usage-weighted
     mean over the word-final letters a before the space; its numerator
-    adds count * distance in ascending order of a, left to right (cumsum,
-    not the pairwise np.sum).
+    adds count * distance in ascending order of a, left to right, as
+    bincount sums its weights in input order (not the pairwise np.sum).
     """
     k = m.within + m.into
     d = g.dist[m.src, m.dst]
-    travel = np.zeros((26, 26))
-    travel[m.a[k:], m.b[k:]] = m.count[k:] * d[k:]
-    travel = np.cumsum(travel, axis=0)[-1]
-    entered_count = np.zeros(26, dtype=np.int64)
-    np.add.at(entered_count, m.b[k:], m.count[k:])
+    travel = np.bincount(m.b[k:], m.count[k:] * d[k:], 26)
+    entered_count = np.bincount(m.b[k:], m.count[k:], 26).astype(np.int64)
     entered = np.flatnonzero(entered_count)
     ids = np.concatenate((m.a[: m.within] * 26 + m.b[: m.within], 676 + m.a[m.within : k], 702 + entered))
     counts = np.concatenate((m.count[:k], entered_count[entered]))
