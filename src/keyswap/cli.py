@@ -7,7 +7,10 @@ Each stage of the pipeline has one function, which the single command and
 batch both call: _ingest_stage reads and cleans a tweet file and writes the
 corpus and its meta file, _search_stage searches a corpus and writes the
 result, and _report_outputs writes a result's tables and figures. batch
-runs the three for each user in _batch_user.
+runs the three for each user in _batch_user. With more than one thread,
+_run_users gives user i to share i mod threads: the calling process runs
+share 0, and one forked child runs each other share and sends its
+outcomes back once, at the end. A child that dies fails its users.
 
 Every command resolves its settings once, through resolve_settings, before
 it writes anything. The policy, search and model sections merge key by
@@ -36,7 +39,6 @@ import json
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .corpus import (
@@ -346,7 +348,7 @@ def _error_text(exc: Exception) -> str:
     return str(exc) if isinstance(exc, DataError) else f"{type(exc).__name__}: {exc}"
 
 
-# one user of a batch; must stay a top-level function so pools can pickle it
+# one user of a batch; a top-level function, so that a spawned child can unpickle it
 def _batch_user(settings: Settings, user_id: str, tweet_path: str) -> tuple[dict, UserReport | None]:
     """Run one user's pipeline; return its batch.json status row and its report."""
     try:
@@ -365,6 +367,62 @@ def _batch_user(settings: Settings, user_id: str, tweet_path: str) -> tuple[dict
     except Exception as exc:  # noqa: BLE001 - a user failure must not kill the batch
         return {"user_id": user_id, "status": "error", "message": _error_text(exc)}, None
     return {"user_id": user_id, "status": "ok", "per_pct": report.per_pct}, report
+
+
+# a top-level function, so that a spawned child can unpickle it
+def _run_share(run_user, ids: list[str], paths: list[str], conn) -> None:
+    """Run one share of a batch in a child; send every outcome at once, at the end."""
+    conn.send(list(map(run_user, ids, paths)))
+    conn.close()
+
+
+def _receive(conn):
+    """What a child sent, or None if its pipe closed first."""
+    with conn:
+        try:
+            return conn.recv()
+        except EOFError:
+            return None
+
+
+def _run_users(run_user, ids: list[str], paths: list[str], workers: int) -> list[tuple[dict, UserReport | None]]:
+    """Each user's (row, report), in manifest order.
+
+    User i runs in share i % workers. The calling process runs share 0
+    and then reads the children's pipes; workers == 1 forks nothing. A
+    child whose pipe closes before it sends, or that exits nonzero, fails
+    each user of its share. If the calling process raises, every child is
+    killed before it is joined: a join alone could wait on a child that
+    is blocked sending.
+    """
+    ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    children, readers = [], []
+    try:
+        for s in range(1, workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_share, args=(run_user, ids[s::workers], paths[s::workers], writer))
+            child.start()
+            children.append(child)
+            readers.append(reader)
+            # so that the pipe closes when the child ends, and no later child holds it open
+            writer.close()
+        own = list(map(run_user, ids[::workers], paths[::workers]))
+        received = list(map(_receive, readers))
+        for child in children:
+            child.join()
+    except BaseException:
+        for child in children:
+            child.kill()
+            child.join()
+        raise
+    outcomes = [None] * len(ids)
+    outcomes[::workers] = own
+    for s, (child, share) in enumerate(zip(children, received), start=1):
+        if share is None or child.exitcode:
+            message = f"batch worker exited with code {child.exitcode}"
+            share = [({"user_id": uid, "status": "error", "message": message}, None) for uid in ids[s::workers]]
+        outcomes[s::workers] = share
+    return outcomes
 
 
 def cmd_batch(args, config: dict) -> int:
@@ -393,15 +451,7 @@ def cmd_batch(args, config: dict) -> int:
     settings = resolve_settings(args, config, manifest)
     os.makedirs(settings.out_dir, exist_ok=True)
     run_user = functools.partial(_batch_user, settings)
-    user_workers = min(settings.search.workers, len(users))
-    if user_workers > 1:
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
-        with ProcessPoolExecutor(max_workers=user_workers, mp_context=ctx) as pool:
-            outcomes = list(pool.map(run_user, ids, paths))
-    else:
-        outcomes = list(map(run_user, ids, paths))
+    outcomes = _run_users(run_user, ids, paths, min(settings.search.workers, len(users)))
 
     statuses = [row for row, _ in outcomes]
     reports = [report for _, report in outcomes if report is not None]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import keyswap.cli
 from keyswap.cli import DataError, UsageError, build_parser, main, resolve_settings
 from keyswap.corpus import IngestPolicy
 from keyswap.effort import EffortModel
@@ -339,11 +341,65 @@ def test_batch_full_tree(workdir):
     assert (out / "aggregate_panels.svg").is_file()
 
 
-def test_batch_is_byte_identical_across_runs_and_threads(workdir):
-    write_batch_inputs(workdir)
+def write_five_users(workdir) -> list[str]:
+    """A manifest of five users, user k holding the first k + 1 of nine tweets; returns their ids."""
+    tweets = [t for user in BATCH_TWEETS.values() for t in user] + TWEETS
+    ids = [f"u{k}" for k in range(5)]
+    for k, uid in enumerate(ids):
+        write_jsonl(workdir / f"{uid}.jsonl", tweets[: k + 1])
+    manifest = {"users": [{"id": uid, "corpus": f"{uid}.jsonl"} for uid in ids], "search": {"n_swap_pairs": 1}}
+    (workdir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return ids
+
+
+# 2 and 3 threads give uneven shares of the five users; 7 is capped at one share a user
+@pytest.mark.parametrize("threads", [2, 3, 7])
+def test_batch_is_byte_identical_across_runs_and_threads(workdir, capsys, threads):
+    write_five_users(workdir)
     assert main(["batch", "manifest.json", "--out-dir", "a"]) == 0
-    assert main(["batch", "manifest.json", "--out-dir", "b", "--threads", "2"]) == 0
+    serial = capsys.readouterr()
+    assert main(["batch", "manifest.json", "--out-dir", "b", "--threads", str(threads)]) == 0
+    assert capsys.readouterr() == serial
+    assert multiprocessing.active_children() == []
     assert tree_bytes(workdir / "a") == tree_bytes(workdir / "b")
+
+
+def test_batch_worker_that_dies_fails_its_users_only(workdir, capsys, monkeypatch):
+    ids = write_five_users(workdir)
+    run_user, parent = keyswap.cli._batch_user, os.getpid()
+
+    def dies_in_a_child(settings, user_id, tweet_path):
+        if user_id == "u3" and os.getpid() != parent:
+            os._exit(9)
+        return run_user(settings, user_id, tweet_path)
+
+    monkeypatch.setattr(keyswap.cli, "_batch_user", dies_in_a_child)
+    # shares of 2 threads: u0, u2, u4 in this process; u1 and u3 in the child
+    assert main(["batch", "manifest.json", "--out-dir", "d", "--threads", "2"]) == 3
+    assert multiprocessing.active_children() == []
+    rows = json.loads((workdir / "d" / "batch.json").read_text())["users"]
+    assert [row["user_id"] for row in rows] == ids
+    for row in rows[1::2]:
+        assert row == {"user_id": row["user_id"], "status": "error", "message": "batch worker exited with code 9"}
+    assert [row["status"] for row in rows[::2]] == ["ok"] * 3
+    err = capsys.readouterr().err
+    assert "u1: FAILED (batch worker exited with code 9)" in err and "u3: FAILED" in err
+    assert "Traceback" not in err
+
+
+def test_batch_interrupted_in_this_process_leaves_no_child_running(workdir, monkeypatch):
+    write_five_users(workdir)
+    run_user, parent = keyswap.cli._batch_user, os.getpid()
+
+    def interrupted_here(settings, user_id, tweet_path):
+        if user_id == "u2" and os.getpid() == parent:
+            raise KeyboardInterrupt
+        return run_user(settings, user_id, tweet_path)
+
+    monkeypatch.setattr(keyswap.cli, "_batch_user", interrupted_here)
+    with pytest.raises(KeyboardInterrupt):
+        main(["batch", "manifest.json", "--out-dir", "k", "--threads", "2"])
+    assert multiprocessing.active_children() == []
 
 
 def test_batch_out_dir_precedence(workdir, monkeypatch):

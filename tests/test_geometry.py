@@ -120,7 +120,7 @@ def test_slot_table_is_distance_and_nearest_space_slot_bit_for_bit(factor):
     want = np.array([[distance(g, a, b) for b in g.ids] for a in g.ids])
     assert g.dist.tobytes() == want.tobytes()
     assert [g.ids[i] for i in g.sub] == [nearest_space_slot(g, sid) for sid in LETTER_SLOT_IDS]
-    # the batch pool pickles Settings, and the tables travel inside the geometry
+    # a batch child started by spawn unpickles Settings, and the tables travel inside the geometry
     h = pickle.loads(pickle.dumps(g))
     assert h == g and h.index == SLOT_INDEX and tuple(s.id for s in h.slots) == SLOT_IDS
     assert h.dist.tobytes() == g.dist.tobytes() and h.sub.tobytes() == g.sub.tobytes()
