@@ -24,9 +24,11 @@ search, from effort's _cost_inputs, which also give its base cost:
 _build_d1 from first differences of the bigram and effort tables, a
 vector of 325, and, for sizes above 1, _build_c2 from second
 differences, a vector of one c2[p, q] per size-2 row (p, q), p < q, the
-only entries the search reads. The half of c2 that depends only on the
-geometry, the model and the base layout is built once per process and
-cached (_c2_geometry). Each size has one candidate stream,
+only entries the search reads. One gather, _second_differences, gives
+every second difference of both halves of c2, at (p, q) and (q, p). The
+half that depends only on the geometry, the model and the base layout is
+built once per process, in one unchunked pass, and cached
+(_c2_geometry). Each size has one candidate stream,
 _candidate_blocks(n, mode). Sizes 1 and 2 keep their band with
 _band_rows, and size 3 with _best_size3 over the rows of
 _size3_plan(mode): every row whose table delta is within band of the
@@ -243,9 +245,14 @@ _LATER = np.triu(_COMPAT, 1)
 # every disjoint (i, j) with i < j, in canonical order; divmod of the flat
 # indices gives contiguous columns, where nonzero gives strided views
 _SIZE2 = np.divmod(np.flatnonzero(_LATER), _N_PAIRS)
-# flat indices of (i, u_j) and (i, v_j) in a (325, 26) array of pair rows,
-# for every size-2 row (i, j)
-_ROW_U, _ROW_V = (_SIZE2[0] * _N_LETTERS + w.take(_SIZE2[1]) for w in (_U, _V))
+# flat indices of (i, w_j) and (j, w_i) in a (325, 26) array of pair rows,
+# for every size-2 row (i, j), at w = u and w = v; filled a column at a
+# time, as whole-array temporaries would stay on the heap after import
+_AT_U, _AT_V = (np.empty((_SIZE2[0].size, 2), dtype=np.intp) for _ in range(2))
+for _at, _w in ((_AT_U, _U), (_AT_V, _V)):
+    for _c, (_p, _q) in enumerate((_SIZE2, _SIZE2[::-1])):
+        np.add(_p * _N_LETTERS, _w.take(_q), out=_at[:, _c])
+del _at, _w, _c, _p, _q
 
 
 class _Size3Plan(NamedTuple):
@@ -374,32 +381,41 @@ def _build_d1(x: _CostInputs) -> np.ndarray:
     return d1
 
 
+def _second_differences(pm: np.ndarray, rows) -> np.ndarray:
+    """X2(i, j) of each table, then X2(j, i) of each table, at the size-2
+    rows (i, j) of _SIZE2[rows], where X2(p, q) = (P x)[p, u_q] - (P x)[p,
+    v_q] is the second difference (P x P^T)[p, q] of table x.
+
+    pm holds (P x) of each table side by side, one row per (pair, letter)
+    in the flat order of a (325, 26) array of pair rows. One gather at
+    _AT_U and one at _AT_V give every such difference of every table.
+    """
+    return (pm.take(_AT_U[rows], 0) - pm.take(_AT_V[rows], 0)).reshape(-1, 2 * pm.shape[1])
+
+
 @lru_cache(maxsize=4)
 def _c2_geometry(eh: bytes) -> np.ndarray:
     """The half of c2 that a corpus does not change, for the effort tables
     e and h whose float64 bytes eh holds, one after the other.
 
-    Row r, for size-2 row (i, j) of _SIZE2, is E2(i, j), E2(j, i), H2(i,
-    j) and H2(j, i), where X2(p, q) = (P x)[p, u_q] - (P x)[p, v_q] is the
-    second difference (P x P^T)[p, q] of table x, with _build_c2's bits.
-    44,850 x 4 values, 1.4 MB, read-only. The cache is keyed by the bytes
-    of e and h, the only inputs of these values, so an entry can never
-    serve another geometry, model or base layout; a search computes it
-    under optimize's raising errstate, and one that raises leaves no
-    entry. Each gather builds both tables at both orientations at once,
-    from a 1.4 MB index array, and those and the second gather are freed
-    here: glibc's malloc then raises its mmap threshold to their size, so
-    the smaller arrays of later searches are served from its heap and
-    reused, not mapped afresh and faulted in page by page.
+    Row r, for size-2 row (i, j) of _SIZE2, is E2(i, j), H2(i, j), E2(j,
+    i) and H2(j, i), from one _second_differences over every row: each
+    entry is the same two subtractions of the same operands as in the full
+    table (P e P^T, P h P^T), so it has that table's bits. 44,850 x 4
+    values, 1.4 MB, read-only. The cache is keyed by the bytes of e and h,
+    the only inputs of these values, so an entry can never serve another
+    geometry, model or base layout; a search computes it under optimize's
+    raising errstate, and one that raises leaves no entry.
+
+    The fill is one unchunked gather on purpose: it frees two 1.4 MB
+    temporaries, glibc's malloc then raises its mmap threshold to their
+    size, and the smaller arrays of later searches are served from its
+    heap and reused, not mapped afresh and faulted in page by page. With
+    a chunked fill, every later size-3 search faulted 400-700 times;
+    test_later_searches_take_next_to_no_page_faults pins this.
     """
-    e, h = np.frombuffer(eh).reshape(2, _N_LETTERS, _N_LETTERS)
-    pm = np.stack([_first_difference(m) for m in (e, h)]).ravel()
-    i, j = _SIZE2
-    # [row, table, orientation]: (P x)[i, w_j] and (P x)[j, w_i], for w = u and v
-    tables = np.arange(2)[:, None] * (_N_PAIRS * _N_LETTERS)
-    half = pm.take(tables + np.stack((_ROW_U, j * _N_LETTERS + _U.take(i)), axis=1)[:, None])
-    half -= pm.take(tables + np.stack((_ROW_V, j * _N_LETTERS + _V.take(i)), axis=1)[:, None])
-    half = half.reshape(-1, 4)
+    tables = np.frombuffer(eh).reshape(2, _N_LETTERS, _N_LETTERS)
+    half = _second_differences(_first_difference(np.stack(tables, axis=-1)).reshape(-1, 2), slice(None))
     half.flags.writeable = False
     return half
 
@@ -416,12 +432,11 @@ def _build_c2(x: _CostInputs) -> np.ndarray:
     is G[i, j] + G[j, i], the entries with b in i and a in j giving G[j,
     i]. Only these 44,850 rows are built: the search reads no other pairs.
 
-    The second differences of e and h, at both orientations, depend only
-    on the geometry, the model and the base layout, and come from the
-    cache _c2_geometry. Those of f and s_in are gathered here, a few
-    thousand rows at a time: (P f P^T)[i, j] = (P f)[i, u_j] - (P f)[i,
-    v_j], and (P f P^T)[j, i] = (P f^T P^T)[i, j] at the same two flat
-    indices. Counts are integers far below 2**51, so every such
+    The second differences of e and h depend only on the geometry, the
+    model and the base layout, and come from the cache _c2_geometry.
+    Those of f and s_in come from the same _second_differences, a few
+    thousand rows at a time, in the same column order: F2(i, j), S2(i, j),
+    F2(j, i), S2(j, i). Counts are integers far below 2**51, so every such
     difference is exact, and its bits do not depend on how it is
     associated. Each product, sum and G[i, j] + G[j, i] is one operation
     on the same operands as in the full table G^T + G, so c2 has that
@@ -430,17 +445,14 @@ def _build_c2(x: _CostInputs) -> np.ndarray:
     bounds how far a row of the tables is from the change in layout cost.
     """
     geometry = _c2_geometry(x.e.tobytes() + x.h.tobytes())
-    # (P f), (P f^T), (P s_in) and (P s_in^T), side by side: 4 values per (pair, letter)
-    counts = _first_difference(np.stack((x.f, x.f.T, x.s_in, x.s_in.T), axis=-1)).reshape(-1, 4)
+    counts = _first_difference(np.stack((x.f, x.s_in), axis=-1)).reshape(-1, 2)
     c2 = np.empty(geometry.shape[0])
     for lo in range(0, c2.shape[0], _ROWS):
         rows = slice(lo, lo + _ROWS)
-        # F2(i, j), F2(j, i), S2(i, j) and S2(j, i), times the geometry half's row
-        d = counts.take(_ROW_U[rows], 0)
-        d -= counts.take(_ROW_V[rows], 0)
+        d = _second_differences(counts, rows)
         d *= geometry[rows]
         # G[i, j] + G[j, i]
-        np.add(d[:, 0] + d[:, 2], d[:, 1] + d[:, 3], out=c2[rows])
+        np.add(d[:, 0] + d[:, 1], d[:, 2] + d[:, 3], out=c2[rows])
     return c2
 
 

@@ -6,7 +6,13 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import platform
 import random
+import statistics
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -294,9 +300,10 @@ def test_fast_tables_stay_within_eps_of_the_exact_ones(geometry):
 
 def test_delta_table_build_peak_memory(geometry):
     # The build holds d1, c2's 44,850 rows (0.34 MiB) and one pass of
-    # _build_c2's gathers (a few 125 KiB arrays); the geometry half of c2
-    # is kept per process, like effort_tables, and is filled before the
-    # count starts. perfbench's peak_rss_mb follows this transient.
+    # _build_c2's gathers (a few (4,000, 2, 2) float64 arrays, 125 KiB
+    # each); the geometry half of c2 is kept per process, like
+    # effort_tables, and is filled before the count starts. perfbench's
+    # peak_rss_mb follows this transient.
     stats = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text))
     base, model = qwerty_layout(), EffortModel()
     base_cost = stats_cost(geometry, base, stats, model)
@@ -679,6 +686,40 @@ def test_size3_search_peak_memory_with_a_wide_band(geometry):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20, peak
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="relies on glibc malloc's mmap threshold"
+)
+def test_later_searches_take_next_to_no_page_faults():
+    # The first search fills c2's geometry half in one unchunked gather and
+    # frees its 1.4 MB temporaries, so glibc raises its mmap threshold and
+    # later searches reuse heap memory instead of faulting in fresh pages.
+    # A chunked fill leaves it low: each later size-3 search then faulted
+    # 400-700 times. A fresh process sees the fill as a CLI run does.
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        from keyswap import KeySequence, build_geometry
+        from keyswap.corpus import ingest_tweets, read_tweet_file
+        from keyswap.optimizer import SearchConfig, optimize
+        from keyswap.stats import count_bigrams
+
+        g, cfg = build_geometry(), SearchConfig(cumulative=True)
+        stats = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(sys.argv[1])).text))
+        optimize(g, stats, cfg)
+        for _ in range(10):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            optimize(g, stats, cfg)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(DATA / "river.jsonl")], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    faults = [int(line) for line in out.split()]
+    assert len(faults) == 10 and statistics.median(faults) <= 100, faults
 
 
 def _bits(found: tuple[float, tuple]) -> tuple[bytes, tuple]:
