@@ -6,11 +6,14 @@ with some users failing.
 Each stage of the pipeline has one function, which the single command and
 batch both call: _ingest_stage reads and cleans a tweet file and writes the
 corpus and its meta file, _search_stage searches a corpus and writes the
-result, and _report_outputs writes a result's tables and figures. batch
-runs the three for each user in _batch_user. With more than one thread,
-_run_users gives user i to share i mod threads: the calling process runs
-share 0, and one forked child runs each other share and sends its
-outcomes back once, at the end. A child that dies fails its users.
+result, and _report_stage audits a result and writes its tables and
+figures. The audit, verify_result against the corpus and geometry, comes
+first: a result that fails it is a data error, and nothing is written.
+batch runs the three for each user in _batch_user. With more than one
+thread, _run_users gives user i to share i mod threads: the calling
+process runs share 0, and one forked child runs each other share and
+sends its outcomes back once, at the end. A child that dies fails its
+users.
 
 Every command resolves its settings once, through resolve_settings, before
 it writes anything. The policy, search and model sections merge key by
@@ -18,9 +21,11 @@ key: flags over environment (KEYSWAP_THREADS for search.workers,
 KEYSWAP_OUT_DIR for batch's out_dir) over the batch manifest over the
 --config file over built-in defaults (1200 raw chars, 3 swaps, canonical
 mode, distance model, 15 top pairs, out_dir "out"). A geometry spec is
-taken whole: --geometry, else the manifest's, else the config's. The
-model lives only in the top-level "model" section; a "model" key inside
-"search" is a usage error.
+taken whole: --geometry, else the manifest's, else the config's, and
+only the one that wins is read; a null spec is a data error. report puts
+the geometry its result records in the manifest's place. The model lives
+only in the top-level "model" section; a "model" key inside "search" is
+a usage error.
 
 A setting value that fails validation exits 1, whichever layer it came
 from. A config, manifest, geometry spec or result file that cannot be
@@ -89,6 +94,10 @@ class DataError(Exception):
     pass
 
 
+class _SpecError(DataError):
+    """A geometry spec that cannot be parsed or built."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; we reserve that
         self.print_usage(sys.stderr)
@@ -150,8 +159,8 @@ def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settin
     The policy, search and model sections merge key by key; flag dests are
     named after the dataclass fields they set. A geometry spec is taken
     whole and built here, once. Bad values raise UsageError; a section
-    that is not an object, or a geometry spec that is bad or cannot be
-    built, raises DataError.
+    that is not an object raises DataError, and a geometry spec that is
+    bad or cannot be built, _SpecError.
     """
     layers = ((args.config, config), (getattr(args, "manifest", None), manifest or {}))
 
@@ -193,14 +202,14 @@ def resolve_settings(args, config: dict, manifest: dict | None = None) -> Settin
             raise UsageError(f"{ENV_THREADS} must be an integer, got {env!r}")
     search = build("search settings", SearchConfig, model=model, **search)
 
-    geometry_path = getattr(args, "geometry", None)
-    spec = _load_json(geometry_path, "geometry spec") if geometry_path else top("geometry")
+    spec_path = getattr(args, "geometry", None)
+    spec = _load_json(spec_path, "geometry spec") if spec_path else top("geometry", DEFAULT_SPEC.to_json_dict())
     try:
-        geometry = build_geometry(DEFAULT_SPEC if spec is None else GeometrySpec.from_json_dict(spec))
+        geometry = build_geometry(GeometrySpec.from_json_dict(spec))
     except MissingSpecField as exc:
-        raise DataError(str(exc))
+        raise _SpecError(str(exc))
     except (TypeError, ValueError) as exc:
-        raise DataError(f"invalid geometry spec: {exc}")
+        raise _SpecError(f"invalid geometry spec: {exc}")
 
     top_pairs = getattr(args, "top_pairs", None)
     if top_pairs is None:
@@ -296,44 +305,46 @@ def cmd_optimize(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _report_outputs(user_id, g, seq, stats, result, out_dir, svg_dir, k):
+def _report_stage(user_id, g, seq, stats, result, out_dir, svg_dir, k) -> UserReport:
+    """Audit a result against its corpus and geometry, then write its tables and figures."""
+    if not verify_result(g, stats, result):
+        raise DataError("result does not verify against this corpus and geometry")
     os.makedirs(out_dir, exist_ok=True)
     os.makedirs(svg_dir, exist_ok=True)
     base = qwerty_layout()
-    optimized = apply_swaps(base, result.swaps)
     report = build_user_report(user_id, g, stats, usable_letter_count(seq), result, k)
     _write_json(os.path.join(out_dir, f"{user_id}.report.json"), report.to_json_dict())
     _write_text(os.path.join(out_dir, f"{user_id}.pairs.csv"), pairs_csv(list(report.top_pairs)))
-    _write_text(
-        os.path.join(svg_dir, f"{user_id}.qwerty.svg"), heatmap_svg(g, base, stats)
-    )
+    _write_text(os.path.join(svg_dir, f"{user_id}.qwerty.svg"), heatmap_svg(g, base, stats))
     _write_text(
         os.path.join(svg_dir, f"{user_id}.optimized.svg"),
-        heatmap_svg(g, optimized, stats, highlight=result.swaps),
+        heatmap_svg(g, apply_swaps(base, result.swaps), stats, highlight=result.swaps),
     )
     return report
 
 
 def cmd_report(args, config: dict) -> int:
-    settings = resolve_settings(args, config)
     data = _load_json(args.result, "result file")
     try:
         result = OptimizationResult.from_json_dict(data)
-        # the geometry the result records wins over config and defaults
-        recorded = "geometry" in data and not args.geometry
-        g = build_geometry(result.geometry) if recorded else settings.geometry
     except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed result file {args.result}: {exc}")
+    # the geometry the result records takes the manifest's place
+    recorded = {"geometry": data["geometry"]} if "geometry" in data else None
+    try:
+        settings = resolve_settings(args, config, recorded)
+    except _SpecError as exc:
+        if recorded is None or args.geometry:  # the spec that failed is not the result's
+            raise
         raise DataError(f"malformed result file {args.result}: {exc}")
     seq = _read_corpus(args.corpus)
     stats = count_bigrams(seq)
     if stats.is_empty:
         raise DataError("empty corpus: nothing to report")
-    if not verify_result(g, stats, result):
-        raise DataError("result does not verify against this corpus and geometry")
     user_id = args.user_id or os.path.splitext(os.path.basename(args.corpus))[0]
     out_dir = args.out_dir or "."
     svg_dir = args.svg_dir or out_dir
-    report = _report_outputs(user_id, g, seq, stats, result, out_dir, svg_dir, settings.top_pairs)
+    report = _report_stage(user_id, settings.geometry, seq, stats, result, out_dir, svg_dir, settings.top_pairs)
     print(
         f"{user_id}: improvement {report.per_pct:.2f}%  "
         f"avg {report.avg_qwerty_cm:.2f} -> {report.avg_optimized_cm:.2f} cm per tap"
@@ -355,11 +366,8 @@ def _batch_user(settings: Settings, user_id: str, tweet_path: str) -> tuple[dict
         user_dir = os.path.join(settings.out_dir, user_id)
         os.makedirs(user_dir, exist_ok=True)
         seq = _ingest_stage(tweet_path, settings.policy, os.path.join(user_dir, "corpus.txt"))
-        g = settings.geometry
-        stats, result = _search_stage(g, seq, settings.search, os.path.join(user_dir, "result.json"))
-        if not verify_result(g, stats, result):
-            raise RuntimeError("internal consistency check failed for optimization result")
-        report = _report_outputs(user_id, g, seq, stats, result, user_dir, user_dir, settings.top_pairs)
+        stats, result = _search_stage(settings.geometry, seq, settings.search, os.path.join(user_dir, "result.json"))
+        report = _report_stage(user_id, settings.geometry, seq, stats, result, user_dir, user_dir, settings.top_pairs)
         _write_text(
             os.path.join(user_dir, "scatter.svg"),
             pair_scatter_svg(list(report.top_pairs), user_id),

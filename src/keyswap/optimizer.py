@@ -390,7 +390,9 @@ def _second_differences(pm: np.ndarray, rows) -> np.ndarray:
     in the flat order of a (325, 26) array of pair rows. One gather at
     _AT_U and one at _AT_V give every such difference of every table.
     """
-    return (pm.take(_AT_U[rows], 0) - pm.take(_AT_V[rows], 0)).reshape(-1, 2 * pm.shape[1])
+    d = pm.take(_AT_U[rows], 0)
+    d -= pm.take(_AT_V[rows], 0)
+    return d.reshape(-1, 2 * pm.shape[1])
 
 
 @lru_cache(maxsize=4)
@@ -407,8 +409,8 @@ def _c2_geometry(eh: bytes) -> np.ndarray:
     geometry, model or base layout; a search computes it under optimize's
     raising errstate, and one that raises leaves no entry.
 
-    The fill is one unchunked gather on purpose: it frees two 1.4 MB
-    temporaries, glibc's malloc then raises its mmap threshold to their
+    The fill is one unchunked gather on purpose: it frees one 1.4 MB
+    temporary, glibc's malloc then raises its mmap threshold to its
     size, and the smaller arrays of later searches are served from its
     heap and reused, not mapped afresh and faulted in page by page. With
     a chunked fill, every later size-3 search faulted 400-700 times;
@@ -627,15 +629,18 @@ class _Size3Kernel:
     size2 rows. One +inf follows them, one past the last plan row, where
     takes points for the pairs that a first pair does not take. So
     c2jk[takes[i, q]] is c2[i, q] where i takes q, as (i, q) is then a
-    plan row, and +inf elsewhere. A minimum.reduceat over each of d1k +
-    c2jk and c2jk gives r[p] and m[p], the least d1[k] + c2[p, k] and the
-    least c2[p, k] over pair p's run, +inf where the run is empty.
+    plan row, and +inf elsewhere. a holds a[i, j] = (d1[i] + d1[j]) +
+    c2[i, j] at each plan row (i, j), which lb and gather both read. A
+    minimum.reduceat over each of d1k + c2jk and c2jk gives r[p] and
+    m[p], the least d1[k] + c2[p, k] and the least c2[p, k] over pair p's
+    run, +inf where the run is empty.
     """
 
     def __init__(self, d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan):
         self.d1, self.plan = d1, plan
         self.d1k = d1.take(plan.second)
         self.c2jk = np.append(c2 if plan.first.shape[0] == c2.shape[0] else c2[plan.size2], math.inf)
+        self.a = (d1.take(plan.first) + self.d1k) + self.c2jk[:-1]
         has = plan.runs > 0
         starts = (plan.lo - plan.runs)[has]
         self.r, self.m = np.full((2, _N_PAIRS), np.inf)
@@ -653,33 +658,29 @@ class _Size3Kernel:
 
     def lb(self, firsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The runs of first pairs firsts, as their plan rows at = (i, j)
-        in the order of firsts, and lb(i, j) = a[i, j] + max(r[j] + m[i],
-        r[i] + m[j]) of each, with gather()'s a[i, j]. i's runs j are
-        the pairs that i takes, its own run of plan rows, so each term of
-        i is repeated over them."""
+        in the order of firsts, and lb(i, j) = a[i, j] + max(m[i] + r[j],
+        r[i] + m[j]) of each. i's runs j are the pairs that i takes, its
+        own run of plan rows."""
         plan, r, m = self.plan, self.r, self.m
-        n, at = _run_rows(plan, firsts)
-        j = plan.second.take(at)
-        lb = (np.repeat(self.d1.take(firsts), n) + self.d1k.take(at)) + self.c2jk.take(at)
-        lb += np.maximum(np.repeat(m.take(firsts), n) + r.take(j), np.repeat(r.take(firsts), n) + m.take(j))
-        return at, lb
+        at = _run_rows(plan, firsts)[1]
+        i, j = plan.first.take(at), plan.second.take(at)
+        return at, self.a.take(at) + np.maximum(m.take(i) + r.take(j), r.take(i) + m.take(j))
 
     def gather(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows (i, j, k) of the runs at = (i, j), plan rows, as first
         pair i and plan row (j, k) of each, and their deltas.
 
         Run (i, j) is i followed by j's run of plan rows, in the order of
-        at. Each row adds to a[i, j] = (d1[i] + d1[j]) + c2[i, j], finite as
-        i takes j, the terms d1[k], c2[i, k] and c2[j, k] in that order, so
-        a row that i takes gets the bits of _row_deltas. c2[i, k] is read
-        at takes[i, k], which is +inf where i does not take k, so every
-        other row is exactly +inf. A run whose j's run is empty adds no row.
+        at. Each row adds to a[i, j], finite as i takes j, the terms d1[k],
+        c2[i, k] and c2[j, k] in that order, so a row that i takes gets the
+        bits of _row_deltas. c2[i, k] is read at takes[i, k], which is +inf
+        where i does not take k, so every other row is exactly +inf. A run
+        whose j's run is empty adds no row.
         """
         plan, c2jk = self.plan, self.c2jk
-        first = plan.first.take(at)
         n, rows = _run_rows(plan, plan.second.take(at))
-        i = np.repeat(first, n)
-        deltas = np.repeat((self.d1.take(first) + self.d1k.take(at)) + c2jk.take(at), n)
+        i = np.repeat(plan.first.take(at), n)
+        deltas = np.repeat(self.a.take(at), n)
         deltas += self.d1k.take(rows)
         deltas += c2jk.take(plan.takes.ravel().take(i * _N_PAIRS + plan.second.take(rows)))
         deltas += c2jk.take(rows)

@@ -709,6 +709,7 @@ BOOL_GAP_SPEC = {**DEFAULT_SPEC.to_json_dict(), "h_gap_mm": True}
 HUGE_WIDTH_SPEC = {**DEFAULT_SPEC.to_json_dict(), "key_width_mm": 2**1024}
 # a valid spec whose top-row keys all land on x = 1e300
 OVERLAP_SPEC = {**DEFAULT_SPEC.to_json_dict(), "row_x_offsets_mm": [1e300, 2.885, 8.655, 8.655]}
+DOUBLE_SPEC = DEFAULT_SPEC.scaled(2.0).to_json_dict()
 ALL_COMMANDS = ("ingest", "optimize", "report", "batch")
 
 # name, --config contents, manifest contents (a dict updates the default
@@ -759,6 +760,9 @@ BAD_SETTINGS = [
     # valid JSON, but no file name can hold a lone surrogate outside U+DC80-U+DCFF
     ("config-out-dir-lone-surrogate", {"out_dir": "\ud800x"}, None, [], 1, ("ingest", "optimize", "batch")),
     ("manifest-out-dir-lone-surrogate", None, {"out_dir": "\ud800x"}, [], 1, ("batch",)),
+    # null is not the default spec, and a manifest's null does not discard the config's spec
+    ("config-geometry-null", {"geometry": None}, None, [], 2, ("optimize", "report", "batch")),
+    ("manifest-geometry-null", {"geometry": DOUBLE_SPEC}, {"geometry": None}, [], 2, ("batch",)),
 ]
 
 COMMAND_ARGV = {
@@ -805,14 +809,59 @@ def test_bad_settings_fail_with_one_line_before_any_output(workdir, capsys, comm
 
 def test_report_rejects_a_recorded_geometry_it_cannot_build(workdir, capsys):
     result = optimize(workdir)
-    result.write_text(json.dumps({**json.loads(result.read_text()), "geometry": OVERLAP_SPEC}), encoding="utf-8")
-    before = all_paths(workdir)
-    capsys.readouterr()
-    assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep"]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("keyswap: error:"), err
-    assert "overlapping slot centers" in err
-    assert all_paths(workdir) == before
+    data = json.loads(result.read_text())
+    (workdir / "overlap.json").write_text(json.dumps(OVERLAP_SPEC), encoding="utf-8")
+    # the line names the result file only when its recorded spec is the one that fails
+    for recorded, flags, prefix in [
+        (OVERLAP_SPEC, [], "keyswap: error: malformed result file r.json: invalid geometry spec: "),
+        (DOUBLE_SPEC, ["--geometry", "overlap.json"], "keyswap: error: invalid geometry spec: "),
+    ]:
+        result.write_text(json.dumps({**data, "geometry": recorded}), encoding="utf-8")
+        before = all_paths(workdir)
+        capsys.readouterr()
+        assert main(["report", "--result", "r.json", "--corpus", "u.txt", "--out-dir", "rep", *flags]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+        assert "overlapping slot centers" in err
+        assert all_paths(workdir) == before
+
+
+# the geometry the result was searched under, the spec written into it
+# (None: none), the config's spec and --geometry's; the winner must be the
+# first, or the result would not verify
+@pytest.mark.parametrize(
+    "searched, recorded, config, flag",
+    [
+        ("half", "triple", "double", "half"),
+        ("double", "double", "triple", None),
+        ("triple", None, "triple", None),
+        ("default", None, None, None),
+        # a config spec that loses is not read, so a bad one does not fail the report
+        ("double", "double", "overlap", None),
+    ],
+    ids=["flag", "recorded-over-config", "config-over-default", "default", "recorded-over-bad-config"],
+)
+def test_report_geometry_precedence(workdir, searched, recorded, config, flag):
+    scales = {"default": 1.0, "half": 0.5, "double": 2.0, "triple": 3.0}
+    specs = {name: DEFAULT_SPEC.scaled(scale).to_json_dict() for name, scale in scales.items()}
+    specs["overlap"] = OVERLAP_SPEC
+    for name, spec in specs.items():
+        (workdir / f"{name}.json").write_text(json.dumps(spec), encoding="utf-8")
+    result = optimize(workdir, "--geometry", f"{searched}.json")
+    report = ["report", "--result", "r.json", "--corpus", "u.txt", "--user-id", "u"]
+    assert main([*report, "--geometry", f"{searched}.json", "--out-dir", "want"]) == 0
+    data = json.loads(result.read_text())
+    data.pop("geometry", None)
+    if recorded is not None:
+        data["geometry"] = specs[recorded]
+    result.write_text(json.dumps(data), encoding="utf-8")
+    if config is not None:
+        (workdir / "cfg.json").write_text(json.dumps({"geometry": specs[config]}), encoding="utf-8")
+        report = ["--config", "cfg.json", *report]
+    assert main([*report, *(["--geometry", f"{flag}.json"] if flag else []), "--out-dir", "got"]) == 0
+    want = tree_bytes(workdir / "want")
+    assert sorted(want) == ["u.optimized.svg", "u.pairs.csv", "u.qwerty.svg", "u.report.json"]
+    assert tree_bytes(workdir / "got") == want
 
 
 @pytest.mark.parametrize("out", ["nodir/r.json", "plain/r.json"])
@@ -859,6 +908,23 @@ def test_report_exits_2_with_one_line_when_costs_overflow(workdir, capsys):
     err = capsys.readouterr().err
     assert err == "keyswap: error: result does not verify against this corpus and geometry\n", err
     assert all_paths(workdir) == before
+
+
+def test_batch_users_whose_result_does_not_verify_fail_with_the_report_line(workdir, capsys, monkeypatch):
+    # one thread: every user runs in this process, where the audit is patched
+    monkeypatch.setattr("keyswap.cli.verify_result", lambda *args: False)
+    write_batch_inputs(workdir)
+    capsys.readouterr()
+    assert main(["batch", "manifest.json", "--threads", "1", "--out-dir", "vb"]) == 2
+    line = "result does not verify against this corpus and geometry"
+    batch = json.loads((workdir / "vb" / "batch.json").read_text())
+    assert batch["users"] == [{"user_id": uid, "status": "error", "message": line} for uid in BATCH_TWEETS]
+    assert batch["aggregate"] is None
+    failed = "".join(f"{uid}: FAILED ({line})\n" for uid in BATCH_TWEETS)
+    assert capsys.readouterr().err == failed + "keyswap: error: every user in the batch failed\n"
+    # the audit comes before any report file
+    for uid in BATCH_TWEETS:
+        assert sorted(tree_bytes(workdir / "vb" / uid)) == ["corpus.meta.json", "corpus.txt", "result.json"]
 
 
 def test_batch_users_whose_costs_overflow_fail_with_that_message(workdir, capsys):
