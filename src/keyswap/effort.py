@@ -7,12 +7,15 @@ segment (a doubled letter) costs nothing under either model: the finger
 never moves.
 
 ``sequence_cost`` walks tokens one by one and is the ground truth. The
-others read one set of inputs, _cost_inputs, and sum them with one
-arithmetic: ``stats_cost`` is _layout_cost, and the cost of a swapped
-layout, nearest space sub-keys re-decided, is a row of _layout_costs,
-with the same bits. The search scores its best candidates with those
-rows, and ``delta_cost`` adds the change in layout cost that one row
-gives to a known cost.
+others read one set of inputs, _cost_inputs, and _layout_costs alone
+multiplies them and sums them: each cost is one of its rows, a layout
+that swaps some letter pairs of the inputs' layout, nearest space
+sub-keys re-decided. ``stats_cost`` is the row that swaps nothing, the
+search scores its best candidates as rows, and ``delta_cost`` adds the
+change in stats_cost to a known cost. Every product and sum of a layout
+cost is numpy's, so under np.errstate(over="raise") any layout cost
+that overflows raises; delta_cost's own subtraction and addition are
+in Python floats, which overflow to inf without raising.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ import numpy as np
 
 from .corpus import SPACE, KeySequence
 from .geometry import (
-    LETTER_INDEX,
     LETTER_SLOT_IDS,
     DEFAULT_SPEC,
     KeyboardGeometry,
     Layout,
     SwapSet,
+    apply_swaps,
     distance,
     is_finite_number,
     letter_slot_vector,
@@ -202,33 +205,37 @@ def _cost_inputs(g: KeyboardGeometry, stats: BigramStats, layout: Layout, model:
     )
 
 
-def _layout_cost(x: _CostInputs) -> float:
-    """Total effort of the inputs' layout, summed in Python floats."""
-    total = float((x.f * x.e).sum())
-    total += float((x.s_in * x.h).sum())
-    total += float((x.row_s * x.sp).sum())
-    return total
+def _layout_costs(x: _CostInputs, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The cost of each row's layout: row r swaps the slots of letters
+    u[r, c] and v[r, c] of x's layout, for each column c.
 
-
-def _layout_costs(x: _CostInputs, moved: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """_layout_cost of each row's layout, with its bits.
-
-    Row r's layout moves the letters moved[r] to the slots of the letters
-    new[r] in x's layout, so letter a holds the slot of took[r, a] there,
-    and its e, h and sp are e[took, took], h[took, took] and sp[took], the
+    Letter a of row r then holds the slot of took[r, a] in x's layout, so
+    its e, h and sp are e[took, took], h[took, took] and sp[took], the
     tables of _cost_inputs at its layout. Their products with f, s_in and
-    row_s are summed per row over the same 676, 676 and 26 contiguous
-    entries that _layout_cost sums, and numpy's sum of a row does not
-    depend on the other rows; the three sums are added as (a + b) + c, as
-    _layout_cost adds them.
+    row_s are summed per row over 676, 676 and 26 contiguous entries, and
+    numpy's sum of a row does not depend on the other rows, so each row
+    has the bits of its layout's own inputs; the three sums are added as
+    (a + b) + c. Every operation is numpy's, so under
+    np.errstate(over="raise") a row whose cost overflows raises, the last
+    addition included.
     """
-    n, n_letters = moved.shape[0], x.sp.shape[0]
+    n, n_letters = u.shape[0], x.sp.shape[0]
     took = np.tile(np.arange(n_letters), (n, 1))
-    took[np.arange(n)[:, None], moved] = new
+    rows = np.arange(n)[:, None]
+    took[rows, u], took[rows, v] = v, u
     flat = (took * n_letters)[:, :, None] + took[:, None, :]
     a = (x.f * x.e.take(flat)).reshape(n, -1).sum(axis=1)
     b = (x.s_in * x.h.take(flat)).reshape(n, -1).sum(axis=1)
     return (a + b) + (x.row_s * x.sp.take(took)).sum(axis=1)
+
+
+_NO_SWAPS = np.empty((1, 0), dtype=np.intp)
+
+
+def _layout_cost(x: _CostInputs) -> float:
+    """The cost of x's layout itself, the row of _layout_costs that swaps
+    nothing."""
+    return float(_layout_costs(x, _NO_SWAPS, _NO_SWAPS)[0])
 
 
 def stats_cost(
@@ -256,20 +263,14 @@ def delta_cost(
     swaps: SwapSet,
     model: EffortModel = DISTANCE_MODEL,
 ) -> float:
-    """Cost of the swapped layout, as base_cost plus the change in layout cost.
+    """base_cost + (stats_cost(swapped) - stats_cost(base)), the cost of the
+    swapped layout as base_cost plus the change in layout cost.
 
-    The change is the swapped layout's cost, one row of _layout_costs,
-    less the base layout's, _layout_cost, both read from one _cost_inputs
-    and each with stats_cost's bits. So the result is base_cost +
-    (stats_cost(swapped) - stats_cost(base)) bit for bit, and, with
-    base_cost = stats_cost(base), stats_cost(swapped) itself whenever the
-    two costs are within a factor of 2 of each other: their difference is
-    then exact (Sterbenz), and so is the sum. The empty SwapSet returns
-    base_cost unchanged.
+    With base_cost = stats_cost(base) it is stats_cost(swapped) itself
+    whenever the two costs are within a factor of 2 of each other: their
+    difference is then exact (Sterbenz), and so is the sum. The empty
+    SwapSet returns base_cost unchanged.
     """
     if not swaps.pairs:
         return base_cost
-    x = _cost_inputs(g, stats, base, model)
-    pairs = np.array([[LETTER_INDEX[a], LETTER_INDEX[b]] for a, b in swaps.pairs])
-    swapped = float(_layout_costs(x, pairs.ravel()[None], pairs[:, ::-1].ravel()[None])[0])
-    return base_cost + (swapped - _layout_cost(x))
+    return base_cost + (stats_cost(g, apply_swaps(base, swaps), stats, model) - stats_cost(g, base, stats, model))

@@ -109,7 +109,10 @@ class GeometrySpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> GeometrySpec:
-        """Raises MissingSpecField for a missing key."""
+        """Raises TypeError for a value that is not a JSON object and
+        MissingSpecField for a missing key."""
+        if not isinstance(data, dict):
+            raise TypeError(f"a geometry spec must be a JSON object, got {data!r}")
         try:
             values = {f.name: data[key] for key, f in zip(_SPEC_KEYS, fields(cls))}
         except KeyError as exc:
@@ -241,10 +244,9 @@ class SwapSet:
 
     def is_canonical(self) -> bool:
         try:
-            _validate_pairs(self.pairs)
-        except ValueError:
+            return SwapSet.from_pairs(self.pairs) == self
+        except (TypeError, ValueError):
             return False
-        return self.pairs == tuple(sorted(tuple(sorted(p)) for p in self.pairs))
 
     def __len__(self) -> int:
         return len(self.pairs)

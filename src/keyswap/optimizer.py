@@ -555,9 +555,7 @@ def _rescore(x: _CostInputs, bands: list[tuple[np.ndarray, ...]]) -> list[tuple[
         costs = []
         for lo in range(0, rows[0].shape[0], _LAYOUTS):
             pairs = np.stack([col[lo : lo + _LAYOUTS] for col in rows], axis=1)
-            # each row moves the letters of its pairs to their partners' slots
-            moved, new = (np.concatenate((a.take(pairs), b.take(pairs)), axis=1) for a, b in ((_U, _V), (_V, _U)))
-            costs.append(_layout_costs(x, moved, new))
+            costs.append(_layout_costs(x, _U.take(pairs), _V.take(pairs)))
         costs = np.concatenate(costs)
         r = int(np.argmin(costs))
         found.append((float(costs[r]), tuple(int(col[r]) for col in rows)))
@@ -640,7 +638,8 @@ class _Size3Kernel:
         self.d1, self.plan = d1, plan
         self.d1k = d1.take(plan.second)
         self.c2jk = np.append(c2 if plan.first.shape[0] == c2.shape[0] else c2[plan.size2], math.inf)
-        self.a = (d1.take(plan.first) + self.d1k) + self.c2jk[:-1]
+        # first ascends in runs, so d1 repeated runs times is d1 at first
+        self.a = (np.repeat(d1, plan.runs) + self.d1k) + self.c2jk[:-1]
         has = plan.runs > 0
         starts = (plan.lo - plan.runs)[has]
         self.r, self.m = np.full((2, _N_PAIRS), np.inf)
@@ -867,9 +866,6 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
             base_cost = _layout_cost(x)
             if not base_cost > 0.0:
                 raise ValueError(f"base layout cost is {base_cost!r}, not positive; improvement rate is undefined")
-            # stats_cost and per add in Python floats, which overflow without raising
-            if not math.isfinite(base_cost):
-                raise FloatingPointError("overflow in the base layout cost")
 
             if cfg.mode == "paper":
                 sizes, raw_pairs = (3,), _N_TRIPLETS * (_N_TRIPLETS - 1)
@@ -885,6 +881,7 @@ def optimize(g: KeyboardGeometry, stats: BigramStats, cfg: SearchConfig = Search
             best_cost, idx = min(found)
             swaps = SwapSet(tuple(_LETTER_PAIRS[p] for p in idx))
             per_pct = per(base_cost, best_cost)
+            # per adds in Python floats, which overflow without raising
             if not (math.isfinite(best_cost) and math.isfinite(per_pct)):
                 raise FloatingPointError("overflow in the best layout cost or the improvement rate")
     except FloatingPointError as exc:

@@ -188,8 +188,8 @@ class _SvgHeads(NamedTuple):
     """The starts of a geometry's SVG elements, each up to its first
     varying attribute: per slot, its key <rect> up to the fill, and its
     <text> up to the fill for a letter label and for a slot id label; per
-    slot pair (a, b), a before b in id order, its <line> up to the stroke,
-    at index rank(a) * 30 + rank(b)."""
+    slot pair (a, b), a before b in slot order, which is id order, its
+    <line> up to the stroke, at index a * 30 + b."""
 
     rects: list[str]
     letter_texts: list[str]
@@ -197,16 +197,10 @@ class _SvgHeads(NamedTuple):
     lines: list[str]
 
 
-# the slot indices in slot id order, and each slot index's rank in it
-_BY_RANK = np.argsort(SLOT_IDS)
-_ID_RANK = np.argsort(_BY_RANK)
-
-
 @lru_cache(maxsize=16)
 def _svg_heads(g: KeyboardGeometry) -> _SvgHeads:
     """The _SvgHeads of a geometry, built on first use and cached."""
     kw, kh = g.spec.key_width, g.spec.key_height
-    by_rank = [g.slots[i] for i in _BY_RANK]
     return _SvgHeads(
         rects=[
             f'<rect x="{s.x - kw / 2:.3f}" y="{s.y - kh / 2:.3f}" width="{kw:.3f}" height="{kh:.3f}" rx="0.6" fill="'
@@ -216,8 +210,8 @@ def _svg_heads(g: KeyboardGeometry) -> _SvgHeads:
         id_texts=[f'<text x="{s.x:.3f}" y="{s.y:.3f}" font-size="{kh * 0.3:.2f}" fill="' for s in g.slots],
         lines=[
             f'<line x1="{a.x:.3f}" y1="{a.y:.3f}" x2="{b.x:.3f}" y2="{b.y:.3f}" ' if a.id < b.id else ""
-            for a in by_rank
-            for b in by_rank
+            for a in g.slots
+            for b in g.slots
         ],
     )
 
@@ -270,15 +264,14 @@ def heatmap_svg(
     Line opacity grows with log(1 + frequency), normalized to the most
     frequent pair. Swapped letter pairs are tinted red/green/blue. The
     frequencies are the counts of traversals() summed per undirected pair
-    of distinct slots; lines come in slot id order.
+    of distinct slots; lines come in slot order, which is id order.
     """
     if stats.is_empty:
         raise ValueError("heat map needs a non-empty corpus")
     m = _move_table(stats, g, layout)
     moved = m.src != m.dst
-    ra, rb = _ID_RANK[m.src[moved]], _ID_RANK[m.dst[moved]]
-    n_slots = _ID_RANK.size
-    segs = np.bincount(np.minimum(ra, rb) * n_slots + np.maximum(ra, rb), m.count[moved], n_slots * n_slots)
+    a, b, n_slots = m.src[moved], m.dst[moved], len(SLOT_IDS)
+    segs = np.bincount(np.minimum(a, b) * n_slots + np.maximum(a, b), m.count[moved], n_slots * n_slots)
     keys = np.flatnonzero(segs)
     # bincount sums in float64; int counts key the tails below faster
     counts = segs[keys].astype(np.int64).tolist()

@@ -826,6 +826,28 @@ def test_report_rejects_a_recorded_geometry_it_cannot_build(workdir, capsys):
         assert all_paths(workdir) == before
 
 
+@pytest.mark.parametrize("value", ["x", None, [], 7])
+def test_a_spec_that_is_not_an_object_is_named_in_config_manifest_and_result(workdir, capsys, value):
+    result = optimize(workdir)
+    data = json.loads(result.read_text())
+    (workdir / "cfg.json").write_text(json.dumps({"geometry": value}), encoding="utf-8")
+    manifest = {"users": [{"id": "u", "corpus": "u.jsonl"}], "geometry": value}
+    (workdir / "m.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (workdir / "bad.json").write_text(json.dumps({**data, "geometry": value}), encoding="utf-8")
+    want = f"a geometry spec must be a JSON object, got {value!r}\n"
+    for argv, prefix in [
+        (["--config", "cfg.json", *COMMAND_ARGV["optimize"]], "invalid geometry spec: "),
+        (["batch", "m.json"], "invalid geometry spec: "),
+        (["report", "--result", "bad.json", "--corpus", "u.txt", "--out-dir", "rep"], "malformed result file bad.json: "),
+    ]:
+        before = all_paths(workdir)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"keyswap: error: {prefix}{want}", err
+        assert all_paths(workdir) == before
+
+
 # the geometry the result was searched under, the spec written into it
 # (None: none), the config's spec and --geometry's; the winner must be the
 # first, or the result would not verify

@@ -60,6 +60,11 @@ def test_slot_count_and_ids(geometry):
     assert {"sp1", "sp2", "sp3", "sp4"} <= ids
 
 
+def test_slot_order_is_id_order():
+    # the heat map draws its lines in slot order and calls that id order
+    assert list(SLOT_IDS) == sorted(SLOT_IDS)
+
+
 def test_unknown_slot_id_rejected(geometry):
     with pytest.raises(ValueError):
         geometry.slot("r9c9")
@@ -210,6 +215,18 @@ def test_empty_swapset():
 def test_noncanonical_swapset_detected():
     assert not SwapSet((("b", "a"),)).is_canonical()
     assert not SwapSet((("c", "d"), ("a", "b"))).is_canonical()
+
+
+def test_swapset_of_unsortable_pairs_is_not_canonical():
+    assert not SwapSet(((1, "a"),)).is_canonical()
+    assert not SwapSet((("a", "b", "c"),)).is_canonical()
+
+
+@pytest.mark.parametrize("value", ["x", None, [], 7])
+def test_spec_that_is_not_an_object_is_rejected_by_name(value):
+    with pytest.raises(TypeError) as info:
+        GeometrySpec.from_json_dict(value)
+    assert str(info.value) == f"a geometry spec must be a JSON object, got {value!r}"
 
 
 def test_qwerty_layout_slots(qwerty):

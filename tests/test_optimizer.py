@@ -875,7 +875,7 @@ def test_bands_of_unused_letters_only_keep_the_first_rows():
 # with the part of the message that names the check that fires first.
 NON_FINITE_GEOMETRIES = [
     pytest.param(1e304, "overflow in the best layout cost or the improvement rate", id="per-overflows"),
-    pytest.param(3e304, "overflow in the base layout cost", id="base-cost-sum-overflows"),
+    pytest.param(3e304, "overflow encountered in add", id="base-cost-sum-overflows"),
     pytest.param(1e306, "overflow encountered in", id="numpy-sum-overflows"),
     pytest.param(1e307, "encountered in", id="distances-overflow"),
 ]
