@@ -151,14 +151,14 @@ def ingest_tweets(records: list[dict], policy: IngestPolicy = IngestPolicy()) ->
 
 
 def read_tweet_file(path: str) -> list[dict]:
-    """Load tweet records from .jsonl ({"text": ...}) or .txt (one per line)."""
+    """Load tweet records from .jsonl, in any case ({"text": ...}), or else text (one per line)."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = list(fh)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     records: list[dict] = []
-    if path.endswith(".jsonl"):
+    if path.lower().endswith(".jsonl"):
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:

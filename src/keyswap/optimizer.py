@@ -532,24 +532,27 @@ def _rescore(x: _CostInputs, bands: list[tuple[np.ndarray, ...]]) -> list[tuple[
     table entry (the base cost has already raised on any other), +0.0 or
     -0.0, and adding a signed zero changes no sum that holds a nonzero
     term: every partial sum, and so the cost, has the same value on all
-    rows with the same live pairs. Each row is keyed by its live pairs,
-    ascending, then one _N_PAIRS per dead pair, as base-326 digits. The
-    first row of each key has the smallest encoding of the key, so the
-    first least cost among the kept rows, which ascend, is the least (cost,
-    encoding) of the band, with that row's own bits. A 1-row band is
-    scored as it is.
+    rows with the same live pairs. A letter is used where its row or
+    column of f, its column of s_in or its row_s is nonzero; row_s sums
+    the letter's whole across-space row, so it covers the rows of s_in.
+    Each row is keyed in one pass over its columns, as base-326 digits:
+    the pair itself where it is live, _N_PAIRS where it is dead. Rows with
+    one key hold the same live pairs in the same columns, so their costs
+    have the same bits. A key never joins rows whose live pairs differ; it
+    splits rows with the same live pairs only where those sit in different
+    columns, and each part is then scored once. The first row of each key
+    has the smallest encoding of the key, so the first least cost among
+    the kept rows, which ascend, is the least (cost, encoding) of the
+    band, with that row's own bits. A 1-row band is scored as it is.
     """
-    used = x.f.any(0) | x.f.any(1) | x.s_in.any(0) | x.s_in.any(1) | (x.row_s > 0)
+    used = x.f.any(0) | x.f.any(1) | x.s_in.any(0) | (x.row_s > 0)
     live = used.take(_U) | used.take(_V)
     found = []
     for rows in bands:
         if rows[0].shape[0] > 1:
-            live_cols = [live.take(col) for col in rows]
-            key = np.zeros(rows[0].shape[0], dtype=np.int64)
-            for col, is_live in zip(rows, live_cols):
-                key = np.where(is_live, key * (_N_PAIRS + 1) + col, key)
-            for is_live in live_cols:
-                key = np.where(is_live, key, key * (_N_PAIRS + 1) + _N_PAIRS)
+            key = 0
+            for col in rows:
+                key = key * (_N_PAIRS + 1) + np.where(live.take(col), col, _N_PAIRS)
             first = np.sort(np.unique(key, return_index=True)[1])
             rows = tuple(col.take(first) for col in rows)
         costs = []
@@ -722,7 +725,8 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     runs; before each chunk the cut of the moment, which falls as best
     does, is applied again. The seed run is scored again at its place, so
     the kept rows ascend with no sort. Rows kept before best fell are cut
-    to the final best + band at the end.
+    to the final best + band at the end, by _band_rows: the row that set
+    best is kept in its chunk, so the least kept delta is the final best.
 
     Why the bounds hold, in exact arithmetic. Take a row (i, j, k). Its
     size-2 parts (i, j) and (i, k) are rows of i's run, as i takes j and
@@ -800,9 +804,8 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     del kernel, at, lb
     i, rows, deltas = (np.concatenate(col) for col in zip(*kept))
     del kept
-    keep = deltas <= best + band
-    rows = rows[keep]
-    return i[keep], plan.first.take(rows), plan.second.take(rows)
+    i, rows = _band_rows(deltas, (i, rows), band)
+    return i, plan.first.take(rows), plan.second.take(rows)
 
 
 # ---------------------------------------------------------------------------

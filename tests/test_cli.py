@@ -66,6 +66,15 @@ def test_ingest_txt_input(workdir):
     assert (workdir / "u.txt").read_text() == "plain line one plain line two"
 
 
+def test_ingest_reads_an_upper_case_jsonl_extension_as_json(workdir):
+    river = (Path(__file__).parent / "data" / "river.jsonl").read_bytes()
+    for name in ("river.jsonl", "RIVER.JSONL"):
+        (workdir / name).write_bytes(river)
+        assert main(["ingest", name, "-o", f"{name}.txt"]) == 0
+    lower, upper = ((workdir / f"{name}.txt").read_bytes() for name in ("river.jsonl", "RIVER.JSONL"))
+    assert upper == lower and not lower.startswith(b"text")
+
+
 def test_ingest_policy_flags(workdir):
     write_jsonl(workdir / "u.jsonl", TWEETS)
     assert main(["ingest", "u.jsonl", "-o", "kept.txt", "--keep-retweets", "--max-raw-chars", "60"]) == 0
@@ -718,7 +727,7 @@ BAD_SETTINGS = [
     ("geometry-file-missing", None, None, ["--geometry", "nope.json"], 2, ("optimize", "report", "batch")),
     ("geometry-file-lacks-field", None, None, ["--geometry", "short.json"], 2, ("optimize", "report", "batch")),
     ("geometry-file-bad-width", None, None, ["--geometry", "flat.json"], 2, ("optimize", "report", "batch")),
-    ("config-geometry-lacks-field", {"geometry": {"key_width_mm": 5}}, None, [], 2, ("optimize", "report", "batch")),
+    ("config-geometry-lacks-field", {"geometry": {"key_width_mm": 5}}, None, [], 2, ALL_COMMANDS),
     ("manifest-geometry-bad-width", None, {"geometry": BAD_WIDTH_SPEC}, [], 2, ("batch",)),
     ("config-not-an-object", [1, 2], None, [], 2, ALL_COMMANDS),
     ("config-section-not-an-object", {"search": 3}, None, [], 2, ALL_COMMANDS),
@@ -742,12 +751,12 @@ BAD_SETTINGS = [
     ("config-model-key-area-bool", {"model": {"kind": "fitts", "key_area_mm2": True}}, None, [], 1, ("optimize", "batch")),
     ("config-model-alpha-beyond-float", {"model": {"kind": "fitts", "alpha": 2**1024}}, None, [], 1, ("optimize", "batch")),
     ("beta-flag-nan", None, None, ["--model", "fitts", "--beta", "nan"], 1, ("optimize",)),
-    ("config-geometry-infinite-width", {"geometry": INFINITE_WIDTH_SPEC}, None, [], 2, ("optimize", "report", "batch")),
-    ("config-geometry-bool-gap", {"geometry": BOOL_GAP_SPEC}, None, [], 2, ("optimize", "report", "batch")),
-    ("config-geometry-width-beyond-float", {"geometry": HUGE_WIDTH_SPEC}, None, [], 2, ("optimize", "report", "batch")),
+    ("config-geometry-infinite-width", {"geometry": INFINITE_WIDTH_SPEC}, None, [], 2, ALL_COMMANDS),
+    ("config-geometry-bool-gap", {"geometry": BOOL_GAP_SPEC}, None, [], 2, ALL_COMMANDS),
+    ("config-geometry-width-beyond-float", {"geometry": HUGE_WIDTH_SPEC}, None, [], 2, ALL_COMMANDS),
     ("manifest-geometry-infinite-width", None, {"geometry": INFINITE_WIDTH_SPEC}, [], 2, ("batch",)),
     ("geometry-file-overlapping-slots", None, None, ["--geometry", "overlap.json"], 2, ("optimize", "report", "batch")),
-    ("config-geometry-overlapping-slots", {"geometry": OVERLAP_SPEC}, None, [], 2, ("optimize", "report", "batch")),
+    ("config-geometry-overlapping-slots", {"geometry": OVERLAP_SPEC}, None, [], 2, ALL_COMMANDS),
     ("manifest-geometry-overlapping-slots", None, {"geometry": OVERLAP_SPEC}, [], 2, ("batch",)),
     ("threads-flag-zero", None, None, ["--threads", "0"], 1, ("optimize", "batch")),
     ("config-out-dir-false", {"out_dir": False}, None, [], 1, ("ingest", "optimize", "batch")),
@@ -761,7 +770,7 @@ BAD_SETTINGS = [
     ("config-out-dir-lone-surrogate", {"out_dir": "\ud800x"}, None, [], 1, ("ingest", "optimize", "batch")),
     ("manifest-out-dir-lone-surrogate", None, {"out_dir": "\ud800x"}, [], 1, ("batch",)),
     # null is not the default spec, and a manifest's null does not discard the config's spec
-    ("config-geometry-null", {"geometry": None}, None, [], 2, ("optimize", "report", "batch")),
+    ("config-geometry-null", {"geometry": None}, None, [], 2, ALL_COMMANDS),
     ("manifest-geometry-null", {"geometry": DOUBLE_SPEC}, {"geometry": None}, [], 2, ("batch",)),
 ]
 

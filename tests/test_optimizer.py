@@ -744,6 +744,8 @@ def test_optimize_picks_the_exact_winner_of_every_row(geometry):
     texts = [tie_heavy_text(random.Random(s), *TIE_RECIPE_WORDS) for s in (2009, 2032, 2038)]
     # one-letter words: every count is across a space
     texts += [tie_heavy_text(random.Random(2004)), TWO_LETTER_TEXT, "a b c a b"]
+    # the live letters sort last, so band rows hold dead pairs before and after a live one
+    texts += ["yz zy yzyz z y zy"]
     searches = ((1, "canonical"), (2, "canonical"), (3, "canonical"), (3, "paper"))
     for text in texts:
         stats = count_bigrams(KeySequence(text))
