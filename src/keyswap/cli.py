@@ -446,7 +446,7 @@ def cmd_batch(args, config: dict) -> int:
         uid = row["id"]
         if not isinstance(uid, str):
             raise DataError(f"manifest user id must be a string, got {json.dumps(uid)}")
-        if not uid or any(c in uid for c in "/\\\0") or uid in (".", "..") or not _encodes(uid):
+        if not uid or any(c in uid for c in "/\\\0") or uid in (".", "..", "batch.json", "aggregate.json", "aggregate_panels.svg") or not _encodes(uid):
             raise DataError(f"manifest user id unusable as a directory name: {uid!r}")
         if not _NOT_IN_XML.isdisjoint(uid):
             raise DataError(f"manifest user id holds a character that XML cannot hold: {uid!r}")

@@ -104,7 +104,9 @@ def normalize(raw: str, policy: IngestPolicy = IngestPolicy()) -> KeySequence:
     Lowercases, optionally folds diacritics to base letters, keeps a-z,
     turns any whitespace run into one space, and discards everything
     else. Leading spaces are stripped; a trailing space survives when
-    the raw text ends in whitespace. Idempotent on its own output.
+    the text, once everything but a-z and whitespace is dropped from it,
+    holds a letter and ends in whitespace, so "ab !" and "abc 😀" keep one.
+    Idempotent on its own output.
     """
     text = raw.lower()
     if policy.fold_diacritics:

@@ -53,12 +53,13 @@ of block i is at least d1[i] + max((r[i] + m[i]) + min_{j>i} r[j], (r[i]
 + r[i]) + min_{j>i} m[j]), the bound of the block (bounds of the
 Gilmore-Lawler kind for this restricted quadratic assignment problem).
 The run of least lb in the block of least bound is scored first; it
-gives best, the least delta so far, and the cut (best + band) + tau,
-with tau = 2**-40 * (3 * (max|d1| + max|c2|) + band) far more than the
-rounding of any row, bound or cut. Of the blocks whose bound is within
-the cut, every run with lb(i, j) within it is then scored by one gather,
-the only scorer of the scan, in plan order and in chunks, each chunk's
-runs cut again by the cut of the moment, which falls as best does.
+gives best, the least delta so far, and the cut best + 2 * band: one
+band holds the rows that are kept, and one covers the rounding of their
+bounds, which _band_width's bounds make far less than a band. The band
+is the search's only slack. Of the blocks whose bound is within the
+cut, every run with lb(i, j) within it is then scored by one gather, the
+only scorer of the scan, in plan order and in chunks, each chunk's runs
+cut again by the cut of the moment, which falls as best does.
 _best_size3 holds the proof. So every row of the band is either scored
 or shown to cost strictly more than best + band.
 
@@ -715,12 +716,10 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     The scan. Block i is first pair i's rows, bound[i] its block bound
     (block_bounds) and lb(i, j) the bound of its run j (lb). gather() is
     the only scorer. It first scores the seed run, the run of least lb in
-    the block of least finite bound (the first on ties of each). That
-    sets best, the least delta scored so far, and the cut (best + band) +
-    tau, with tau = 2**-40 * (S + band) and S = 3 * (max|d1| + max|c2|),
-    the max over c2's size-2 rows, which hold every cross term of every
-    row. The runs of every first pair whose bound is within that cut, the
-    seed's included, are bounded as one flat vector, and those whose lb is
+    the block of least bound (the first on ties of each). That sets best,
+    the least delta scored so far, and the cut best + 2 * band. The runs
+    of every first pair whose bound is within that cut, the seed's
+    included, are bounded as one flat vector, and those whose lb is
     within it are scored by gather(), in plan order, in chunks of _RUNS
     runs; before each chunk the cut of the moment, which falls as best
     does, is applied again. The seed run is scored again at its place, so
@@ -744,58 +743,67 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     the row is at least either.
 
     Which first pairs are scored. A first pair that takes a row (i, j,
-    k) has finite r[i], m[i], r[j] and m[j], so a finite bound; one whose
-    bound is +inf takes no row and has no block. That includes every
-    first pair whose suffix is empty, since each later pair has an empty
-    run. So the seed block has at least one run, even when tau is inf.
-    Which bounds are finite depends only on the plan: the first pairs of
-    finite bound that take no row are canonical 315-320 and 25 paper
-    ones, and one of them can seed the scan. Its runs then hold only
-    rows of +inf, or no row where j's run is empty, which makes lb +inf.
-    The seed run's least delta is taken from +inf, so best stays +inf,
-    the cut is +inf, and every run of every block of finite bound is
-    gathered until a finite delta sets best. Rows kept while best is +inf
-    are +inf, and the final cut drops them, as the stream holds a finite
-    row.
+    k) has finite r[i], m[i], r[j] and m[j], so a finite bound: the least
+    bound is finite, and the seed block, whose r[i] is finite, has at
+    least one run. A block whose bound is +inf takes no row: either its
+    own run is empty, and it has no run, or every later pair's run is,
+    and its runs gather nothing. It is never within a finite cut. Which
+    bounds are finite depends only on the plan: the first pairs of finite
+    bound that take no row are canonical 315-320 and 25 paper ones, and
+    one of them can seed the scan. Its runs then hold only rows of +inf,
+    or no row where j's run is empty, which makes lb +inf. The seed run's
+    least delta is taken from +inf, so best stays +inf, the cut is +inf,
+    and every run of every block is gathered until a finite delta sets
+    best; the blocks of bound +inf are admitted too, and add no row. Rows
+    kept while best is +inf are +inf, and the final cut drops them, as
+    the stream holds a finite row.
 
-    Proof that no skipped row computes at or below best + band. Let X be
-    a row's exact sum of six terms, with |terms| summing to at most S.
-    Each bound of the row is computed in five additions, and a max, from
-    six operands, each at most the computed term or two-term sum of the
-    row that it bounds; rounding is monotone, so the computed bound is at
-    most the same five additions over the row's own terms, such as
-    ((d1[i] + d1[j]) + c2[i, j]) + ((d1[k] + c2[j, k]) + c2[i, k]). That
-    sum and the kernel's row are each within gamma_5 * S of X (Higham,
-    Accuracy and Stability of Numerical Algorithms, section 4.2), so the
-    computed row is at least the computed bound - 2 * gamma_5 * S, about
-    bound - 10u * S. The two roundings of (best + band) + tau are at most
-    u * (|best| + band + tau) each, with |best| about S at most, and tau
-    is 8192u * (S + band), far above their sum plus 10u * S. So a block
-    whose bound exceeds the first cut, and a run whose lb exceeds the cut
-    applied before its chunk, hold only rows that compute strictly above
-    best + band at that moment; best only falls, so each cut is at least
-    the final one, and they compute above the final best + band. The
-    band is then complete, and with _band_width's eps the row of least
-    layout cost and its tie-break are among its rows. All-zero tables
-    with a zero band give tau = 0 and skip nothing; a max that overflows
-    gives tau = inf, which skips nothing either.
+    Proof that no skipped row computes at or below best + band.
+    Precondition: band is _band_width's for the cost inputs of d1 and c2,
+    or the tables are exact, every sum and bound of the scan computed
+    without rounding, as with small integers; band may then be 0. Let X
+    be a row's exact sum of six terms, with |terms| summing to at most S
+    = 3 * (max|d1| + max|c2|), the max over c2's size-2 rows, which hold
+    every cross term of every row. Each bound of the row is computed in
+    five additions, and a max, from six operands, each at most the
+    computed term or two-term sum of the row that it bounds; rounding is
+    monotone, so the computed bound is at most the same five additions
+    over the row's own terms, such as ((d1[i] + d1[j]) + c2[i, j]) +
+    ((d1[k] + c2[j, k]) + c2[i, k]). That sum and the kernel's row are
+    each within gamma_5 * S of X (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 4.2), so the computed row is at least
+    the computed bound - 2 * gamma_5 * S, about bound - 10u * S.
+    _band_width shows that the true |d1| of a row's pairs sum to at most
+    4 Phi, and so do its true |c2|: each true |d1[p]| and |c2[r]| is at
+    most 4 Phi, so S is at most about 24 Phi, up to rounding. The cut
+    best + 2 * band and the kept rows' best + band each round once, by at
+    most u * (|best| + 2 * band), with |best| at most about S. So a row
+    that computes at or below best + band has a computed bound within
+    about band + 10u * S + 2u * |best|, about band + 288u Phi, of best,
+    and band = 2**-40 * (Phi + |base_cost|) = 8192u * (Phi + |base_cost|)
+    is at least 28 times 288u Phi: the bound is within the cut. Exact
+    tables need no slack, as each bound is at most its row and each cut
+    is exact. So a block whose bound exceeds the first cut, and a run
+    whose lb exceeds the cut applied before its chunk, hold only rows
+    that compute strictly above best + band at that moment; best only
+    falls, so each cut is at least the final one, and they compute above
+    the final best + band. The band is then complete, and with
+    _band_width's eps the row of least layout cost and its tie-break are
+    among its rows.
     """
     kernel = _Size3Kernel(d1, c2, plan)
-    s = 3 * (max(float(d1.max()), -float(d1.min())) + max(float(c2.max()), -float(c2.min())))
-    tau = 2.0**-40 * (s + band)
     bound = kernel.block_bounds()
-    live = np.flatnonzero(bound < math.inf)
     # the seed block's runs, and of them the seed run, whose least delta is
     # +inf if it holds no row that its first pair takes, or no row at all
-    at, lb = kernel.lb(live[[np.argmin(bound.take(live))]])
+    at, lb = kernel.lb(np.argmin(bound, keepdims=True))
     best = float(kernel.gather(at[[np.argmin(lb)]])[2].min(initial=math.inf))
-    at, lb = kernel.lb(live[bound.take(live) <= (best + band) + tau])
-    admitted = np.flatnonzero(lb <= (best + band) + tau)
+    at, lb = kernel.lb(np.flatnonzero(bound <= best + 2 * band))
+    admitted = np.flatnonzero(lb <= best + 2 * band)
     at, lb = at.take(admitted), lb.take(admitted)
     # (first pair, plan row (j, k), delta) of the rows within the band of the moment, in plan order
     kept = []
     for lo in range(0, at.shape[0], _RUNS):
-        chunk = lo + np.flatnonzero(lb[lo : lo + _RUNS] <= (best + band) + tau)
+        chunk = lo + np.flatnonzero(lb[lo : lo + _RUNS] <= best + 2 * band)
         if chunk.size:
             i, rows, deltas = kernel.gather(at.take(chunk))
             best = float(deltas.min(initial=best))

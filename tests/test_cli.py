@@ -480,6 +480,10 @@ def test_batch_manifest_validation(workdir):
         ("a\0b", "unusable as a directory name: 'a\\x00b'"),
         # the id names files whose text is UTF-8, which no lone surrogate encodes to
         ("a\udcff", "unusable as a directory name: 'a\\udcff'"),
+        # the id would name a directory where batch writes its own files
+        ("batch.json", "unusable as a directory name: 'batch.json'"),
+        ("aggregate.json", "unusable as a directory name: 'aggregate.json'"),
+        ("aggregate_panels.svg", "unusable as a directory name: 'aggregate_panels.svg'"),
         # the id is written into scatter.svg, and XML 1.0 holds no C0 control but
         # tab, LF and CR, and neither U+FFFE nor U+FFFF
         ("a\u0001b", "holds a character that XML cannot hold: 'a\\x01b'"),

@@ -382,9 +382,10 @@ def test_candidate_streams_ascend_so_argmin_breaks_ties(n, mode):
     first = tuple(int(col[0]) for col in blocks[0])
     assert min(_best(d1, table, block) for block in blocks) == (0.0, first)
     if n == 3:
-        # tau and the band are 0, so nothing is pruned: every block is
-        # scored and every row ties, so the band is the whole stream, in
-        # its order; the first pairs that take no row add no row
+        # the band is 0 and the tables are exact, so nothing is pruned:
+        # every block is scored and every row ties, so the band is the
+        # whole stream, in its order; the first pairs that take no row add
+        # no row
         rows = _best_size3(d1, c2, _size3_plan(mode), 0.0)
         assert np.array_equal(_encodings([rows]), _encodings(blocks))
 
@@ -529,7 +530,8 @@ def _watch_scan(monkeypatch) -> list[np.ndarray]:
 
 
 def _scan_tau(d1, c2, band) -> float:
-    """_best_size3's slack: 2**-40 * (3 * (max|d1| + max|c2|) + band)."""
+    """An allowance for the rounding of the bounds, for tables with no
+    band: 2**-40 * (3 * (max|d1| + max|c2|) + band)."""
     return 2.0**-40 * (3 * (np.abs(d1).max() + np.abs(c2).max()) + band)
 
 
@@ -552,13 +554,14 @@ def _size3_table_cases(geometry):
 
 def test_size3_bounds_hold_for_every_block_and_run(geometry, monkeypatch):
     # Each first pair's block bound is at most its block's least delta, and
-    # each lb(i, j) at most the least delta of run j of block i, up to
-    # _best_size3's tau, the deltas being _row_deltas'. The runs of i are
-    # the pairs that i takes, in order. The scan's first gather is one run
-    # of the block of least bound.
+    # each lb(i, j) at most the least delta of run j of block i, up to the
+    # band, the only slack of _best_size3's cut, the deltas being
+    # _row_deltas'. Random tables have no band, and are held to _scan_tau's
+    # rounding allowance. The runs of i are the pairs that i takes, in
+    # order. The scan's first gather is one run of the block of least bound.
     scored = _watch_scan(monkeypatch)
     for name, d1, c2, band in _size3_table_cases(geometry):
-        tau = _scan_tau(d1, c2, band)
+        slack = band or _scan_tau(d1, c2, band)
         table = c2_table(c2)
         for mode in MODES:
             case = (name, mode)
@@ -574,13 +577,13 @@ def test_size3_bounds_hold_for_every_block_and_run(geometry, monkeypatch):
             ends = np.cumsum(plan.runs[firsts])
             for i, hi, block in zip(firsts.tolist(), ends.tolist(), blocks):
                 deltas = _row_deltas(d1, table, block)
-                assert bound[i] <= deltas.min() + tau, (case, i)
+                assert bound[i] <= deltas.min() + slack, (case, i)
                 # the least delta of each run of i, +inf where the block has no row (i, j, .)
                 j = plan.second[at[hi - plan.runs[i] : hi]]
                 least = np.full(j.shape, np.inf)
                 seconds, starts = np.unique(block[1], return_index=True)
                 least[np.searchsorted(j, seconds)] = np.minimum.reduceat(deltas, starts)
-                assert np.all(lb[hi - plan.runs[i] : hi] <= least + tau), (case, i)
+                assert np.all(lb[hi - plan.runs[i] : hi] <= least + slack), (case, i)
             del scored[:]
             _best_size3(d1, c2, plan, band)
             assert scored[0].tolist() == [np.argmin(bound)], case
@@ -655,6 +658,29 @@ def test_size3_scan_keeps_its_band_with_one_run_a_chunk(geometry, mode, monkeypa
         in_band = np.flatnonzero(deltas <= deltas.min() + band)
         rows = _best_size3(d1, c2, _size3_plan(mode), band)
         assert np.array_equal(_encodings([rows]), _encodings(blocks)[in_band]), text[:20]
+
+
+def test_size3_scan_counts_on_the_bundled_users(geometry, monkeypatch):
+    # The rows that each gather of a size-3 search returns, seed run first,
+    # on each bundled user: the README quotes their ranges, 190 to 253 seed
+    # rows and 2,088 to 13,531 in all, and in paper mode 70 to 133 seed rows
+    # and 133 to 6,403 more.
+    counts = {
+        "allotment": {"canonical": [190, 8746], "paper": [70, 3930]},
+        "kitchen": {"canonical": [253, 1835], "paper": [133, 133]},
+        "river": {"canonical": [190, 12554, 707], "paper": [70, 6403]},
+        "stargazer": {"canonical": [190, 7533], "paper": [70, 1150]},
+        "workshop": {"canonical": [190, 13080, 261], "paper": [70, 4986]},
+    }
+    gathered = []
+    gather = _Size3Kernel.gather
+    monkeypatch.setattr(_Size3Kernel, "gather", lambda kernel, at: gathered.append(gather(kernel, at)) or gathered[-1])
+    for path, text in zip(sorted(DATA.glob("*.jsonl")), bundled_texts(), strict=True):
+        stats = count_bigrams(KeySequence(text))
+        for mode in MODES:
+            del gathered[:]
+            optimize(geometry, stats, SearchConfig(mode=mode))
+            assert [len(deltas) for _, _, deltas in gathered] == counts[path.stem][mode], (path.stem, mode)
 
 
 def test_size3_search_peak_memory(geometry):
