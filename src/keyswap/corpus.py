@@ -153,9 +153,12 @@ def ingest_tweets(records: list[dict], policy: IngestPolicy = IngestPolicy()) ->
 
 
 def read_tweet_file(path: str) -> list[dict]:
-    """Load tweet records from .jsonl, in any case ({"text": ...}), or else text (one per line)."""
+    """Load tweet records from .jsonl, in any case ({"text": ...}), or else text (one per line).
+
+    A leading UTF-8 byte order mark is dropped, so it belongs to no record.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = list(fh)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None

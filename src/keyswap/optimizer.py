@@ -26,21 +26,25 @@ vector of 325, and, for sizes above 1, _build_c2 from second
 differences, a vector of one c2[p, q] per size-2 row (p, q), p < q, the
 only entries the search reads. One gather, _second_differences, gives
 every second difference of both halves of c2, at (p, q) and (q, p). The
-half that depends only on the geometry, the model and the base layout is
-built once per process, in one unchunked pass, and cached
-(_c2_geometry). Each size has one candidate stream,
+differences that depend only on the geometry, the model and the base
+layout, those of e, h and sp for d1 and c2's half, are built once per
+process and kept in one cache under one key (_geometry_tables), c2's
+half in one unchunked pass on its first read; a search takes only the
+differences of its counts. Each size has one candidate stream,
 _candidate_blocks(n, mode). Sizes 1 and 2 keep their band with
-_band_rows, and size 3 with _best_size3 over the rows of
-_size3_plan(mode): every row whose table delta is within band of the
-least, where band = 2 * eps and eps bounds |table row - (layout
-cost(row) - base cost)| for every row (_band_width holds the proof).
-_rescore then scores each band with the layout cost itself, in
-stats_cost's arithmetic, once per class of rows that move the corpus's
-letters alike, and takes the least (cost, encoding). The winner, its
-tie-break toward the smallest canonical encoding and the reported best
-cost are therefore those of scoring every row with stats_cost, bit for
-bit. _triplet_pairings is kept only as the reference stream of
-enumerate_swapsets(3, "paper") and of the tests.
+_band_rows, size 2 over the deltas a[i, j] = (d1[i] + d1[j]) + c2[i, j]
+of _pair_deltas, the search's one sum of them, which a search that also
+has size 3 takes from the size-3 kernel; size 3 keeps its band with
+_best_size3 over the rows of _size3_plan(mode): every row whose table
+delta is within band of the least, where band = 2 * eps and eps bounds
+|table row - (layout cost(row) - base cost)| for every row (_band_width
+holds the proof). _rescore then scores each band with the layout cost
+itself, in stats_cost's arithmetic, once per class of rows that move the
+corpus's letters alike, and takes the least (cost, encoding). The
+winner, its tie-break toward the smallest canonical encoding and the
+reported best cost are therefore those of scoring every row with
+stats_cost, bit for bit. _triplet_pairings is kept only as the reference
+stream of enumerate_swapsets(3, "paper") and of the tests.
 
 The size-3 search does not score every row. A minimum over each run of
 plan rows gives two vectors per pair p: r[p], the least d1[k] + c2[p,
@@ -75,7 +79,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -371,14 +375,21 @@ def _build_d1(x: _CostInputs) -> np.ndarray:
     row_s)[p] * (P sp)[p] for the space after each letter. Its bits are
     not those of the change in layout cost, which delta_cost adds:
     _band_width bounds how far a row of the tables is from that change.
+
+    The differences of e, h and sp depend only on the geometry, the model
+    and the base layout, and come from the cache _geometry_tables; only
+    those of the counts are taken here. Each is the same subtractions of
+    the same operands, in an array of the same layout, so d1 has the bits
+    of taking them all anew.
     """
-    d1 = -(_first_difference(x.row_s) * _first_difference(x.sp))
-    for m, e in ((x.f, x.e), (x.s_in, x.h)):
-        pm, pe = _first_difference(m), _first_difference(e)
+    geometry = _geometry(x)
+    d1 = -(_first_difference(x.row_s) * geometry.sp)
+    for m, (pe, pe_t, own) in ((x.f, geometry.e), (x.s_in, geometry.h)):
+        pm = _first_difference(m)
         d1 -= np.einsum("pk,pk->p", pm, pe)
-        d1 -= np.einsum("pk,pk->p", _first_difference(m.T), _first_difference(e.T))
+        d1 -= np.einsum("pk,pk->p", _first_difference(m.T), pe_t)
         # (P m P^T)[p, p] = (P m)[p, u_p] - (P m)[p, v_p]
-        d1 += (pm.take(_OWN_U) - pm.take(_OWN_V)) * (pe.take(_OWN_U) - pe.take(_OWN_V))
+        d1 += (pm.take(_OWN_U) - pm.take(_OWN_V)) * own
     return d1
 
 
@@ -396,31 +407,59 @@ def _second_differences(pm: np.ndarray, rows) -> np.ndarray:
     return d.reshape(-1, 2 * pm.shape[1])
 
 
-@lru_cache(maxsize=4)
-def _c2_geometry(eh: bytes) -> np.ndarray:
-    """The half of c2 that a corpus does not change, for the effort tables
-    e and h whose float64 bytes eh holds, one after the other.
+class _Geometry:
+    """The operands of the delta tables that a corpus does not change,
+    for the effort tables e, h and sp whose float64 bytes ehsp holds, one
+    after the other; _geometry_tables keeps them per process.
 
-    Row r, for size-2 row (i, j) of _SIZE2, is E2(i, j), H2(i, j), E2(j,
-    i) and H2(j, i), from one _second_differences over every row: each
-    entry is the same two subtractions of the same operands as in the full
-    table (P e P^T, P h P^T), so it has that table's bits. 44,850 x 4
-    values, 1.4 MB, read-only. The cache is keyed by the bytes of e and h,
-    the only inputs of these values, so an entry can never serve another
-    geometry, model or base layout; a search computes it under optimize's
-    raising errstate, and one that raises leaves no entry.
+    sp is P sp. e holds P e, P e^T and the corners (P e P^T)[p, p] =
+    (P e)[p, u_p] - (P e)[p, v_p], the operands of _build_d1, and h the
+    same of h: 0.3 MB, built with the entry. c2 is the geometry half of
+    c2, _build_c2's operand, built on its first read, so that a search of
+    size 1 builds none: row r, for size-2 row (i, j) of _SIZE2, is E2(i,
+    j), H2(i, j), E2(j, i) and H2(j, i), from one _second_differences
+    over every row, 44,850 x 4 values, 1.4 MB. Each entry is the same
+    subtractions of the same operands as in the full tables (P e, P e
+    P^T, ...), in arrays of the same layout, so it has their bits. Every
+    array is read-only, as every search of the geometry shares it.
 
-    The fill is one unchunked gather on purpose: it frees one 1.4 MB
+    The c2 fill is one unchunked gather on purpose: it frees one 1.4 MB
     temporary, glibc's malloc then raises its mmap threshold to its
     size, and the smaller arrays of later searches are served from its
     heap and reused, not mapped afresh and faulted in page by page. With
     a chunked fill, every later size-3 search faulted 400-700 times;
     test_later_searches_take_next_to_no_page_faults pins this.
     """
-    tables = np.frombuffer(eh).reshape(2, _N_LETTERS, _N_LETTERS)
-    half = _second_differences(_first_difference(np.stack(tables, axis=-1)).reshape(-1, 2), slice(None))
-    half.flags.writeable = False
-    return half
+
+    def __init__(self, ehsp: bytes):
+        flat = np.frombuffer(ehsp)
+        self._tables = flat[: 2 * _N_LETTERS**2].reshape(2, _N_LETTERS, _N_LETTERS)
+        self.sp = _first_difference(flat[2 * _N_LETTERS**2 :])
+        parts = []
+        for t in self._tables:
+            pt = _first_difference(t)
+            parts.append((pt, _first_difference(t.T), pt.take(_OWN_U) - pt.take(_OWN_V)))
+        self.e, self.h = parts
+        for a in (self.sp, *self.e, *self.h):
+            a.flags.writeable = False
+
+    @cached_property
+    def c2(self) -> np.ndarray:
+        half = _second_differences(_first_difference(np.stack(self._tables, axis=-1)).reshape(-1, 2), slice(None))
+        half.flags.writeable = False
+        return half
+
+
+# The cache is keyed by the bytes of e, h and sp, the only inputs of an
+# entry, so an entry can never serve another geometry, model or base
+# layout. A search computes it under optimize's raising errstate: a build
+# that raises leaves no entry, and a c2 fill that raises leaves no c2.
+_geometry_tables = lru_cache(maxsize=4)(_Geometry)
+
+
+def _geometry(x: _CostInputs) -> _Geometry:
+    """The cached _Geometry of x's effort tables."""
+    return _geometry_tables(x.e.tobytes() + x.h.tobytes() + x.sp.tobytes())
 
 
 def _build_c2(x: _CostInputs) -> np.ndarray:
@@ -436,7 +475,7 @@ def _build_c2(x: _CostInputs) -> np.ndarray:
     i]. Only these 44,850 rows are built: the search reads no other pairs.
 
     The second differences of e and h depend only on the geometry, the
-    model and the base layout, and come from the cache _c2_geometry.
+    model and the base layout, and come from the cache _geometry_tables.
     Those of f and s_in come from the same _second_differences, a few
     thousand rows at a time, in the same column order: F2(i, j), S2(i, j),
     F2(j, i), S2(j, i). Counts are integers far below 2**51, so every such
@@ -447,7 +486,7 @@ def _build_c2(x: _CostInputs) -> np.ndarray:
     eight (letter of i, letter of j) combinations in turn: _band_width
     bounds how far a row of the tables is from the change in layout cost.
     """
-    geometry = _c2_geometry(x.e.tobytes() + x.h.tobytes())
+    geometry = _geometry(x).c2
     counts = _first_difference(np.stack((x.f, x.s_in), axis=-1)).reshape(-1, 2)
     c2 = np.empty(geometry.shape[0])
     for lo in range(0, c2.shape[0], _ROWS):
@@ -603,6 +642,16 @@ def _best(d1: np.ndarray, c2: np.ndarray | None, block) -> tuple[float, tuple[in
     return float(deltas[r]), tuple(int(col[r]) for col in block)
 
 
+def _pair_deltas(d1i: np.ndarray, d1j: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """a[i, j] = (d1[i] + d1[j]) + c2[i, j], the delta of each size-2 row
+    (i, j), from d1[i], d1[j] and c2[i, j] at the rows: the only sum of it
+    in the search, which reads it as the size-2 band's deltas and as the
+    size-3 kernel's a, and associated as _row_deltas does."""
+    a = d1i + d1j
+    a += c2
+    return a
+
+
 def _band_rows(deltas: np.ndarray, block, band: float) -> tuple[np.ndarray, ...]:
     """The rows of a block whose delta is at most the least one + band, in block order."""
     keep = np.flatnonzero(deltas <= deltas.min() + band)
@@ -631,11 +680,15 @@ class _Size3Kernel:
     size2 rows. One +inf follows them, one past the last plan row, where
     takes points for the pairs that a first pair does not take. So
     c2jk[takes[i, q]] is c2[i, q] where i takes q, as (i, q) is then a
-    plan row, and +inf elsewhere. a holds a[i, j] = (d1[i] + d1[j]) +
-    c2[i, j] at each plan row (i, j), which lb and gather both read. A
-    minimum.reduceat over each of d1k + c2jk and c2jk gives r[p] and
-    m[p], the least d1[k] + c2[p, k] and the least c2[p, k] over pair p's
-    run, +inf where the run is empty.
+    plan row, and +inf elsewhere. a holds _pair_deltas' a[i, j] = (d1[i]
+    + d1[j]) + c2[i, j] at each plan row (i, j), which lb and gather both
+    read, and which is the size-2 band's deltas where the plan is
+    canonical. The kernel copies every table it reads, so the c2 that
+    builds it may be dropped, and _best_size3, its last reader, drops a,
+    d1k and c2jk before its final cut. A minimum.reduceat over each of
+    d1k + c2jk and c2jk gives r[p] and m[p], the least d1[k] + c2[p, k]
+    and the least c2[p, k] over pair p's run, +inf where the run is
+    empty.
     """
 
     def __init__(self, d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan):
@@ -643,7 +696,7 @@ class _Size3Kernel:
         self.d1k = d1.take(plan.second)
         self.c2jk = np.append(c2 if plan.first.shape[0] == c2.shape[0] else c2[plan.size2], math.inf)
         # first ascends in runs, so d1 repeated runs times is d1 at first
-        self.a = (np.repeat(d1, plan.runs) + self.d1k) + self.c2jk[:-1]
+        self.a = _pair_deltas(np.repeat(d1, plan.runs), self.d1k, self.c2jk[:-1])
         has = plan.runs > 0
         starts = (plan.lo - plan.runs)[has]
         self.r, self.m = np.full((2, _N_PAIRS), np.inf)
@@ -691,27 +744,37 @@ class _Size3Kernel:
 
 
 def _bands(x: _CostInputs, base_cost: float, sizes, mode: str) -> list[tuple[np.ndarray, ...]]:
-    """The band of each search size under the fast tables, which are
-    dropped on return; a size-1 search builds no c2. Each size-2 row's
-    delta is (d1[i] + d1[j]) + c2[r], with c2 read as it is built."""
+    """The band of each search size, sizes ascending, under the fast
+    tables, which are dropped on return; a size-1 search builds no c2.
+
+    Each table is built once. A search of size 3 builds its kernel from a
+    c2 that nothing else holds, and a cumulative one, which is canonical,
+    cuts its size-2 band from the kernel's a, the deltas of every size-2
+    row in _SIZE2's order. _best_size3 then drops the kernel's tables
+    before its final cut. A size-2 search without size 3 sums a itself,
+    with _pair_deltas, and builds no kernel.
+    """
     band = _band_width(x, base_cost)
     d1 = _build_d1(x)
-    c2 = _build_c2(x) if max(sizes) > 1 else None
-    bands = []
-    for size in sizes:
-        if size == 1:
-            bands.append(_band_rows(d1, (np.arange(_N_PAIRS),), band))
-        elif size == 2:
-            i, j = _SIZE2
-            bands.append(_band_rows((d1.take(i) + d1.take(j)) + c2, _SIZE2, band))
-        else:
-            bands.append(_best_size3(d1, c2, _size3_plan(mode), band))
+    bands = [_band_rows(d1, (np.arange(_N_PAIRS),), band)] if 1 in sizes else []
+    if 3 in sizes:
+        kernel = _Size3Kernel(d1, _build_c2(x), _size3_plan(mode))
+        if 2 in sizes:
+            bands.append(_band_rows(kernel.a, _SIZE2, band))
+        bands.append(_best_size3(kernel, band))
+    elif 2 in sizes:
+        # c2 first, so that the gathers of d1 are not held while it is built
+        c2, (i, j) = _build_c2(x), _SIZE2
+        bands.append(_band_rows(_pair_deltas(d1.take(i), d1.take(j), c2), _SIZE2, band))
     return bands
 
 
-def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -> tuple[np.ndarray, ...]:
-    """The band of the size-3 stream: every row whose delta is at most
-    best + band, best the least delta of the stream, ascending in encoding.
+def _best_size3(kernel: _Size3Kernel, band: float) -> tuple[np.ndarray, ...]:
+    """The band of the size-3 stream of kernel's plan: every row whose
+    delta is at most best + band, best the least delta of the stream,
+    ascending in encoding. The scan is the kernel's last use: it drops
+    the kernel's tables once the last gather is done, so that the final
+    cut does not hold them, though the caller may still hold the kernel.
 
     The scan. Block i is first pair i's rows, bound[i] its block bound
     (block_bounds) and lb(i, j) the bound of its run j (lb). gather() is
@@ -791,8 +854,7 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
     _band_width's eps the row of least layout cost and its tie-break are
     among its rows.
     """
-    kernel = _Size3Kernel(d1, c2, plan)
-    bound = kernel.block_bounds()
+    plan, bound = kernel.plan, kernel.block_bounds()
     # the seed block's runs, and of them the seed run, whose least delta is
     # +inf if it holds no row that its first pair takes, or no row at all
     at, lb = kernel.lb(np.argmin(bound, keepdims=True))
@@ -809,7 +871,7 @@ def _best_size3(d1: np.ndarray, c2: np.ndarray, plan: _Size3Plan, band: float) -
             best = float(deltas.min(initial=best))
             r = np.flatnonzero(deltas <= best + band)
             kept.append((i.take(r), rows.take(r), deltas.take(r)))
-    del kernel, at, lb
+    del kernel.a, kernel.d1k, kernel.c2jk, at, lb
     i, rows, deltas = (np.concatenate(col) for col in zip(*kept))
     del kept
     i, rows = _band_rows(deltas, (i, rows), band)

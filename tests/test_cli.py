@@ -75,6 +75,19 @@ def test_ingest_reads_an_upper_case_jsonl_extension_as_json(workdir):
     assert upper == lower and not lower.startswith(b"text")
 
 
+def test_ingest_reads_past_a_utf8_byte_order_mark(workdir):
+    # A leading BOM is no part of the first record, in JSON lines or in
+    # plain text, nor of the raw characters that --max-raw-chars counts:
+    # each BOM file ingests to the corpus of its BOM-free copy.
+    river = (Path(__file__).parent / "data" / "river.jsonl").read_bytes()
+    for name, data, cut in (("u.jsonl", river, []), ("u.txt.in", b"plain line one\nplain line two\n", ["--max-raw-chars", "20"])):
+        for prefix in ("", "bom-"):
+            (workdir / f"{prefix}{name}").write_bytes(b"\xef\xbb\xbf" * bool(prefix) + data)
+            assert main(["ingest", f"{prefix}{name}", "-o", f"{prefix}{name}.txt", *cut]) == 0
+        assert (workdir / f"bom-{name}.txt").read_bytes() == (workdir / f"{name}.txt").read_bytes(), name
+    assert (workdir / "u.txt.in.txt").read_text() == "plain line one plain"
+
+
 def test_ingest_policy_flags(workdir):
     write_jsonl(workdir / "u.jsonl", TWEETS)
     assert main(["ingest", "u.jsonl", "-o", "kept.txt", "--keep-retweets", "--max-raw-chars", "60"]) == 0

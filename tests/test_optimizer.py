@@ -386,7 +386,7 @@ def test_candidate_streams_ascend_so_argmin_breaks_ties(n, mode):
         # every block is scored and every row ties, so the band is the
         # whole stream, in its order; the first pairs that take no row add
         # no row
-        rows = _best_size3(d1, c2, _size3_plan(mode), 0.0)
+        rows = _best_size3(_Size3Kernel(d1, c2, _size3_plan(mode)), 0.0)
         assert np.array_equal(_encodings([rows]), _encodings(blocks))
 
 
@@ -423,17 +423,19 @@ def test_size3_plan_is_built_once_per_mode_and_read_only(geometry, mode):
 
 def test_c2_geometry_half_is_cached_per_table_and_read_only(monkeypatch):
     # Searches over three geometries and the three models, and the first
-    # again, share the cached geometry half of c2 only where their effort
-    # tables are the same: each search's c2 has the bits of a build from an
-    # empty cache, every cached half is read-only, and the cache keeps at
-    # most its bound of halves. Other space sub-key columns change h but
-    # not e. Fitts alpha -2.5 makes the base cost negative on the scaled
-    # geometry, so that model is searched on the default one only.
+    # again, share the cached geometry tables, c2's half and d1's parts,
+    # only where their effort tables are the same: each search's d1 and c2
+    # have the bits of a build from an empty cache, every cached array is
+    # read-only, and the cache keeps at most its bound of entries. Other
+    # space sub-key columns change h but not e. Fitts alpha -2.5 makes the
+    # base cost negative on the scaled geometry, so that model is searched
+    # on the default one only.
     stats = count_bigrams(KeySequence(tie_heavy_text(random.Random(2002))))
-    built = []
-    build = optimizer._build_c2
-    monkeypatch.setattr(optimizer, "_build_c2", lambda x: built.append(build(x)) or built[-1])
-    cache = optimizer._c2_geometry
+    builds = {name: getattr(optimizer, name) for name in ("_build_d1", "_build_c2")}
+    built = {name: [] for name in builds}
+    for name, build in builds.items():
+        monkeypatch.setattr(optimizer, name, lambda x, n=name, b=build: built[n].append(b(x)) or built[n][-1])
+    cache = optimizer._geometry_tables
     bound = cache.cache_info().maxsize
     steps = [(spec, model) for model in MODELS[:2] for spec in (DEFAULT_SPEC, DEFAULT_SPEC.scaled(2.0))]
     steps += [(DEFAULT_SPEC, MODELS[2]), (GeometrySpec(space_subkey_columns=(4, 10, 11, 12)), MODELS[0])]
@@ -445,28 +447,44 @@ def test_c2_geometry_half_is_cached_per_table_and_read_only(monkeypatch):
         optimize(g, stats, SearchConfig(n_swap_pairs=2, model=model))
         assert cache.cache_info().currsize <= bound, (spec, model)
         x = _cost_inputs(g, stats, qwerty_layout(), model)
-        half = cache(x.e.tobytes() + x.h.tobytes())
-        assert not half.flags.writeable
-        with pytest.raises(ValueError):
-            half[0, 0] = half[0, 0]
-    assert cache.cache_info().hits >= len(steps)
-    for (spec, model), c2 in zip(steps, built, strict=True):
-        cache.cache_clear()
-        fresh = build(_cost_inputs(build_geometry(spec), stats, qwerty_layout(), model))
-        assert fresh.tobytes() == c2.tobytes(), (spec, model)
-    # A search whose costs overflow still fails as it did, and adds no half;
-    # nor does a fill whose own differences overflow.
+        tables = cache(x.e.tobytes() + x.h.tobytes() + x.sp.tobytes())
+        for a in (tables.sp, *tables.e, *tables.h, tables.c2):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = a.flat[0]
+    # each search reads the cache for d1 and for c2, and the loop once more
+    assert cache.cache_info().hits >= 2 * len(steps)
+    for (spec, model), d1, c2 in zip(steps, built["_build_d1"], built["_build_c2"], strict=True):
+        x = _cost_inputs(build_geometry(spec), stats, qwerty_layout(), model)
+        for build, table in ((builds["_build_d1"], d1), (builds["_build_c2"], c2)):
+            cache.cache_clear()
+            assert build(x).tobytes() == table.tobytes(), (spec, model)
+    # A search whose costs overflow still fails as it did, and adds no
+    # entry; nor does a fill whose own differences overflow, in c2's half
+    # (e) or only in d1's parts (sp).
     g = build_geometry(GeometrySpec(key_width=1e306, key_height=1e306, h_gap=1e306, v_gap=1e306))
     river = count_bigrams(KeySequence(ingest_tweets(read_tweet_file(str(DATA / "river.jsonl"))).text))
     before = cache.cache_info().currsize
     with pytest.raises(ValueError, match="not finite on this corpus and geometry") as info:
         optimize(g, river, SearchConfig())
     assert "overflow encountered in" in str(info.value)
-    e = np.zeros((26, 26))
+    e, sp = np.zeros((26, 26)), np.zeros(26)
     e[0], e[1] = 1e308, -1e308
-    with pytest.raises(FloatingPointError), optimizer._raising():
-        cache(e.tobytes() + np.zeros((26, 26)).tobytes())
-    assert cache.cache_info().currsize == before
+    sp[0], sp[1] = 1e308, -1e308
+    h = np.zeros((26, 26))
+    for key in (e.tobytes() + h.tobytes() + np.zeros(26).tobytes(), h.tobytes() + h.tobytes() + sp.tobytes()):
+        with pytest.raises(FloatingPointError), optimizer._raising():
+            cache(key)
+        assert cache.cache_info().currsize == before
+    # Here only c2's second differences overflow: the entry holds d1's
+    # parts, and its c2 fill raises on every read, keeping no c2.
+    e = np.zeros((26, 26))
+    e[0, 2] = e[1, 3] = 1e308
+    with optimizer._raising():
+        tables = cache(e.tobytes() + h.tobytes() + np.zeros(26).tobytes())
+        for _ in range(2):
+            with pytest.raises(FloatingPointError):
+                tables.c2
 
 
 def test_size3_kernel_matches_best_on_every_block(geometry):
@@ -511,8 +529,29 @@ def test_size3_kernel_matches_best_on_every_block(geometry):
                 assert np.array_equal(encodings[gathered], got), case
                 assert part[taken].tobytes() == deltas[gathered].tobytes(), case
                 in_band = np.flatnonzero(deltas <= deltas.min() + band)
-                rows = _best_size3(d1, c2, plan, band)
+                rows = _best_size3(_Size3Kernel(d1, c2, plan), band)
                 assert np.array_equal(_encodings([rows]), encodings[in_band]), case
+
+
+def test_the_size2_band_is_the_size3_kernels_a(geometry):
+    # A cumulative search cuts its size-2 band from the size-3 kernel's a,
+    # and a size-2 search sums a itself: both give the same rows, and a
+    # has the bits of _row_deltas at every size-2 row.
+    texts = bundled_texts() + [tie_heavy_text(random.Random(s)) for s in (2003, 2038)] + [TWO_LETTER_TEXT]
+    for text in texts:
+        stats = count_bigrams(KeySequence(text))
+        for model in (EffortModel(), EffortModel(kind="fitts", alpha=0.2)):
+            case = (text[:20], model.kind)
+            x = _cost_inputs(geometry, stats, qwerty_layout(), model)
+            base_cost = _layout_cost(x)
+            cumulative = _bands(x, base_cost, (1, 2, 3), "canonical")[1]
+            [alone] = _bands(x, base_cost, (2,), "canonical")
+            assert len(cumulative) == len(alone) == 2, case
+            for got, want in zip(cumulative, alone):
+                assert np.array_equal(got, want), case
+            d1, c2 = optimizer._build_d1(x), optimizer._build_c2(x)
+            kernel = _Size3Kernel(d1, c2, _size3_plan("canonical"))
+            assert kernel.a.tobytes() == _row_deltas(d1, c2_table(c2), _SIZE2).tobytes(), case
 
 
 def _watch_scan(monkeypatch) -> list[np.ndarray]:
@@ -585,7 +624,7 @@ def test_size3_bounds_hold_for_every_block_and_run(geometry, monkeypatch):
                 least[np.searchsorted(j, seconds)] = np.minimum.reduceat(deltas, starts)
                 assert np.all(lb[hi - plan.runs[i] : hi] <= least + slack), (case, i)
             del scored[:]
-            _best_size3(d1, c2, plan, band)
+            _best_size3(_Size3Kernel(d1, c2, plan), band)
             assert scored[0].tolist() == [np.argmin(bound)], case
 
 
@@ -608,7 +647,7 @@ def test_size3_scan_scores_both_blocks_of_a_planted_tie(mode, monkeypatch):
     c2[at[idx["gm"], idx["jz"]]] = -10.0
     table = c2_table(c2)
     scored = _watch_scan(monkeypatch)
-    got = _best_size3(d1, c2, _size3_plan(mode), 0.0)
+    got = _best_size3(_Size3Kernel(d1, c2, _size3_plan(mode)), 0.0)
     assert scored[0].tolist() == [rows[1][0]]
     assert rows[0][0] in np.concatenate(scored[1:])
     assert len(np.unique(np.concatenate(scored))) < len(list(_candidate_blocks(3, mode)))
@@ -631,7 +670,7 @@ def test_size3_scan_seeded_by_a_run_with_no_row(mode, monkeypatch):
     assert np.argmin(kernel.block_bounds()) == 315
     assert np.all(kernel.lb(np.array([315]))[1] == np.inf)
     scored = _watch_scan(monkeypatch)
-    got = _best_size3(d1, c2, plan, 0.0)
+    got = _best_size3(_Size3Kernel(d1, c2, plan), 0.0)
     assert scored[0].tolist() == [315]
     blocks = list(_candidate_blocks(3, mode))
     deltas = np.concatenate([_row_deltas(d1, c2_table(c2), block) for block in blocks])
@@ -656,7 +695,7 @@ def test_size3_scan_keeps_its_band_with_one_run_a_chunk(geometry, mode, monkeypa
         table = c2_table(c2)
         deltas = np.concatenate([_row_deltas(d1, table, block) for block in blocks])
         in_band = np.flatnonzero(deltas <= deltas.min() + band)
-        rows = _best_size3(d1, c2, _size3_plan(mode), band)
+        rows = _best_size3(_Size3Kernel(d1, c2, _size3_plan(mode)), band)
         assert np.array_equal(_encodings([rows]), _encodings(blocks)[in_band]), text[:20]
 
 
@@ -701,17 +740,17 @@ def test_size3_search_peak_memory(geometry):
 
 def test_size3_search_peak_memory_with_a_wide_band(geometry):
     # Two used letters put tens of thousands of rows in the size-3 band;
-    # scoring them again stays inside the same allowance.
+    # scoring them again stays inside the same allowance, in both modes.
     stats = count_bigrams(KeySequence(TWO_LETTER_TEXT))
-    cfg = SearchConfig(cumulative=True)
-    optimize(geometry, stats, cfg)
-    tracemalloc.start()
-    try:
+    for cfg in (SearchConfig(cumulative=True), SearchConfig(mode="paper")):
         optimize(geometry, stats, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20, peak
+        tracemalloc.start()
+        try:
+            optimize(geometry, stats, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, (cfg.mode, peak)
 
 
 @pytest.mark.skipif(
